@@ -233,17 +233,26 @@ let build_options ?ga_islands ?(verify = true) ?(spill_budget = None) ~mode
     verify;
   }
 
-let wrap f = try Ok (f ()) with
-  | Invalid_argument msg | Failure msg -> Error (`Msg msg)
-  | Pimcomp.Memalloc.Doesnt_fit msg -> Error (`Msg ("doesn't fit: " ^ msg))
-  | Pimcomp.Chromosome.Infeasible msg -> Error (`Msg ("infeasible: " ^ msg))
-  | Nnir.Graph.Invalid_graph msg -> Error (`Msg ("invalid graph: " ^ msg))
-  | Pimcomp.Artifact.Corrupt msg -> Error (`Msg ("corrupt artifact: " ^ msg))
+(* The one-line message for every failure bad input can cause, shared
+   by the commands and the serve daemon's requests.  Anything else is a
+   bug and is re-raised. *)
+let error_message = function
+  | Invalid_argument msg | Failure msg | Pimutil.Json.Parse_error msg -> msg
+  | Nnir.Text_format.Parse_error { line; message } ->
+      Fmt.str ".nnt parse error, line %d: %s" line message
+  | Nnir.Shape_infer.Shape_error msg -> "shape error: " ^ msg
+  | Nnir.Graph.Invalid_graph msg -> "invalid graph: " ^ msg
+  | Pimcomp.Isa_text.Parse_error { line; message } ->
+      Fmt.str ".isa parse error, line %d: %s" line message
+  | Pimcomp.Memalloc.Doesnt_fit msg -> "doesn't fit: " ^ msg
+  | Pimcomp.Chromosome.Infeasible msg -> "infeasible: " ^ msg
+  | Pimcomp.Artifact.Corrupt msg -> "corrupt artifact: " ^ msg
   | Pimcomp.Compile.Job_error { index; graph; exn } ->
-      Error
-        (`Msg
-           (Fmt.str "batch job %d (%s) failed: %s" index graph
-              (Printexc.to_string exn)))
+      Fmt.str "batch job %d (%s) failed: %s" index graph
+        (Printexc.to_string exn)
+  | exn -> raise exn
+
+let wrap f = try Ok (f ()) with exn -> Error (`Msg (error_message exn))
 
 (* --- cache plumbing --------------------------------------------------------- *)
 
@@ -781,12 +790,8 @@ module Serve = struct
     let heavy_results =
       Pimutil.Domain_pool.Persistent.run pool
         (fun (op, req) ->
-          try run_heavy ~hw ~cache op req with
-          | Invalid_argument msg | Failure msg -> error msg
-          | Pimcomp.Chromosome.Infeasible msg ->
-              error ("infeasible: " ^ msg)
-          | Nnir.Graph.Invalid_graph msg -> error ("invalid graph: " ^ msg)
-          | J.Parse_error msg -> error msg)
+          try run_heavy ~hw ~cache op req
+          with exn -> error (error_message exn))
         heavy
     in
     let next = ref 0 in

@@ -35,11 +35,6 @@ type options = {
          returning it; on by default — the pass costs a small fraction
          of a compile and turns backend bugs into diagnostics instead
          of simulator crashes or silently wrong metrics *)
-  cache : [ `Off | `Dir of string ];
-      (* content-addressed artifact cache for [compile_program]: `Dir
-         looks compiled programs up by cache_key before compiling and
-         stores fresh compiles after.  Never consulted by [compile]
-         itself, which always runs the full pipeline. *)
 }
 
 let default_options =
@@ -56,7 +51,6 @@ let default_options =
     objective = Fitness.Minimize_time;
     ga_islands = None;
     verify = true;
-    cache = `Off;
   }
 
 type stage_seconds = {
@@ -222,8 +216,6 @@ let compile ?(options = default_options) (config : Pimhw.Config.t)
 
    - options.verify — verification never changes the emitted program,
      and every cache hit re-verifies on load regardless;
-   - options.cache — where an artifact is stored cannot change what it
-     contains;
    - ga_islands.domains — the island GA is bit-identical for any domain
      count (PR 3 contract), so the worker count is not content.
 
@@ -350,12 +342,6 @@ type served = {
 let compile_program ?(options = default_options) ?cache
     (config : Pimhw.Config.t) graph =
   let t0 = Unix.gettimeofday () in
-  let cache =
-    match (cache, options.cache) with
-    | Some c, _ -> Some c
-    | None, `Dir dir -> Some (Cache.open_dir dir)
-    | None, `Off -> None
-  in
   match cache with
   | None ->
       let r = compile ~options config graph in

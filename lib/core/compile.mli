@@ -31,12 +31,6 @@ type options = {
       (** Run {!Verify.run} on the compiled program and raise on any
           violation.  On by default; the pass is a small fraction of a
           compile. *)
-  cache : [ `Off | `Dir of string ];
-      (** Content-addressed artifact cache, consulted only by
-          {!compile_program}: [`Dir d] looks programs up under [d] by
-          {!cache_key} before compiling and stores fresh compiles after.
-          {!compile} itself always runs the full pipeline.  Off by
-          default. *)
 }
 
 val default_options : options
@@ -87,12 +81,12 @@ val cache_key :
     determines the compiled program: {!graph_digest} of the graph plus
     every semantically relevant option and hardware field, rendered
     canonically and hashed by {!Cache.digest_fields}.  Fields that
-    cannot change the program are excluded: [options.verify],
-    [options.cache] and the island GA's [domains] (island results are
-    domain-count-invariant).  Equal keys mean bit-identical programs;
-    any change to a hashed field changes the key.  [graph_digest], when
-    given, must be {!graph_digest}[ graph] precomputed by the caller; it
-    never changes the key. *)
+    cannot change the program are excluded: [options.verify] and the
+    island GA's [domains] (island results are domain-count-invariant).
+    Equal keys mean bit-identical programs; any change to a hashed field
+    changes the key.  [graph_digest], when given, must be
+    {!graph_digest}[ graph] precomputed by the caller; it never changes
+    the key. *)
 
 type outcome = Cache_off | Cache_miss | Cache_hit
 
@@ -113,11 +107,11 @@ val compile_program :
   ?options:options -> ?cache:Cache.t -> Pimhw.Config.t -> Nnir.Graph.t ->
   served
 (** Cache-aware front door used by the CLI and the serve daemon.  With a
-    cache (the [cache] argument wins over [options.cache]), looks the
-    program up by {!cache_key} — a hit has already passed the container
-    checksum and a fresh {!Verify.run} (see {!Cache.find}), making it
-    indistinguishable from a fresh compile — and stores the program
-    after a miss.  Without one, equivalent to {!compile}. *)
+    cache, looks the program up by {!cache_key} — a hit has already
+    passed the container checksum and a fresh {!Verify.run} (see
+    {!Cache.find}), making it indistinguishable from a fresh compile —
+    and stores the program after a miss.  Without one, equivalent to
+    {!compile}. *)
 
 exception Job_error of { index : int; graph : string; exn : exn }
 (** A {!batch} job failed: [index] is its position in the work list,

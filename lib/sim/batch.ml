@@ -4,15 +4,19 @@
    serialise exactly where the hardware would, while independent
    instances overlap freely.
 
-   Two execution paths, asserted bit-identical differentially:
+   Two execution paths, asserted bit-identical differentially; both run
+   the engine's one event loop:
 
    - [replicate] + [run]: materialise the whole program x batches
-     (O(n x batches) instructions, tags and heap events) and hand it to
-     the plain engine.  Kept as the oracle for differential testing.
-   - [run_stream]: the streaming engine ({!Engine.stream}) pushes
-     instances through a recycled window of in-flight slots — O(window
-     x n) memory for any batch count — and may close the tail
-     analytically once the steady-state period detector fires.
+     (O(n x batches) instructions, tags and heap events) and simulate
+     it as one instance.  Kept as the oracle for differential testing;
+     the tests also hold the replicated program to {!Engine_ref}, so the
+     multi-instance path stays checked against an independent
+     interpreter.
+   - [run_stream]: {!Engine.stream} pushes instances through a recycled
+     window of in-flight slots — O(window x n) memory for any batch
+     count — and may close the tail analytically once the steady-state
+     period detector fires.
 
    This validates the steady-state throughput read on single-stream HT
    simulations (throughput ~ 1/makespan): with the pipeline full, the

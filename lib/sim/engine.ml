@@ -19,11 +19,14 @@
 
    This is the flat-arena implementation: the program is compiled once
    into contiguous arrays indexed by a global instruction id
-   (core-major), with CSR-encoded dependency/dependent edges, dense
-   tag -> arrival / parked-RECV tables, per-instruction precomputed
-   durations and energy charges, and an int-packed event heap.  The
-   arena's mutable state is reset — not reallocated — between runs, so
-   parallelism sweeps and repeated captures pay the build cost once.
+   (core-major), with CSR-encoded dependent edges, dense tag -> arrival
+   / parked-RECV tables, per-instruction precomputed durations and
+   energy charges, and an int-packed event heap.  One event loop
+   ([simulate]) runs every simulation: [exec] is its one-instance case,
+   [stream] pipelines many instances through recycled window slots.
+   Slot 0 and the heap live in the arena and are reset — not
+   reallocated — between runs, so parallelism sweeps and repeated
+   captures pay the build cost once.
 
    Determinism and bit-identity with {!Engine_ref}: events are popped in
    (time, code) order where the code ranks unit releases before
@@ -57,13 +60,13 @@ type t = {
   n : int;                    (* total instructions *)
   core_count : int;
   num_resources : int;        (* AGs + per-core VFUs + memory banks *)
+  num_tags : int;
+  core_len : int array;       (* instructions per core *)
   (* static per-instruction tables, all indexed by global id *)
   core_of : int array;
   idx_of : int array;         (* index within the instruction's core *)
   kind : int array;
   res_of : int array;         (* contended unit, or -1 for SEND/RECV *)
-  dep_off : int array;        (* CSR deps: [dep_off.(g) .. dep_off.(g+1)) *)
-  dep_arr : int array;
   dept_off : int array;       (* CSR dependents, rows in descending id *)
   dept_arr : int array;
   dep_count : int array;
@@ -81,17 +84,18 @@ type t = {
   flithops_d : int array;
   bytes_d : int array;
   t_dram : float;
-  (* mutable per-run state, reset by [exec] *)
-  missing : int array;
-  finish : float array;
+  (* mutable state shared by every in-flight instance, reset per run *)
   issue_next : float array;   (* per-core MVM issue port *)
   res_state : int array;      (* 0 free; 1 busy, release event in heap;
                                  2 busy, release deferred (see [free_at]) *)
   free_at : float array;      (* release time of a state-2 unit *)
   qhead : int array;          (* per-resource FIFO: intrusive int lists *)
   qtail : int array;
-  qnext : int array;
-  heap : Heap.Packed.t;
+  heap : Heap.Packed_payload.t;
+  (* window slot 0: one instance's tables, initialised at its admission *)
+  missing : int array;        (* unretired dependencies *)
+  ready : float array;        (* latest retired dependency's finish *)
+  qnext : int array;          (* unit-queue links *)
   arrival : float array;      (* tag -> message arrival; nan = none *)
   parked : int array;         (* tag -> parked RECV id; -1 = none *)
   core_first : float array;
@@ -272,12 +276,12 @@ let arena ?(parallelism = default_parallelism) (hw : Pimhw.Config.t)
     n;
     core_count;
     num_resources;
+    num_tags;
+    core_len = Array.map Array.length program.Isa.cores;
     core_of;
     idx_of;
     kind;
     res_of;
-    dep_off;
-    dep_arr;
     dept_off;
     dept_arr;
     dep_count;
@@ -293,15 +297,15 @@ let arena ?(parallelism = default_parallelism) (hw : Pimhw.Config.t)
     flithops_d;
     bytes_d;
     t_dram = hw.Pimhw.Config.t_dram_latency_ns;
-    missing = Array.make n 0;
-    finish = Array.make n Float.nan;
     issue_next = Array.make core_count 0.0;
     res_state = Array.make num_resources 0;
     free_at = Array.make num_resources 0.0;
     qhead = Array.make num_resources (-1);
     qtail = Array.make num_resources (-1);
-    qnext = Array.make (max n 1) (-1);
-    heap = Heap.Packed.create ();
+    heap = Heap.Packed_payload.create ();
+    missing = Array.make n 0;
+    ready = Array.make n 0.0;
+    qnext = Array.make n (-1);
     arrival = Array.make num_tags Float.nan;
     parked = Array.make num_tags (-1);
     core_first = Array.make core_count Float.infinity;
@@ -322,16 +326,14 @@ let arena ?(parallelism = default_parallelism) (hw : Pimhw.Config.t)
 let program a = a.program
 let parallelism a = Pimhw.Timing.parallelism a.timing
 
+(* Reset the state every instance shares.  A window slot's tables are
+   initialised when an instance is admitted to it. *)
 let reset a =
-  Array.blit a.dep_count 0 a.missing 0 a.n;
-  Array.fill a.finish 0 a.n Float.nan;
   Array.fill a.issue_next 0 a.core_count 0.0;
   Array.fill a.res_state 0 a.num_resources 0;
   Array.fill a.qhead 0 a.num_resources (-1);
   Array.fill a.qtail 0 a.num_resources (-1);
-  Heap.Packed.clear a.heap;
-  Array.fill a.arrival 0 (Array.length a.arrival) Float.nan;
-  Array.fill a.parked 0 (Array.length a.parked) (-1);
+  Heap.Packed_payload.clear a.heap;
   Array.fill a.core_first 0 a.core_count Float.infinity;
   Array.fill a.core_last 0 a.core_count 0.0;
   a.e_mvm <- 0.0;
@@ -347,9 +349,9 @@ let reset a =
   a.store_bytes <- 0
 
 (* Shared result epilogue: the same expression shapes for every float,
-   whether the inputs came from a full event-by-event run ([exec]), a
-   streaming run, or the period detector's analytic closure — so any two
-   paths fed bitwise-equal inputs produce bitwise-equal metrics. *)
+   whether the inputs came from event-by-event simulation or the period
+   detector's analytic closure — so any two paths fed bitwise-equal
+   inputs produce bitwise-equal metrics. *)
 let make_metrics a ~core_first ~core_last ~e_mvm ~e_vec ~e_local ~e_global
     ~e_noc ~executed ~instrs_total ~mvm_windows ~messages ~flit_hops
     ~load_bytes ~store_bytes ~local_peak_bytes ~local_resident_peak_bytes
@@ -411,241 +413,41 @@ let make_metrics a ~core_first ~core_last ~e_mvm ~e_vec ~e_local ~e_global
     extrapolated_instances;
   }
 
-let exec ?on_schedule a =
-  reset a;
-  (* All indices below are validated at arena-build time (dep ranges, AG
-     ids, tag ranges) or derived from in-range construction, so the hot
-     loop uses unsafe accesses throughout. *)
-  let dep_off = a.dep_off and dep_arr = a.dep_arr in
-  let dept_off = a.dept_off and dept_arr = a.dept_arr in
-  let finish_t = a.finish and missing = a.missing in
-  let kind = a.kind and res_of = a.res_of and tag_of = a.tag_of in
-  let dur = a.dur and issue_delta = a.issue_delta in
-  let arrival = a.arrival and parked = a.parked in
-  let qhead = a.qhead and qtail = a.qtail and qnext = a.qnext in
-  let res_state = a.res_state and free_at = a.free_at in
-  let ready_time g =
-    let acc = ref 0.0 in
-    for e = Array.unsafe_get dep_off g to Array.unsafe_get dep_off (g + 1) - 1
-    do
-      let f = Array.unsafe_get finish_t (Array.unsafe_get dep_arr e) in
-      if f > !acc then acc := f
-    done;
-    !acc
-  in
-  (* Execute an instruction that now owns its unit (if any); returns the
-     unit-release time (nan for unit-less SEND/RECV). *)
-  let do_schedule g ~now =
-    let core = Array.unsafe_get a.core_of g in
-    let ready = Float.max now (ready_time g) in
-    let start = ref ready and finish = ref ready and release = ref Float.nan in
-    let k = Array.unsafe_get kind g in
-    if k = k_mvm then begin
-      let s = Float.max ready (Array.unsafe_get a.issue_next core) in
-      Array.unsafe_set a.issue_next core (s +. Array.unsafe_get issue_delta g);
-      let f = s +. Array.unsafe_get dur g in
-      a.e_mvm <- a.e_mvm +. Array.unsafe_get a.pe_mvm g;
-      a.e_local <- a.e_local +. Array.unsafe_get a.pe_local g;
-      a.mvm_windows <- a.mvm_windows + Array.unsafe_get a.windows_d g;
-      start := s;
-      finish := f;
-      release := f
-    end
-    else if k = k_vec then begin
-      let f = ready +. Array.unsafe_get dur g in
-      a.e_vec <- a.e_vec +. Array.unsafe_get a.pe_vec g;
-      a.e_local <- a.e_local +. Array.unsafe_get a.pe_local g;
-      finish := f;
-      release := f
-    end
-    else if k = k_load || k = k_store then begin
-      (* the bank channel is held for the streaming part only; the
-         fixed access latency overlaps with other requests *)
-      release := ready +. Array.unsafe_get dur g;
-      finish := ready +. a.t_dram +. Array.unsafe_get dur g;
-      if k = k_load then
-        a.load_bytes <- a.load_bytes + Array.unsafe_get a.bytes_d g
-      else a.store_bytes <- a.store_bytes + Array.unsafe_get a.bytes_d g;
-      a.e_global <- a.e_global +. Array.unsafe_get a.pe_global g;
-      a.e_local <- a.e_local +. Array.unsafe_get a.pe_local g;
-      a.flit_hops <- a.flit_hops + Array.unsafe_get a.flithops_d g;
-      a.e_noc <- a.e_noc +. Array.unsafe_get a.pe_noc g
-    end
-    else if k = k_send then begin
-      (* the sender injects and moves on; the message then crosses the
-         mesh and becomes available to the matching RECV *)
-      let tag = Array.unsafe_get tag_of g in
-      if not (Float.is_nan (Array.unsafe_get arrival tag)) then
-        invalid_arg
-          (Fmt.str "Engine: duplicate SEND on tag %d (silent overwrite \
-                    would drop a rendezvous)" tag);
-      Array.unsafe_set arrival tag (ready +. Array.unsafe_get dur g);
-      a.messages <- a.messages + 1;
-      a.flit_hops <- a.flit_hops + Array.unsafe_get a.flithops_d g;
-      a.e_noc <- a.e_noc +. Array.unsafe_get a.pe_noc g
-    end
-    else begin
-      (* k_recv *)
-      let arr = Array.unsafe_get arrival (Array.unsafe_get tag_of g) in
-      if Float.is_nan arr then
-        invalid_arg "Engine: recv scheduled before arrival";
-      let s = Float.max ready arr in
-      start := s;
-      finish := s
-    end;
-    let start = !start and finish = !finish in
-    if start < Array.unsafe_get a.core_first core then
-      Array.unsafe_set a.core_first core start;
-    if finish > Array.unsafe_get a.core_last core then
-      Array.unsafe_set a.core_last core finish;
-    Array.unsafe_set finish_t g finish;
-    (match on_schedule with
-    | Some f -> f ~core ~index:a.idx_of.(g) ~start ~finish
-    | None -> ());
-    Heap.Packed.push a.heap finish (a.num_resources + g);
-    !release
-  in
-  (* Releases are lazy: if nobody is queued when a unit is granted, no
-     release event enters the heap — only [free_at] is recorded (state
-     2).  The event is materialised, at the very same (time, code) key
-     the eager scheme would have used, the moment a later request finds
-     the unit still busy; so the heap's pop order over *present* events
-     is unchanged and uncontended units (the common case) cost zero heap
-     traffic.  A state-2 unit whose [free_at] is <= the current event
-     time is exactly one whose release event would already have popped
-     (releases outrank completions at equal time), i.e. a free unit. *)
-  let grant r g ~now =
-    let release = do_schedule g ~now in
-    if Array.unsafe_get qhead r < 0 then begin
-      Array.unsafe_set res_state r 2;
-      Array.unsafe_set free_at r release
-    end
-    else begin
-      Array.unsafe_set res_state r 1;
-      Heap.Packed.push a.heap release r
-    end
-  in
-  let acquire g ~tnow =
-    let r = Array.unsafe_get res_of g in
-    if r < 0 then ignore (do_schedule g ~now:0.0)
-    else begin
-      let s = Array.unsafe_get res_state r in
-      if s = 0 || (s = 2 && Array.unsafe_get free_at r <= tnow) then
-        grant r g ~now:0.0
-      else begin
-        if s = 2 then begin
-          Array.unsafe_set res_state r 1;
-          Heap.Packed.push a.heap (Array.unsafe_get free_at r) r
-        end;
-        Array.unsafe_set qnext g (-1);
-        let t = Array.unsafe_get qtail r in
-        if t < 0 then Array.unsafe_set qhead r g
-        else Array.unsafe_set qnext t g;
-        Array.unsafe_set qtail r g
-      end
-    end
-  in
-  let release_resource r ~now =
-    let g = Array.unsafe_get qhead r in
-    if g < 0 then Array.unsafe_set res_state r 0
-    else begin
-      let nx = Array.unsafe_get qnext g in
-      Array.unsafe_set qhead r nx;
-      if nx < 0 then Array.unsafe_set qtail r (-1);
-      grant r g ~now
-    end
-  in
-  (* RECVs whose message has not been injected yet park in the dense tag
-     table until the SEND executes. *)
-  let try_schedule g ~tnow =
-    if
-      Array.unsafe_get kind g = k_recv
-      && Float.is_nan (Array.unsafe_get arrival (Array.unsafe_get tag_of g))
-    then Array.unsafe_set parked (Array.unsafe_get tag_of g) g
-    else acquire g ~tnow
-  in
-  (* seed: all instructions with no dependencies, in (core, index) order.
-     No event has been processed yet, so every granted unit is still
-     busy from the seed's viewpoint: tnow = -inf. *)
-  for g = 0 to a.n - 1 do
-    if Array.unsafe_get a.dep_count g = 0 then
-      try_schedule g ~tnow:Float.neg_infinity
-  done;
-  let heap = a.heap in
-  while Heap.Packed.pop heap do
-    let code = Heap.Packed.last_code heap in
-    let tnow = Heap.Packed.last_time heap in
-    if code < a.num_resources then release_resource code ~now:tnow
-    else begin
-      let g = code - a.num_resources in
-      a.executed <- a.executed + 1;
-      (* wake the matching parked RECV if this was a SEND *)
-      (if Array.unsafe_get kind g = k_send then begin
-         let tag = Array.unsafe_get tag_of g in
-         let p = Array.unsafe_get parked tag in
-         if p >= 0 && Array.unsafe_get missing p = 0 then begin
-           Array.unsafe_set parked tag (-1);
-           acquire p ~tnow
-         end
-       end);
-      for e =
-        Array.unsafe_get dept_off g
-        to Array.unsafe_get dept_off (g + 1) - 1
-      do
-        let d = Array.unsafe_get dept_arr e in
-        let m = Array.unsafe_get missing d - 1 in
-        Array.unsafe_set missing d m;
-        if m = 0 then try_schedule d ~tnow
-      done
-    end
-  done;
-  make_metrics a ~core_first:a.core_first ~core_last:a.core_last
-    ~e_mvm:a.e_mvm ~e_vec:a.e_vec ~e_local:a.e_local ~e_global:a.e_global
-    ~e_noc:a.e_noc ~executed:a.executed
-    ~instrs_total:(Isa.num_instrs a.program) ~mvm_windows:a.mvm_windows
-    ~messages:a.messages ~flit_hops:a.flit_hops ~load_bytes:a.load_bytes
-    ~store_bytes:a.store_bytes
-    ~local_peak_bytes:a.program.Isa.memory.Isa.local_peak_bytes
-    ~local_resident_peak_bytes:
-      a.program.Isa.memory.Isa.local_resident_peak_bytes
-    ~simulated_instances:1 ~extrapolated_instances:0
+(* --- The event loop ----------------------------------------------------------
 
-let run ?parallelism ?on_schedule (hw : Pimhw.Config.t) (program : Isa.t) =
-  exec ?on_schedule (arena ?parallelism hw program)
-
-(* --- Streaming batched execution -------------------------------------------
-
-   Simulates [batches] back-to-back inference instances of the arena's
-   program WITHOUT materialising the replicated program: instances flow
-   through a small pool of window slots (per-slot missing counters,
-   ready times, tag tables, partial accumulators) that are recycled as
+   [simulate] runs [batches] back-to-back inference instances of the
+   arena's program WITHOUT materialising the replicated program:
+   instances flow through a pool of window slots (per-slot missing
+   counters, ready times, queue links, tag tables) that are recycled as
    instances retire, so memory is O(in-flight instances x n) regardless
-   of [batches].
+   of [batches].  Slot 0 is the arena's own tables, so a one-instance
+   run ([exec]) allocates nothing per call.
 
-   Bit-identity with [exec (arena hw (Batch.replicate program ~batches))]
-   rests on three mappings:
+   Bit-identity with simulating the materialised program
+   [Batch.replicate program ~batches] as one instance rests on three
+   mappings:
 
    - Event order.  The materialised global id of instruction [idx] of
      instance [k] on core [c] is
        vid = batches*base(c) + k*n_c + idx
-     (core-major, instance-major within a core).  The stream pushes its
-     completion events under exactly this code, so the packed heap —
-     which breaks time ties on the code — pops in exactly the
-     materialised order.  Release events use the same unit codes.  The
-     slot that owns the event rides along as a payload the ordering
-     never looks at (Heap.Packed_payload).
+     (core-major, instance-major within a core).  Completion events are
+     pushed under exactly this code, so the packed heap — which breaks
+     time ties on the code — pops in exactly the materialised order.
+     Release events use the same unit codes.  The slot that owns the
+     event rides along as a payload the ordering never looks at.  With
+     one instance, vid is the global id: the (time, core, index) order
+     of {!Engine_ref}.
 
-   - Ready times.  The materialised engine recomputes max-over-dep
-     finishes at schedule time; the stream folds each dep's finish into
-     the dependent's per-slot ready cell at the dep's completion pop.
+   - Ready times.  Each dependency's finish is folded into the
+     dependent's per-slot ready cell at the dependency's completion pop.
      The popped event time is bitwise the pushed finish, and a running
-     max equals a batch max, so the values agree bitwise.
+     max equals the max over all dependencies taken at schedule time.
 
    - Wake order.  At a completion of (k, idx), the materialised dept row
      is walked in descending id: the pipeline dependent (k+1, idx) has
      the highest id (it exceeds every same-instance dependent by
      n_c + idx - idx' >= 1), then the same-instance dependents in the
-     base program's already-descending row order.  The stream wakes in
+     base program's already-descending row order.  The loop wakes in
      that exact order, after the same parked-RECV check.
 
    Instance admission is lazy and invisible: instance k+1's slot is
@@ -655,15 +457,13 @@ let run ?parallelism ?on_schedule (hw : Pimhw.Config.t) (program : Isa.t) =
    unsatisfied pipeline dependency at that moment too.
 
    The period detector watches retirements (instance completes all n
-   instructions): when the marginal retirement interval, per-core
-   finish-frontier deltas, per-instance charge totals (bitwise), the
-   in-flight progress census, per-resource states/queues and per-core
-   issue-port deltas all repeat for [confirm] consecutive in-order
-   retirements, the remaining instances are closed analytically:
-   per-core frontiers and dynamic energies extended linearly, integer
-   counters as batches x static per-instance totals.  The closure is
-   exact (bitwise equal to simulating to the end) whenever the float
-   arithmetic involved is exact — see DESIGN.md §3.9. *)
+   instructions): when the retirement interval and the in-flight
+   population repeat for [confirm] consecutive in-order retirements,
+   the remaining instances are closed analytically: per-core frontiers
+   and dynamic energies extended linearly, integer counters as
+   batches x static per-instance totals.  The closure is exact (bitwise
+   equal to simulating to the end) whenever the float arithmetic
+   involved is exact — see DESIGN.md §3.9. *)
 
 type stream_stats = {
   batches : int;
@@ -675,95 +475,35 @@ type stream_stats = {
   state_words : int;            (* heap words reachable from slot state *)
 }
 
-let stream ?(window = 0) ?(detect = true) ?confirm a ~batches =
-  if batches <= 0 then invalid_arg "Engine.stream: batches <= 0";
-  if window < 0 then invalid_arg "Engine.stream: window < 0";
-  (* Longer than any dt-plateau a window-period limit cycle can emit:
-     such cycles repeat every [window] retirements, so equal-gap runs
-     inside them are shorter than the window. *)
-  let confirm =
-    match confirm with Some c -> c | None -> max 8 (window + 4)
-  in
-  let n = a.n in
-  let num_resources = a.num_resources in
-  if n > 0 && batches > (max_int - num_resources) / n then
-    invalid_arg
-      (Fmt.str
-         "Engine.stream: %d instances x %d instructions overflows the id \
-          space"
-         batches n);
-  let total = batches * n in
+(* [measure] walks the slot state for [state_words]; 0 when off.  All
+   indices are validated at arena build (dep ranges, AG ids, tag ranges)
+   or derived from in-range construction, so the loop uses unsafe
+   accesses throughout. *)
+let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
   reset a;
-  if n = 0 then
-    ( make_metrics a ~core_first:a.core_first ~core_last:a.core_last
-        ~e_mvm:0.0 ~e_vec:0.0 ~e_local:0.0 ~e_global:0.0 ~e_noc:0.0
-        ~executed:0 ~instrs_total:0 ~mvm_windows:0 ~messages:0 ~flit_hops:0
-        ~load_bytes:0 ~store_bytes:0
-        ~local_peak_bytes:(Array.make a.core_count 0)
-        ~local_resident_peak_bytes:(Array.make a.core_count 0)
-        ~simulated_instances:batches ~extrapolated_instances:0,
-      { batches; simulated_instances = batches; extrapolated_instances = 0;
-        fired_at = None; steady_interval_ns = None; peak_slots = 0;
-        state_words = 0 } )
-  else begin
-  let cc = a.core_count in
-  let nt = Array.length a.arrival in
+  let n = a.n and nt = a.num_tags and num_resources = a.num_resources in
+  let total = batches * n in
   let dept_off = a.dept_off and dept_arr = a.dept_arr in
   let kind = a.kind and res_of = a.res_of and tag_of = a.tag_of in
   let dur = a.dur and issue_delta = a.issue_delta in
   let dep_count = a.dep_count in
   let qhead = a.qhead and qtail = a.qtail in
   let res_state = a.res_state and free_at = a.free_at in
-  (* virtual (materialised) id of (instance k, base id g):
-     vid = vbase.(g) + k * vstep.(g) *)
-  let vbase = Array.make n 0 and vstep = Array.make n 0 in
-  let ncore = Array.make cc 0 in
-  for g = 0 to n - 1 do
-    ncore.(a.core_of.(g)) <- ncore.(a.core_of.(g)) + 1
-  done;
-  let cbase = Array.make (cc + 1) 0 in
-  for c = 0 to cc - 1 do
-    cbase.(c + 1) <- cbase.(c) + ncore.(c)
-  done;
-  for g = 0 to n - 1 do
-    let c = a.core_of.(g) in
-    vbase.(g) <- (batches * cbase.(c)) + a.idx_of.(g);
-    vstep.(g) <- ncore.(c)
-  done;
-  (* static per-instance counter totals (for analytic closure) *)
-  let windows_total = ref 0 and sends_total = ref 0 in
-  let flithops_total = ref 0 in
-  let loadb_total = ref 0 and storeb_total = ref 0 in
-  for g = 0 to n - 1 do
-    windows_total := !windows_total + a.windows_d.(g);
-    flithops_total := !flithops_total + a.flithops_d.(g);
-    if kind.(g) = k_send then incr sends_total
-    else if kind.(g) = k_load then loadb_total := !loadb_total + a.bytes_d.(g)
-    else if kind.(g) = k_store then
-      storeb_total := !storeb_total + a.bytes_d.(g)
-  done;
-  (* --- window-slot state (growable pool) --- *)
-  let cap = ref (max 1 window) in
-  let s_missing = ref (Array.make (!cap * n) 0) in
-  let s_ready = ref (Array.make (!cap * n) 0.0) in
-  let s_qnext = ref (Array.make (!cap * n) (-1)) in
-  let s_arrival = ref (Array.make (!cap * nt) Float.nan) in
-  let s_parked = ref (Array.make (!cap * nt) (-1)) in
-  let s_instance = ref (Array.make !cap (-1)) in
-  let s_completed = ref (Array.make !cap 0) in
-  let s_core_last = ref (Array.make (!cap * cc) 0.0) in
-  let p_mvm = ref (Array.make !cap 0.0) in
-  let p_vec = ref (Array.make !cap 0.0) in
-  let p_local = ref (Array.make !cap 0.0) in
-  let p_global = ref (Array.make !cap 0.0) in
-  let p_noc = ref (Array.make !cap 0.0) in
-  let free_slots = ref [] in
-  for s = !cap - 1 downto 0 do
-    free_slots := s :: !free_slots
-  done;
-  let grow_pool () =
+  let heap = a.heap in
+  (* --- window-slot pool, grown by doubling; slots beyond 0 live for
+     this run only --- *)
+  let cap = ref 1 in
+  let s_missing = ref a.missing and s_ready = ref a.ready in
+  let s_qnext = ref a.qnext in
+  let s_arrival = ref a.arrival and s_parked = ref a.parked in
+  let s_instance = ref [| -1 |] and s_completed = ref [| 0 |] in
+  (* per-slot dynamic-energy partials (mvm, vec, local, global, noc):
+     only the detector's closure reads them *)
+  let track = detect && window > 0 in
+  let s_energy = ref (Array.make 5 0.0) in
+  let free_slots = ref [ 0 ] in
+  let grow_pool nc =
     let oc = !cap in
-    let nc = 2 * oc in
     let gi mk old width =
       let fresh = mk (nc * width) in
       Array.blit old 0 fresh 0 (oc * width);
@@ -776,16 +516,17 @@ let stream ?(window = 0) ?(detect = true) ?confirm a ~batches =
     s_parked := gi (fun l -> Array.make l (-1)) !s_parked nt;
     s_instance := gi (fun l -> Array.make l (-1)) !s_instance 1;
     s_completed := gi (fun l -> Array.make l 0) !s_completed 1;
-    s_core_last := gi (fun l -> Array.make l 0.0) !s_core_last cc;
-    p_mvm := gi (fun l -> Array.make l 0.0) !p_mvm 1;
-    p_vec := gi (fun l -> Array.make l 0.0) !p_vec 1;
-    p_local := gi (fun l -> Array.make l 0.0) !p_local 1;
-    p_global := gi (fun l -> Array.make l 0.0) !p_global 1;
-    p_noc := gi (fun l -> Array.make l 0.0) !p_noc 1;
-    for s = nc - 1 downto oc do
-      free_slots := s :: !free_slots
-    done;
+    s_energy := gi (fun l -> Array.make l 0.0) !s_energy 5;
+    free_slots := !free_slots @ List.init (nc - oc) (fun i -> oc + i);
     cap := nc
+  in
+  if window > 1 then grow_pool window;
+  (* pool position [slot * n + g] -> slot; slot 0, the whole of a
+     one-instance run, needs no division *)
+  let slot_of p = if p < n then 0 else p / n in
+  let charge slot part pe g =
+    let e = !s_energy and i = (5 * slot) + part in
+    Array.unsafe_set e i (Array.unsafe_get e i +. Array.unsafe_get pe g)
   in
   (* live instance -> slot: open-addressed ring keyed by k mod size.
      In-flight instances are a short contiguous-ish run, so collisions
@@ -838,8 +579,8 @@ let stream ?(window = 0) ?(detect = true) ?confirm a ~batches =
      usually outlived some of its pipeline-dependency completions, so
      the latest completed (instance, finish) per base instruction is
      buffered here and folded in at admission. *)
-  let pl_inst = Array.make n (-1) in
-  let pl_finish = Array.make n 0.0 in
+  let pl_inst = if window > 0 then Array.make n (-1) else [||] in
+  let pl_finish = if window > 0 then Array.make n 0.0 else [||] in
   (* contiguous retired prefix — retirement order can locally invert on
      equal-time ties, so track flags in a small reusable ring *)
   let rsize = ref 64 in
@@ -868,19 +609,9 @@ let stream ?(window = 0) ?(detect = true) ?confirm a ~batches =
     done
   in
   let admit k =
-    let slot =
-      match !free_slots with
-      | s :: rest ->
-          free_slots := rest;
-          s
-      | [] ->
-          grow_pool ();
-          (match !free_slots with
-          | s :: rest ->
-              free_slots := rest;
-              s
-          | [] -> assert false)
-    in
+    if !free_slots = [] then grow_pool (2 * !cap);
+    let slot = List.hd !free_slots in
+    free_slots := List.tl !free_slots;
     let sm = !s_missing and sr = !s_ready in
     let off = slot * n in
     let extra = if k = 0 then 0 else 1 in
@@ -890,21 +621,15 @@ let stream ?(window = 0) ?(detect = true) ?confirm a ~batches =
     done;
     Array.fill !s_arrival (slot * nt) nt Float.nan;
     Array.fill !s_parked (slot * nt) nt (-1);
-    Array.fill !s_core_last (slot * cc) cc 0.0;
+    Array.fill !s_energy (5 * slot) 5 0.0;
     !s_completed.(slot) <- 0;
     !s_instance.(slot) <- k;
-    !p_mvm.(slot) <- 0.0;
-    !p_vec.(slot) <- 0.0;
-    !p_local.(slot) <- 0.0;
-    !p_global.(slot) <- 0.0;
-    !p_noc.(slot) <- 0.0;
     imap_insert k slot;
     admitted := k;
     slot
   in
-  let heap = Heap.Packed_payload.create () in
-  (* Execute (slot, g) now owning its unit; returns the unit-release
-     time.  Mirrors [exec]'s do_schedule expression for expression. *)
+  (* Execute (slot, g) now owning its unit (if any); returns the
+     unit-release time (nan for unit-less SEND/RECV). *)
   let do_schedule slot g ~now =
     let core = Array.unsafe_get a.core_of g in
     let ready = Float.max now (Array.unsafe_get !s_ready ((slot * n) + g)) in
@@ -917,8 +642,10 @@ let stream ?(window = 0) ?(detect = true) ?confirm a ~batches =
       a.e_mvm <- a.e_mvm +. Array.unsafe_get a.pe_mvm g;
       a.e_local <- a.e_local +. Array.unsafe_get a.pe_local g;
       a.mvm_windows <- a.mvm_windows + Array.unsafe_get a.windows_d g;
-      !p_mvm.(slot) <- !p_mvm.(slot) +. Array.unsafe_get a.pe_mvm g;
-      !p_local.(slot) <- !p_local.(slot) +. Array.unsafe_get a.pe_local g;
+      if track then begin
+        charge slot 0 a.pe_mvm g;
+        charge slot 2 a.pe_local g
+      end;
       start := s;
       finish := f;
       release := f
@@ -927,12 +654,16 @@ let stream ?(window = 0) ?(detect = true) ?confirm a ~batches =
       let f = ready +. Array.unsafe_get dur g in
       a.e_vec <- a.e_vec +. Array.unsafe_get a.pe_vec g;
       a.e_local <- a.e_local +. Array.unsafe_get a.pe_local g;
-      !p_vec.(slot) <- !p_vec.(slot) +. Array.unsafe_get a.pe_vec g;
-      !p_local.(slot) <- !p_local.(slot) +. Array.unsafe_get a.pe_local g;
+      if track then begin
+        charge slot 1 a.pe_vec g;
+        charge slot 2 a.pe_local g
+      end;
       finish := f;
       release := f
     end
     else if k = k_load || k = k_store then begin
+      (* the bank channel is held for the streaming part only; the
+         fixed access latency overlaps with other requests *)
       release := ready +. Array.unsafe_get dur g;
       finish := ready +. a.t_dram +. Array.unsafe_get dur g;
       if k = k_load then
@@ -942,11 +673,15 @@ let stream ?(window = 0) ?(detect = true) ?confirm a ~batches =
       a.e_local <- a.e_local +. Array.unsafe_get a.pe_local g;
       a.flit_hops <- a.flit_hops + Array.unsafe_get a.flithops_d g;
       a.e_noc <- a.e_noc +. Array.unsafe_get a.pe_noc g;
-      !p_global.(slot) <- !p_global.(slot) +. Array.unsafe_get a.pe_global g;
-      !p_local.(slot) <- !p_local.(slot) +. Array.unsafe_get a.pe_local g;
-      !p_noc.(slot) <- !p_noc.(slot) +. Array.unsafe_get a.pe_noc g
+      if track then begin
+        charge slot 3 a.pe_global g;
+        charge slot 2 a.pe_local g;
+        charge slot 4 a.pe_noc g
+      end
     end
     else if k = k_send then begin
+      (* the sender injects and moves on; the message then crosses the
+         mesh and becomes available to the matching RECV *)
       let tag = Array.unsafe_get tag_of g in
       let st = (slot * nt) + tag in
       if not (Float.is_nan (Array.unsafe_get !s_arrival st)) then
@@ -957,7 +692,7 @@ let stream ?(window = 0) ?(detect = true) ?confirm a ~batches =
       a.messages <- a.messages + 1;
       a.flit_hops <- a.flit_hops + Array.unsafe_get a.flithops_d g;
       a.e_noc <- a.e_noc +. Array.unsafe_get a.pe_noc g;
-      !p_noc.(slot) <- !p_noc.(slot) +. Array.unsafe_get a.pe_noc g
+      if track then charge slot 4 a.pe_noc g
     end
     else begin
       (* k_recv *)
@@ -975,15 +710,27 @@ let stream ?(window = 0) ?(detect = true) ?confirm a ~batches =
       Array.unsafe_set a.core_first core start;
     if finish > Array.unsafe_get a.core_last core then
       Array.unsafe_set a.core_last core finish;
-    let scl = (slot * cc) + core in
-    if finish > Array.unsafe_get !s_core_last scl then
-      Array.unsafe_set !s_core_last scl finish;
-    let inst = Array.unsafe_get !s_instance slot in
-    let vid = Array.unsafe_get vbase g + (inst * Array.unsafe_get vstep g) in
+    let idx = Array.unsafe_get a.idx_of g in
+    (match on_schedule with
+    | Some f -> f ~core ~index:idx ~start ~finish
+    | None -> ());
+    let vid =
+      (batches * (g - idx)) + idx
+      + (Array.unsafe_get !s_instance slot * Array.unsafe_get a.core_len core)
+    in
     Heap.Packed_payload.push heap finish (num_resources + vid)
       ((slot * n) + g);
     !release
   in
+  (* Releases are lazy: if nobody is queued when a unit is granted, no
+     release event enters the heap — only [free_at] is recorded (state
+     2).  The event is materialised, at the very same (time, code) key
+     the eager scheme would have used, the moment a later request finds
+     the unit still busy; so the heap's pop order over *present* events
+     is unchanged and uncontended units (the common case) cost zero heap
+     traffic.  A state-2 unit whose [free_at] is <= the current event
+     time is exactly one whose release event would already have popped
+     (releases outrank completions at equal time), i.e. a free unit. *)
   let grant r slot g ~now =
     let release = do_schedule slot g ~now in
     if Array.unsafe_get qhead r < 0 then begin
@@ -1023,9 +770,12 @@ let stream ?(window = 0) ?(detect = true) ?confirm a ~batches =
       let nx = Array.unsafe_get !s_qnext p in
       Array.unsafe_set qhead r nx;
       if nx < 0 then Array.unsafe_set qtail r (-1);
-      grant r (p / n) (p mod n) ~now
+      let slot = slot_of p in
+      grant r slot (p - (slot * n)) ~now
     end
   in
+  (* RECVs whose message has not been injected yet park in their slot's
+     dense tag table until the SEND executes. *)
   let try_schedule slot g ~tnow =
     if
       Array.unsafe_get kind g = k_recv
@@ -1109,11 +859,7 @@ let stream ?(window = 0) ?(detect = true) ?confirm a ~batches =
           (* steady per-instance dynamic-energy quantum: instruction mix
              is identical across instances, so the retiree's partials
              stand in for every skipped instance *)
-          fire_s.(0) <- !p_mvm.(slot);
-          fire_s.(1) <- !p_vec.(slot);
-          fire_s.(2) <- !p_local.(slot);
-          fire_s.(3) <- !p_global.(slot);
-          fire_s.(4) <- !p_noc.(slot)
+          Array.blit !s_energy (5 * slot) fire_s 0 5
         end
       end
       else begin
@@ -1143,7 +889,8 @@ let stream ?(window = 0) ?(detect = true) ?confirm a ~batches =
   (* seed instance 0: its zero-dep instructions, in (core, index) order —
      the materialised seed order restricted to instance 0, which is the
      whole materialised seed set (every later instance holds a pipeline
-     dependency). *)
+     dependency).  No event has been processed yet, so every granted
+     unit is still busy from the seed's viewpoint: tnow = -inf. *)
   let slot0 = admit 0 in
   for g = 0 to n - 1 do
     if Array.unsafe_get dep_count g = 0 then
@@ -1155,7 +902,8 @@ let stream ?(window = 0) ?(detect = true) ?confirm a ~batches =
     if code < num_resources then release_resource code ~now:tnow
     else begin
       let p = Heap.Packed_payload.last_pay heap in
-      let slot = p / n and g = p mod n in
+      let slot = slot_of p in
+      let g = p - (slot * n) in
       let inst = Array.unsafe_get !s_instance slot in
       a.executed <- a.executed + 1;
       (* lazy admission: the frontier instance's first completion admits
@@ -1172,11 +920,14 @@ let stream ?(window = 0) ?(detect = true) ?confirm a ~batches =
          let pk = Array.unsafe_get !s_parked st in
          if pk >= 0 && Array.unsafe_get !s_missing pk = 0 then begin
            Array.unsafe_set !s_parked st (-1);
-           acquire (pk / n) (pk mod n) ~tnow
+           let ps = slot_of pk in
+           acquire ps (pk - (ps * n)) ~tnow
          end
        end);
-      Array.unsafe_set pl_inst g inst;
-      Array.unsafe_set pl_finish g tnow;
+      if window > 0 then begin
+        Array.unsafe_set pl_inst g inst;
+        Array.unsafe_set pl_finish g tnow
+      end;
       (* pipeline dependent (inst+1, g) first: it holds the highest
          materialised id among this instruction's dependents *)
       (if inst + 1 < batches then begin
@@ -1214,20 +965,7 @@ let stream ?(window = 0) ?(detect = true) ?confirm a ~batches =
       if c = n then on_retire slot inst tnow
     end
   done;
-  let zero_peaks = Array.make cc 0 in
-  let checked_mul x msg =
-    if x <> 0 && batches > max_int / x then
-      invalid_arg (Fmt.str "Engine.stream: %s x %d batches overflows" msg x)
-    else x * batches
-  in
-  let state_words =
-    Obj.reachable_words
-      (Obj.repr
-         ( !s_missing, !s_ready, !s_qnext, !s_arrival, !s_parked,
-           !s_instance, !s_completed, !s_core_last,
-           (!p_mvm, !p_vec, !p_local, !p_global, !p_noc),
-           !imap, !ikey, heap, (pl_inst, pl_finish, !rflag) ))
-  in
+  let zero_peaks = Array.make a.core_count 0 in
   let metrics =
     if !fired then begin
       (* The simulated stream ran [batches - skip] instances; the true
@@ -1245,6 +983,17 @@ let stream ?(window = 0) ?(detect = true) ?confirm a ~batches =
             if a.core_first.(c) = Float.infinity then t else t +. shift)
           a.core_last
       in
+      let times_batches msg per_instance =
+        let x = ref 0 in
+        for g = 0 to n - 1 do
+          x := !x + per_instance g
+        done;
+        if !x <> 0 && batches > max_int / !x then
+          invalid_arg
+            (Fmt.str "Engine.stream: %s x %d batches overflows" msg !x)
+        else !x * batches
+      in
+      let of_kind k v g = if kind.(g) = k then v.(g) else 0 in
       make_metrics a ~core_first:a.core_first ~core_last
         ~e_mvm:(a.e_mvm +. (skip *. fire_s.(0)))
         ~e_vec:(a.e_vec +. (skip *. fire_s.(1)))
@@ -1252,11 +1001,13 @@ let stream ?(window = 0) ?(detect = true) ?confirm a ~batches =
         ~e_global:(a.e_global +. (skip *. fire_s.(3)))
         ~e_noc:(a.e_noc +. (skip *. fire_s.(4)))
         ~executed:total ~instrs_total:total
-        ~mvm_windows:(checked_mul !windows_total "MVM windows")
-        ~messages:(checked_mul !sends_total "messages")
-        ~flit_hops:(checked_mul !flithops_total "flit-hops")
-        ~load_bytes:(checked_mul !loadb_total "load bytes")
-        ~store_bytes:(checked_mul !storeb_total "store bytes")
+        ~mvm_windows:(times_batches "MVM windows" (Array.get a.windows_d))
+        ~messages:
+          (times_batches "messages" (fun g ->
+               if kind.(g) = k_send then 1 else 0))
+        ~flit_hops:(times_batches "flit-hops" (Array.get a.flithops_d))
+        ~load_bytes:(times_batches "load bytes" (of_kind k_load a.bytes_d))
+        ~store_bytes:(times_batches "store bytes" (of_kind k_store a.bytes_d))
         ~local_peak_bytes:zero_peaks ~local_resident_peak_bytes:zero_peaks
         ~simulated_instances:(batches - !fire_skip)
         ~extrapolated_instances:!fire_skip
@@ -1271,6 +1022,15 @@ let stream ?(window = 0) ?(detect = true) ?confirm a ~batches =
         ~local_resident_peak_bytes:zero_peaks ~simulated_instances:batches
         ~extrapolated_instances:0
   in
+  let state_words =
+    if not measure then 0
+    else
+      Obj.reachable_words
+        (Obj.repr
+           ( !s_missing, !s_ready, !s_qnext, !s_arrival, !s_parked,
+             !s_instance, !s_completed, !s_energy,
+             !imap, !ikey, heap, (pl_inst, pl_finish, !rflag) ))
+  in
   let stats =
     {
       batches;
@@ -1283,4 +1043,38 @@ let stream ?(window = 0) ?(detect = true) ?confirm a ~batches =
     }
   in
   (metrics, stats)
-  end
+
+(* One instance, no window, no detector: the simulated program's own
+   memory report carries the local-memory peaks, which a stream of
+   interleaved instances cannot. *)
+let exec ?on_schedule a =
+  let m, _ =
+    simulate ?on_schedule ~window:0 ~detect:false ~confirm:0 ~measure:false a
+      ~batches:1
+  in
+  let memory = a.program.Isa.memory in
+  {
+    m with
+    Metrics.local_peak_bytes = memory.Isa.local_peak_bytes;
+    local_resident_peak_bytes = memory.Isa.local_resident_peak_bytes;
+  }
+
+let run ?parallelism ?on_schedule (hw : Pimhw.Config.t) (program : Isa.t) =
+  exec ?on_schedule (arena ?parallelism hw program)
+
+let stream ?(window = 0) ?(detect = true) ?confirm a ~batches =
+  if batches <= 0 then invalid_arg "Engine.stream: batches <= 0";
+  if window < 0 then invalid_arg "Engine.stream: window < 0";
+  if a.n > 0 && batches > (max_int - a.num_resources) / a.n then
+    invalid_arg
+      (Fmt.str
+         "Engine.stream: %d instances x %d instructions overflows the id \
+          space"
+         batches a.n);
+  (* Longer than any dt-plateau a window-period limit cycle can emit:
+     such cycles repeat every [window] retirements, so equal-gap runs
+     inside them are shorter than the window. *)
+  let confirm =
+    match confirm with Some c -> c | None -> max 8 (window + 4)
+  in
+  simulate ~window ~detect ~confirm ~measure:true a ~batches

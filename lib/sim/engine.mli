@@ -9,8 +9,10 @@
     into contiguous arrays (CSR dependency edges, dense rendezvous
     tables, precomputed per-instruction durations and energy charges,
     an int-packed event heap) and the arena can be re-run by resetting
-    state instead of reallocating it.  Results are bit-identical to the
-    reference interpreter {!Engine_ref}.
+    state instead of reallocating it.  One event loop serves every
+    simulation: {!exec} is the one-instance case of {!stream}, whose
+    first window slot lives in the arena.  Results are bit-identical to
+    the reference interpreter {!Engine_ref}.
 
     Execution is dataflow (dependency-driven): well-formed programs
     always terminate, and unmatched rendezvous surface as
@@ -24,8 +26,9 @@
 
 type t
 (** A reusable simulation arena: one compiled program at one parallelism
-    degree on one hardware configuration.  [exec] may be called any
-    number of times; each call resets the mutable state in place. *)
+    degree on one hardware configuration.  [exec] and [stream] may be
+    called any number of times; each call resets the mutable state in
+    place. *)
 
 val default_parallelism : int
 (** 20 — the paper's energy-evaluation setting; the single source of
@@ -39,7 +42,10 @@ val exec :
   ?on_schedule:(core:int -> index:int -> start:float -> finish:float -> unit) ->
   t ->
   Metrics.t
-(** Simulate the arena's program.  Deterministic: repeated calls return
+(** Simulate one inference of the arena's program: the event loop of
+    {!stream} at one instance, with no window and no detector, and the
+    program's own local-memory peaks on the metrics.  Allocates no
+    per-instruction state.  Deterministic: repeated calls return
     bit-identical metrics.  [on_schedule] observes every instruction as
     it is scheduled (see {!Trace}). *)
 

@@ -62,120 +62,18 @@ let pop h =
   end
 
 (* Int-packed variant for the flat-arena engine: an event is a float
-   timestamp plus one encoded int (unit release or instruction
-   completion), held in two parallel unboxed arrays.  No records are
-   allocated on push, no [Some] on pop — the popped event is read back
-   through [last_time] / [last_code].  Ties break on the code, which the
-   arena encodes so that (code order) = (release before completion,
-   then (core, index) order), reproducing the reference engine's
-   deterministic tie-breaking exactly.
+   timestamp, one encoded int code (unit release or instruction
+   completion) and an opaque payload int, held in three parallel
+   unboxed arrays.  No records are allocated on push, no [Some] on pop —
+   the popped event is read back through [last_time] / [last_code] /
+   [last_pay].  Ties break on the code, which the engine encodes so that
+   (code order) = (release before completion, then (core, index) order),
+   reproducing the reference engine's deterministic tie-breaking
+   exactly.  The payload never influences pop order; the engine uses it
+   to map a completion back to its (window slot, instruction) pair.
 
    All indices are bounded by [size] by construction, so the sifts use
    unsafe accesses. *)
-module Packed = struct
-  type t = {
-    mutable times : float array;
-    mutable codes : int array;
-    mutable size : int;
-    mutable time0 : float; (* last popped *)
-    mutable code0 : int;
-  }
-
-  let create () =
-    { times = Array.make 256 0.0; codes = Array.make 256 0; size = 0;
-      time0 = 0.0; code0 = -1 }
-
-  let clear h = h.size <- 0
-  let is_empty h = h.size = 0
-  let length h = h.size
-  let last_time h = h.time0
-  let last_code h = h.code0
-
-  let push h time code =
-    let n = h.size in
-    if n = Array.length h.times then begin
-      let times = Array.make (2 * n) 0.0 and codes = Array.make (2 * n) 0 in
-      Array.blit h.times 0 times 0 n;
-      Array.blit h.codes 0 codes 0 n;
-      h.times <- times;
-      h.codes <- codes
-    end;
-    let times = h.times and codes = h.codes in
-    (* sift up inline: move the hole, write once *)
-    let i = ref n in
-    let continue = ref true in
-    while !continue && !i > 0 do
-      let parent = (!i - 1) / 2 in
-      let pt = Array.unsafe_get times parent in
-      if time < pt || (time = pt && code < Array.unsafe_get codes parent)
-      then begin
-        Array.unsafe_set times !i pt;
-        Array.unsafe_set codes !i (Array.unsafe_get codes parent);
-        i := parent
-      end
-      else continue := false
-    done;
-    Array.unsafe_set times !i time;
-    Array.unsafe_set codes !i code;
-    h.size <- n + 1
-
-  let pop h =
-    if h.size = 0 then false
-    else begin
-      let times = h.times and codes = h.codes in
-      h.time0 <- Array.unsafe_get times 0;
-      h.code0 <- Array.unsafe_get codes 0;
-      let n = h.size - 1 in
-      h.size <- n;
-      if n > 0 then begin
-        (* sift the former last element down from the root *)
-        let time = Array.unsafe_get times n
-        and code = Array.unsafe_get codes n in
-        let i = ref 0 in
-        let continue = ref true in
-        while !continue do
-          let l = (2 * !i) + 1 in
-          if l >= n then continue := false
-          else begin
-            let r = l + 1 in
-            let lt = Array.unsafe_get times l in
-            let c, ct =
-              if r < n then begin
-                let rt = Array.unsafe_get times r in
-                if
-                  rt < lt
-                  || (rt = lt
-                     && Array.unsafe_get codes r < Array.unsafe_get codes l)
-                then (r, rt)
-                else (l, lt)
-              end
-              else (l, lt)
-            in
-            if
-              ct < time
-              || (ct = time && Array.unsafe_get codes c < code)
-            then begin
-              Array.unsafe_set times !i ct;
-              Array.unsafe_set codes !i (Array.unsafe_get codes c);
-              i := c
-            end
-            else continue := false
-          end
-        done;
-        Array.unsafe_set times !i time;
-        Array.unsafe_set codes !i code
-      end;
-      true
-    end
-end
-
-(* Like [Packed], but each event also carries an opaque payload int that
-   travels with the (time, code) key through the sifts.  The ordering is
-   still on (time, code) alone — the payload never influences pop order,
-   so a [Packed_payload] heap pops in exactly the same sequence as a
-   [Packed] heap fed the same (time, code) pairs.  The streaming batch
-   engine uses the payload to map a virtual completion code back to its
-   (window slot, instruction) pair in O(1). *)
 module Packed_payload = struct
   type t = {
     mutable times : float array;
@@ -192,8 +90,6 @@ module Packed_payload = struct
       pays = Array.make 256 0; size = 0; time0 = 0.0; code0 = -1; pay0 = -1 }
 
   let clear h = h.size <- 0
-  let is_empty h = h.size = 0
-  let length h = h.size
   let last_time h = h.time0
   let last_code h = h.code0
   let last_pay h = h.pay0

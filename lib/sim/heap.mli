@@ -9,36 +9,18 @@ val length : t -> int
 val push : t -> entry -> unit
 val pop : t -> entry option
 
-(** Int-packed min-heap over (float time, int code) pairs held in two
-    parallel unboxed arrays: no allocation on push or pop.  Ties break
-    on the code.  After [pop] returns [true], read the event back with
-    [last_time] / [last_code]. *)
-module Packed : sig
-  type t
-
-  val create : unit -> t
-  val clear : t -> unit
-  val is_empty : t -> bool
-  val length : t -> int
-  val push : t -> float -> int -> unit
-  val pop : t -> bool
-  val last_time : t -> float
-  val last_code : t -> int
-end
-
-(** [Packed] plus an opaque payload int carried alongside each event.
-    Ordering is still on (time, code) alone, so the pop sequence is
-    identical to a [Packed] heap fed the same keys; the payload rides
-    along and is read back with [last_pay].  Used by the streaming
-    batch engine to decode a virtual completion code into its (window
-    slot, instruction) pair without division. *)
+(** Int-packed min-heap over (float time, int code) pairs, each
+    carrying an opaque payload int, held in parallel unboxed arrays: no
+    allocation on push or pop.  Ties break on the code; the payload
+    never influences pop order.  After [pop] returns [true], read the
+    event back with [last_time] / [last_code] / [last_pay].  The engine
+    uses the payload to decode a completion into its (window slot,
+    instruction) pair. *)
 module Packed_payload : sig
   type t
 
   val create : unit -> t
   val clear : t -> unit
-  val is_empty : t -> bool
-  val length : t -> int
   val push : t -> float -> int -> int -> unit
   val pop : t -> bool
   val last_time : t -> float

@@ -160,8 +160,6 @@ let test_cache_key_sensitivity () =
   (* Program-invariant fields must not move the key. *)
   Alcotest.(check string) "verify flag excluded" k0
     (key { base with Pimcomp.Compile.verify = false });
-  Alcotest.(check string) "cache location excluded" k0
-    (key { base with Pimcomp.Compile.cache = `Dir "/somewhere" });
   (* Semantically relevant fields must. *)
   let differs label o =
     Alcotest.(check bool) label true (key o <> k0)
@@ -185,16 +183,22 @@ let test_cache_key_sensitivity () =
 
 let test_cold_warm_evict () =
   let dir = scratch () in
-  let opts = { (options ()) with Pimcomp.Compile.cache = `Dir dir } in
+  let opts = options () in
   let g = graph "tiny" in
+  (* Each request opens the directory afresh, so the hit below comes
+     from disk. *)
+  let request () =
+    Pimcomp.Compile.compile_program ~options:opts
+      ~cache:(Pimcomp.Cache.open_dir dir) hw g
+  in
   (* Cold: full compile, stored. *)
-  let cold = Pimcomp.Compile.compile_program ~options:opts hw g in
+  let cold = request () in
   Alcotest.(check string) "first request misses" "miss"
     (Pimcomp.Compile.outcome_name cold.Pimcomp.Compile.outcome);
   Alcotest.(check bool) "miss carries the full record" true
     (cold.Pimcomp.Compile.result <> None);
   (* Warm: loaded, verified, bit-identical. *)
-  let warm = Pimcomp.Compile.compile_program ~options:opts hw g in
+  let warm = request () in
   Alcotest.(check string) "second request hits" "hit"
     (Pimcomp.Compile.outcome_name warm.Pimcomp.Compile.outcome);
   Alcotest.(check bool) "hit program bit-identical to the fresh compile"

@@ -1,6 +1,7 @@
 (* Tests for the streaming batched engine: differential bit-identity
    against materialised replication across the zoo (both modes, several
-   batch counts, unbounded and over-wide windows), exactness of the
+   batch counts, unbounded and over-wide windows; the materialised runs
+   checked against the reference interpreter), exactness of the
    period detector's fast-forward closure on dyadic-timing
    configurations and on a real network, window-slack invariance
    (qcheck), constant-memory bounds, overflow guards, and the replicate
@@ -77,6 +78,23 @@ let test_zoo_differential () =
       List.iter
         (fun batches ->
           let oracle = Pimsim.Batch.run ~parallelism:20 hw program ~batches in
+          (* the materialised oracle runs the engine's own event loop, so
+             hold it to the reference interpreter on the replicated
+             program too *)
+          if batches <= 2 then begin
+            let reference =
+              Pimsim.Engine_ref.run ~parallelism:20 hw
+                (Pimsim.Batch.replicate program ~batches)
+            in
+            Alcotest.(check bool)
+              (Fmt.str "%s %s N=%d: materialised bit-identical to Engine_ref"
+                 name
+                 (Pimcomp.Mode.to_string mode)
+                 batches)
+              true
+              (oracle.Pimsim.Batch.metrics
+              = { reference with Pimsim.Metrics.simulated_instances = batches })
+          end;
           (* window 0 = unbounded, window >= batches = a bound that never
              binds: both must reproduce the materialised schedule
              bit-for-bit *)
