@@ -21,7 +21,7 @@
      micro    Bechamel micro-benchmarks of the compiler stages
 
    The sweep sections (fig8, fig10, ablation, sim) fan their evaluation
-   points out across OCaml domains via Pimsim.Parallel_sweep; every
+   points out across OCaml domains via Pimutil.Domain_pool; every
    point is a pure seeded computation, so the output is identical to a
    sequential run.  The graph cache is populated before fanning out.
 
@@ -106,22 +106,50 @@ let section name f =
   Fmt.pr "@.%s@.== %s@.%s@." hr name hr;
   f ()
 
-(* One warm worker pool shared by every sweep section (and the synth
-   bench's searches): repeated sweeps reuse the same domains instead of
-   spawning and joining a fresh pool per map call.  Forced lazily so
-   sections that never sweep don't spawn workers; shut down by the
-   driver after the last section. *)
-let sweep_pool = lazy (Pimsim.Parallel_sweep.create_pool ())
+(* Warm worker domains, each with the minor heap grown for the
+   schedulers' allocation profile as in the serve daemon. *)
+let warm_pool ?domains () =
+  Pimutil.Domain_pool.Persistent.create ?domains
+    ~init:Pimcomp.Sched_common.ensure_bulk_nursery ()
+
+(* One warm worker pool shared by every sweep section: repeated sweeps
+   reuse the same domains instead of spawning and joining a fresh pool
+   per map call.  Forced lazily so sections that never sweep don't
+   spawn workers; shut down after the last section runs. *)
+let sweep_pool = lazy (warm_pool ())
 
 let pool_map f items =
-  Pimsim.Parallel_sweep.pool_map (Lazy.force sweep_pool) f items
+  Pimutil.Domain_pool.Persistent.run (Lazy.force sweep_pool) f items
 
-let pool_map_list f items =
-  Pimsim.Parallel_sweep.pool_map_list (Lazy.force sweep_pool) f items
+let pool_map_list f items = Array.to_list (pool_map f (Array.of_list items))
 
 let shutdown_sweep_pool () =
   if Lazy.is_val sweep_pool then
-    Pimsim.Parallel_sweep.shutdown_pool (Lazy.force sweep_pool)
+    Pimutil.Domain_pool.Persistent.shutdown (Lazy.force sweep_pool)
+
+(* Best-of-[reps] wall time of [f] after one warm-up call. *)
+let time_min ~reps f =
+  ignore (f ());
+  let best = ref infinity in
+  for _ = 1 to reps do
+    let t0 = Unix.gettimeofday () in
+    ignore (Sys.opaque_identity (f ()));
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt < !best then best := dt
+  done;
+  !best
+
+(* [f]'s last result and its best-of-3 wall time. *)
+let wall f =
+  let best = ref infinity and result = ref None in
+  for _ = 1 to 3 do
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt < !best then best := dt;
+    result := Some r
+  done;
+  (Option.get !result, !best)
 
 (* --- Table I ---------------------------------------------------------------- *)
 
@@ -693,18 +721,7 @@ let sim () =
   in
   let parallelism = Pimsim.Engine.default_parallelism in
   let reps = if tiny then 3 else 9 in
-  let time_min f =
-    ignore (f ());
-    (* warm-up *)
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      ignore (Sys.opaque_identity (f ()));
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
+  let time_min f = time_min ~reps f in
   Fmt.pr
     "Flat-arena engine vs the reference interpreter on %s@%d (PUMA-like@.\
      mapping, parallelism %d, best of %d runs):@.@."
@@ -763,25 +780,15 @@ let sim () =
              Pimcomp.Mode.all)
          sweep_nets)
   in
-  let wall f =
-    let best = ref infinity and result = ref None in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt;
-      result := Some r
-    done;
-    (Option.get !result, !best)
-  in
-  let recommended = Pimsim.Parallel_sweep.default_domains () in
+  let recommended = Pimutil.Domain_pool.default_domains () in
   let domains = max 4 recommended in
-  let seq, seq_s =
-    wall (fun () -> Pimsim.Parallel_sweep.simulate ~domains:1 hw points)
+  let simulate domains () =
+    Pimutil.Domain_pool.map ~domains
+      (fun (program, parallelism) -> Pimsim.Engine.run ~parallelism hw program)
+      points
   in
-  let par, par_s =
-    wall (fun () -> Pimsim.Parallel_sweep.simulate ~domains hw points)
-  in
+  let seq, seq_s = wall (simulate 1) in
+  let par, par_s = wall (simulate domains) in
   let sweep_identical = seq = par in
   Fmt.pr
     "@.Fig. 8 sweep grid: %d points; sequential %.3f s, %d domains %.3f s \
@@ -873,11 +880,7 @@ let verify_bench () =
       (fun (net, mode) ((r : Pimcomp.Compile.t), (r_puma : Pimcomp.Compile.t)) ->
             let g = graph_of net in
             let program = r.Pimcomp.Compile.program in
-            let instrs =
-              Array.fold_left
-                (fun acc c -> acc + Array.length c)
-                0 program.Pimcomp.Isa.cores
-            in
+            let instrs = Pimcomp.Isa.num_instrs program in
             (match Pimcomp.Verify.run ~graph:g ~config:hw program with
             | [] -> ()
             | vs ->
@@ -973,18 +976,7 @@ let compile_bench () =
         ("inception_v3", Nnir.Zoo.scaled_input_size ~factor:4 "inception_v3") ]
   in
   let reps = if tiny then 3 else 7 in
-  let time_min f =
-    ignore (f ());
-    (* warm-up *)
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      ignore (Sys.opaque_identity (f ()));
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
+  let time_min f = time_min ~reps f in
   (* Whole-zoo compile through Compile.batch: every zoo network in both
      modes with the PUMA-like mapping (compile time is dominated by
      scheduling there, which is what this section measures), sequential
@@ -1015,17 +1007,6 @@ let compile_bench () =
               } ))
           Pimcomp.Mode.all)
       zoo_nets
-  in
-  let wall f =
-    let best = ref infinity and result = ref None in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt;
-      result := Some r
-    done;
-    (Option.get !result, !best)
   in
   let recommended = Pimutil.Domain_pool.default_domains () in
   let domains = max 4 recommended in
@@ -1093,11 +1074,7 @@ let compile_bench () =
           in
           let program = run () in
           let identical = program = run_ref () in
-          let instrs =
-            Array.fold_left
-              (fun acc c -> acc + Array.length c)
-              0 program.Pimcomp.Isa.cores
-          in
+          let instrs = Pimcomp.Isa.num_instrs program in
           (* Interleave the two sides within one loop: this container's
              clock drifts enough that back-to-back best-of-N loops
              flatter whichever side runs second.  Each side is timed
@@ -1515,9 +1492,9 @@ let synth_bench () =
     }
   in
   let search ~domains which =
-    let pool = Pimsim.Parallel_sweep.create_pool ~domains () in
+    let pool = warm_pool ~domains () in
     Fun.protect
-      ~finally:(fun () -> Pimsim.Parallel_sweep.shutdown_pool pool)
+      ~finally:(fun () -> Pimutil.Domain_pool.Persistent.shutdown pool)
       (fun () ->
         Pimcomp.Synth.run ~params:(params which) ~axes
           ~networks:synth_networks
@@ -1547,7 +1524,7 @@ let synth_bench () =
      full compile+simulate, duplicates included. *)
   let naive = search ~domains:1 `Naive in
   (* Determinism across domain counts. *)
-  let many_domains = max 2 (Pimsim.Parallel_sweep.default_domains ()) in
+  let many_domains = max 2 (Pimutil.Domain_pool.default_domains ()) in
   let multi = search ~domains:many_domains `Pruned in
   let frontier = pruned.Pimcomp.Synth.frontier in
   Fmt.pr "@.Pareto frontier (%d points):@." (List.length frontier);

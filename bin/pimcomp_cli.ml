@@ -16,6 +16,16 @@ open Cmdliner
 
 (* --- shared argument definitions ------------------------------------------ *)
 
+(* Every compile-option flag takes its default from here (or from
+   Genetic.default_params), as do serve's JSON fields. *)
+let defaults = Pimcomp.Compile.default_options
+
+(* Mapping strategies by their CLI and serve name. *)
+let strategy_name = function
+  | Pimcomp.Compile.Genetic_algorithm _ -> "ga"
+  | Puma_like -> "puma"
+  | Random_search _ -> "random"
+
 let network_arg =
   let doc = "Zoo network name or path to a .nnt model file." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"NETWORK" ~doc)
@@ -38,17 +48,11 @@ let mode_arg =
           | exception Invalid_argument msg -> Error (`Msg msg)),
         fun ppf m -> Pimcomp.Mode.pp ppf m )
   in
-  Arg.(
-    value
-    & opt mode_conv Pimcomp.Mode.High_throughput
-    & info [ "mode"; "m" ] ~doc)
+  Arg.(value & opt mode_conv defaults.mode & info [ "mode"; "m" ] ~doc)
 
 let parallelism_arg =
   let doc = "Parallelism degree: AGs allowed to compute simultaneously." in
-  Arg.(
-    value
-    & opt int Pimsim.Engine.default_parallelism
-    & info [ "parallelism"; "p" ] ~doc)
+  Arg.(value & opt int defaults.parallelism & info [ "parallelism"; "p" ] ~doc)
 
 let batches_arg =
   let doc =
@@ -72,7 +76,7 @@ let allocator_arg =
           | exception Invalid_argument msg -> Error (`Msg msg)),
         fun ppf a -> Fmt.string ppf (Pimcomp.Memalloc.strategy_name a) )
   in
-  Arg.(value & opt alloc_conv Pimcomp.Memalloc.Ag_reuse & info [ "allocator" ] ~doc)
+  Arg.(value & opt alloc_conv defaults.allocator & info [ "allocator" ] ~doc)
 
 let spill_budget_arg =
   let doc =
@@ -84,15 +88,21 @@ let spill_budget_arg =
 
 let strategy_arg =
   let doc = "Mapping strategy: ga, puma or random." in
-  Arg.(value & opt string "ga" & info [ "strategy" ] ~doc)
+  Arg.(
+    value
+    & opt string (strategy_name defaults.strategy)
+    & info [ "strategy" ] ~doc)
 
 let seed_arg =
   let doc = "Random seed for the genetic algorithm." in
-  Arg.(value & opt int 42 & info [ "seed" ] ~doc)
+  Arg.(value & opt int defaults.seed & info [ "seed" ] ~doc)
 
 let generations_arg =
   let doc = "GA iterations (population is 100, as in the paper)." in
-  Arg.(value & opt int 200 & info [ "generations" ] ~doc)
+  Arg.(
+    value
+    & opt int Pimcomp.Genetic.default_params.iterations
+    & info [ "generations" ] ~doc)
 
 let fast_arg =
   let doc = "Use the reduced GA setting (population 24) for quick runs." in
@@ -128,7 +138,10 @@ let simplify_arg =
 
 let objective_arg =
   let doc = "GA objective: time or edp (energy-delay product)." in
-  Arg.(value & opt string "time" & info [ "objective" ] ~doc)
+  Arg.(
+    value
+    & opt string (Pimcomp.Fitness.objective_name defaults.objective)
+    & info [ "objective" ] ~doc)
 
 let verify_flag_arg =
   let on =
@@ -173,18 +186,6 @@ let load_network name input_size =
          (Fmt.str "unknown network %S (zoo: %s, or a .nnt file)" name
             (String.concat ", " Nnir.Zoo.names)))
 
-let strategy_of_flags name fast generations seed =
-  ignore seed;
-  let params =
-    if fast then Pimcomp.Genetic.fast_params
-    else { Pimcomp.Genetic.default_params with iterations = generations }
-  in
-  match name with
-  | "ga" -> Pimcomp.Compile.Genetic_algorithm params
-  | "puma" -> Pimcomp.Compile.Puma_like
-  | "random" -> Pimcomp.Compile.Random_search params
-  | s -> raise (Invalid_argument (Fmt.str "unknown strategy %S" s))
-
 let islands_of_flags islands migration =
   match (islands, migration) with
   | None, None -> None
@@ -217,21 +218,56 @@ let objective_of_string = function
   | "edp" | "energy-delay" -> Pimcomp.Fitness.Minimize_energy_delay
   | s -> raise (Invalid_argument (Fmt.str "unknown objective %S" s))
 
-let build_options ?ga_islands ?(verify = true) ?(spill_budget = None) ~mode
-    ~parallelism ~cores ~allocator ~strategy ~seed ~objective () =
+(* The one place the commands' flags and serve's JSON fields become
+   compile options.  An argument left out keeps its [defaults] value, so
+   the CLI and serve compile the same program for the same request. *)
+let compile_options ?mode ?parallelism ?cores ?allocator ?spill_budget
+    ?strategy ?seed ?generations ?(fast = false) ?objective ?islands
+    ?migration ?verify () =
+  let params =
+    if fast then Pimcomp.Genetic.fast_params
+    else
+      let p = Pimcomp.Genetic.default_params in
+      { p with iterations = Option.value generations ~default:p.iterations }
+  in
+  let strategy =
+    match Option.value strategy ~default:(strategy_name defaults.strategy) with
+    | "ga" -> Pimcomp.Compile.Genetic_algorithm params
+    | "puma" -> Pimcomp.Compile.Puma_like
+    | "random" -> Pimcomp.Compile.Random_search params
+    | s -> invalid_arg (Fmt.str "unknown strategy %S" s)
+  in
+  let or_default field default = if field = None then default else field in
   {
-    Pimcomp.Compile.default_options with
-    mode;
-    parallelism;
-    core_count = cores;
-    allocator;
-    spill_budget;
-    seed;
+    defaults with
+    mode = Option.value mode ~default:defaults.mode;
+    parallelism = Option.value parallelism ~default:defaults.parallelism;
+    core_count = or_default cores defaults.core_count;
+    allocator = Option.value allocator ~default:defaults.allocator;
+    spill_budget = or_default spill_budget defaults.spill_budget;
+    seed = Option.value seed ~default:defaults.seed;
     strategy;
-    objective;
-    ga_islands;
-    verify;
+    objective = Option.value objective ~default:defaults.objective;
+    ga_islands =
+      or_default (islands_of_flags islands migration) defaults.ga_islands;
+    verify = Option.value verify ~default:defaults.verify;
   }
+
+(* The simulate step of `pimcomp simulate` and serve's simulate op: one
+   cold-start inference, or [batches] pipelined inferences through the
+   constant-memory streaming engine. *)
+let simulate_program ~parallelism ~batches hw program =
+  if batches < 1 then
+    invalid_arg (Fmt.str "batches must be at least 1, got %d" batches);
+  if batches = 1 then `Single (Pimsim.Engine.run ~parallelism hw program)
+  else `Stream (Pimsim.Batch.run_stream ~parallelism hw program ~batches)
+
+(* Warm, long-lived workers for serve and synth: spawned once, minor
+   heap grown for the schedulers' allocation profile, reused across
+   batches. *)
+let warm_pool ?domains () =
+  Pimutil.Domain_pool.Persistent.create ?domains
+    ~init:Pimcomp.Sched_common.ensure_bulk_nursery ()
 
 (* The one-line message for every failure bad input can cause, shared
    by the commands and the serve daemon's requests.  Anything else is a
@@ -335,13 +371,10 @@ let compile_term simulate =
         in
         Fmt.pr "%a@.@." Nnir.Stats.pp_summary (Nnir.Stats.of_graph graph);
         let options =
-          build_options
-            ?ga_islands:(islands_of_flags ga_islands ga_migration)
-            ~verify ~spill_budget ~mode ~parallelism ~cores ~allocator
-            ~strategy:(strategy_of_flags strategy fast generations seed)
-            ~seed
+          compile_options ~mode ~parallelism ?cores ~allocator ?spill_budget
+            ~strategy ~seed ~generations ~fast
             ~objective:(objective_of_string objective)
-            ()
+            ?islands:ga_islands ?migration:ga_migration ~verify ()
         in
         let hw = Pimhw.Config.puma_like in
         let cache = open_cache cache_dir cache_max_mb in
@@ -361,9 +394,7 @@ let compile_term simulate =
                program itself came off disk, already re-verified. *)
             Fmt.pr "%s: %d cores, %d instructions (cache hit)@."
               program.Pimcomp.Isa.graph_name program.Pimcomp.Isa.core_count
-              (Array.fold_left
-                 (fun acc c -> acc + Array.length c)
-                 0 program.Pimcomp.Isa.cores));
+              (Pimcomp.Isa.num_instrs program));
         (match (cache, served.Pimcomp.Compile.key) with
         | Some cache, Some key ->
             Fmt.pr "cache %s: key %s in %.3f s  (%a)@."
@@ -387,18 +418,13 @@ let compile_term simulate =
             Pimutil.Atomic_io.write_text path payload;
             Fmt.pr "wrote %d trace events to %s@.@.%a@."
               (Pimsim.Trace.length trace) path Pimsim.Metrics.pp metrics
-        | None ->
-            if simulate then
-              if batches > 1 then begin
-                let r, _stats =
-                  Pimsim.Batch.run_stream ~parallelism hw program ~batches
-                in
+        | None when simulate -> (
+            match simulate_program ~parallelism ~batches hw program with
+            | `Single metrics -> Fmt.pr "@.%a@." Pimsim.Metrics.pp metrics
+            | `Stream (r, _stats) ->
                 Fmt.pr "@.%a@.@.%a@." Pimsim.Batch.pp r Pimsim.Metrics.pp
-                  r.Pimsim.Batch.metrics
-              end
-              else
-                let metrics = Pimsim.Engine.run ~parallelism hw program in
-                Fmt.pr "@.%a@." Pimsim.Metrics.pp metrics))
+                  r.Pimsim.Batch.metrics)
+        | None -> ()))
   in
   Term.(
     term_result
@@ -442,7 +468,9 @@ let sweep_cmd =
     wrap (fun () ->
         let graph = load_network network input_size in
         let hw = Pimhw.Config.puma_like in
-        let strategy = strategy_of_flags strategy fast generations seed in
+        let options =
+          compile_options ~allocator ~strategy ~seed ~generations ~fast ()
+        in
         let points =
           Array.of_list
             (List.concat_map
@@ -454,12 +482,9 @@ let sweep_cmd =
            domain pool returns them in point order, identical to a
            sequential run. *)
         let results =
-          Pimsim.Parallel_sweep.map ?domains
+          Pimutil.Domain_pool.map ?domains
             (fun (mode, parallelism) ->
-              let options =
-                build_options ~mode ~parallelism ~cores:None ~allocator
-                  ~strategy ~seed ~objective:Pimcomp.Fitness.Minimize_time ()
-              in
+              let options = { options with mode; parallelism } in
               let r = Pimcomp.Compile.compile ~options hw graph in
               Pimsim.Engine.run ~parallelism hw r.Pimcomp.Compile.program)
             points
@@ -480,7 +505,7 @@ let sweep_cmd =
           dt
           (match domains with
           | Some d -> max 1 d
-          | None -> Pimsim.Parallel_sweep.default_domains ()))
+          | None -> Pimutil.Domain_pool.default_domains ()))
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -517,10 +542,8 @@ let verify_cmd =
         in
         let isa_targets, net_targets = List.partition is_isa targets in
         let options =
-          build_options ~verify:false ~mode ~parallelism:8 ~cores:None
-            ~allocator
-            ~strategy:(strategy_of_flags strategy fast generations seed)
-            ~seed ~objective:Pimcomp.Fitness.Minimize_time ()
+          compile_options ~verify:false ~mode ~allocator ~strategy ~seed
+            ~generations ~fast ()
         in
         (* Network targets compile in parallel; .isa dumps just parse. *)
         let compiled =
@@ -546,9 +569,7 @@ let verify_cmd =
                 Fmt.pr "%s: verified: %d cores, %d instructions, no \
                         violations@."
                   label program.Pimcomp.Isa.core_count
-                  (Array.fold_left
-                     (fun acc c -> acc + Array.length c)
-                     0 program.Pimcomp.Isa.cores)
+                  (Pimcomp.Isa.num_instrs program)
             | violations ->
                 incr failed;
                 Fmt.epr "%s:@.%a@." label Pimcomp.Verify.report violations)
@@ -618,43 +639,8 @@ module Serve = struct
 
   let error msg = J.Obj [ ("ok", J.Bool false); ("error", J.String msg) ]
 
-  let options_of_request req =
-    let mode =
-      Pimcomp.Mode.of_string (J.string_field ~default:"HT" "mode" req)
-    in
-    let allocator =
-      Pimcomp.Memalloc.strategy_of_string
-        (J.string_field ~default:"ag-reuse" "allocator" req)
-    in
-    let seed = J.int_field ~default:42 "seed" req in
-    let generations = J.int_field ~default:200 "generations" req in
-    let fast = J.bool_field ~default:false "fast" req in
-    let strategy =
-      strategy_of_flags
-        (J.string_field ~default:"ga" "strategy" req)
-        fast generations seed
-    in
-    let parallelism =
-      J.int_field ~default:Pimsim.Engine.default_parallelism "parallelism"
-        req
-    in
-    build_options
-      ~verify:(J.bool_field ~default:true "verify" req)
-      ~spill_budget:(J.opt_int_field "spill_budget" req)
-      ~mode ~parallelism
-      ~cores:(J.opt_int_field "cores" req)
-      ~allocator ~strategy ~seed
-      ~objective:
-        (objective_of_string (J.string_field ~default:"time" "objective" req))
-      ()
-
   let program_fields (served : Pimcomp.Compile.served) =
     let program = served.Pimcomp.Compile.program in
-    let instructions =
-      Array.fold_left
-        (fun acc c -> acc + Array.length c)
-        0 program.Pimcomp.Isa.cores
-    in
     [
       ("ok", J.Bool true);
       ("graph", J.String program.Pimcomp.Isa.graph_name);
@@ -667,7 +653,7 @@ module Serve = struct
         | None -> J.Null );
       ("seconds", J.Float served.Pimcomp.Compile.seconds);
       ("cores", J.Int program.Pimcomp.Isa.core_count);
-      ("instructions", J.Int instructions);
+      ("instructions", J.Int (Pimcomp.Isa.num_instrs program));
     ]
 
   (* Heavy ops run on pool domains; everything here must only touch the
@@ -678,7 +664,26 @@ module Serve = struct
         (J.string_field "network" req)
         (J.opt_int_field "input_size" req)
     in
-    let options = options_of_request req in
+    (* A field the request leaves out keeps its compile default. *)
+    let field read key =
+      Option.map (fun _ -> read key req) (J.member key req)
+    in
+    let parse of_string key = Option.map of_string (field J.string_field key) in
+    let options =
+      compile_options
+        ?mode:(parse Pimcomp.Mode.of_string "mode")
+        ?parallelism:(field J.int_field "parallelism")
+        ?cores:(J.opt_int_field "cores" req)
+        ?allocator:(parse Pimcomp.Memalloc.strategy_of_string "allocator")
+        ?spill_budget:(J.opt_int_field "spill_budget" req)
+        ?strategy:(field J.string_field "strategy")
+        ?seed:(field J.int_field "seed")
+        ?generations:(field J.int_field "generations")
+        ?fast:(field J.bool_field "fast")
+        ?objective:(parse objective_of_string "objective")
+        ?verify:(field J.bool_field "verify")
+        ()
+    in
     let served = Pimcomp.Compile.compile_program ~options ?cache hw graph in
     match op with
     | "compile" -> J.Obj (program_fields served)
@@ -696,51 +701,37 @@ module Serve = struct
                 ( "error",
                   J.String (Fmt.str "%a" Pimcomp.Verify.report violations) );
               ])
-    | "simulate" -> (
-        let parallelism = options.Pimcomp.Compile.parallelism in
-        match J.int_field ~default:1 "batches" req with
-        | batches when batches > 1 ->
-            (* streaming batched simulation: constant-memory pipelined
-               stream, period detector on *)
-            let r, stats =
-              Pimsim.Batch.run_stream ~parallelism hw
-                served.Pimcomp.Compile.program ~batches
-            in
-            let metrics = r.Pimsim.Batch.metrics in
-            J.Obj
-              (program_fields served
-              @ [
-                  ("batches", J.Int batches);
-                  ("total_ns", J.Float r.Pimsim.Batch.total_ns);
-                  ( "steady_interval_ns",
-                    J.Float r.Pimsim.Batch.steady_interval_ns );
-                  ("latency_ns", J.Float metrics.Pimsim.Metrics.latency_ns);
-                  ( "throughput_ips",
-                    J.Float r.Pimsim.Batch.throughput_ips );
-                  ( "energy_pj",
-                    J.Float
-                      (Pimsim.Metrics.total_pj metrics.Pimsim.Metrics.energy)
-                  );
-                  ( "simulated_instances",
-                    J.Int stats.Pimsim.Engine.simulated_instances );
-                  ( "extrapolated_instances",
-                    J.Int stats.Pimsim.Engine.extrapolated_instances );
-                ])
-        | _ ->
-            let metrics =
-              Pimsim.Engine.run ~parallelism hw served.Pimcomp.Compile.program
-            in
-            J.Obj
-              (program_fields served
-              @ [
-                  ("latency_ns", J.Float metrics.Pimsim.Metrics.latency_ns);
-                  ( "throughput_ips",
-                    J.Float metrics.Pimsim.Metrics.throughput_ips );
-                  ( "energy_pj",
-                    J.Float
-                      (Pimsim.Metrics.total_pj metrics.Pimsim.Metrics.energy)
-                  );
-                ]))
+    | "simulate" ->
+        let energy (m : Pimsim.Metrics.t) =
+          J.Float (Pimsim.Metrics.total_pj m.Pimsim.Metrics.energy)
+        in
+        let fields =
+          match
+            simulate_program ~parallelism:options.Pimcomp.Compile.parallelism
+              ~batches:(J.int_field ~default:1 "batches" req)
+              hw served.Pimcomp.Compile.program
+          with
+          | `Single m ->
+              [
+                ("latency_ns", J.Float m.Pimsim.Metrics.latency_ns);
+                ("throughput_ips", J.Float m.Pimsim.Metrics.throughput_ips);
+                ("energy_pj", energy m);
+              ]
+          | `Stream ((r : Pimsim.Batch.result), stats) ->
+              [
+                ("batches", J.Int r.batches);
+                ("total_ns", J.Float r.total_ns);
+                ("steady_interval_ns", J.Float r.steady_interval_ns);
+                ("latency_ns", J.Float r.metrics.Pimsim.Metrics.latency_ns);
+                ("throughput_ips", J.Float r.throughput_ips);
+                ("energy_pj", energy r.metrics);
+                ( "simulated_instances",
+                  J.Int stats.Pimsim.Engine.simulated_instances );
+                ( "extrapolated_instances",
+                  J.Int stats.Pimsim.Engine.extrapolated_instances );
+              ]
+        in
+        J.Obj (program_fields served @ fields)
     | op -> error (Fmt.str "unknown op %S" op)
 
   let stats_response cache =
@@ -861,12 +852,7 @@ let serve_cmd =
     wrap (fun () ->
         let hw = Pimhw.Config.puma_like in
         let cache = open_cache cache_dir cache_max_mb in
-        (* Warm, long-lived workers: spawn once, grow the minor heap for
-           the schedulers' allocation profile, reuse across requests. *)
-        let pool =
-          Pimutil.Domain_pool.Persistent.create ?domains:jobs
-            ~init:Pimcomp.Sched_common.ensure_bulk_nursery ()
-        in
+        let pool = warm_pool ?domains:jobs () in
         Fun.protect
           ~finally:(fun () -> Pimutil.Domain_pool.Persistent.shutdown pool)
           (fun () ->
@@ -1127,11 +1113,8 @@ let synth_cmd =
           }
         in
         let options =
-          build_options ~mode ~parallelism ~cores:None ~allocator
-            ~strategy:(strategy_of_flags strategy fast generations seed)
-            ~seed
-            ~objective:(objective_of_string objective)
-            ()
+          compile_options ~mode ~parallelism ~allocator ~strategy ~seed
+            ~generations ~fast ~objective:(objective_of_string objective) ()
         in
         let params =
           {
@@ -1145,11 +1128,11 @@ let synth_cmd =
           }
         in
         let cache = open_cache cache_dir cache_max_mb in
-        let pool = Pimsim.Parallel_sweep.create_pool ?domains () in
-        let pool_domains = Pimsim.Parallel_sweep.pool_domains pool in
+        let pool = warm_pool ?domains () in
+        let pool_domains = Pimutil.Domain_pool.Persistent.domain_count pool in
         let result =
           Fun.protect
-            ~finally:(fun () -> Pimsim.Parallel_sweep.shutdown_pool pool)
+            ~finally:(fun () -> Pimutil.Domain_pool.Persistent.shutdown pool)
             (fun () ->
               Pimcomp.Synth.run ~params ~options ~axes ~networks
                 ~eval:(Pimsim.Synth_eval.evaluator ~pool ?cache ~networks ())

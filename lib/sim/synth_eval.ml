@@ -67,7 +67,7 @@ let eval_jobs ?pool ?cache ?batches ~networks jobs =
   let indexed = Array.mapi (fun slot job -> (slot, job)) jobs in
   let f (slot, job) = eval_one ?batches ~cache ~networks slot job in
   match pool with
-  | Some pool -> Parallel_sweep.pool_map pool f indexed
+  | Some pool -> Pimutil.Domain_pool.Persistent.run pool f indexed
   | None -> Array.map f indexed
 
 let evaluator ?pool ?cache ?batches ~networks () jobs =

@@ -3,12 +3,12 @@
     Bridges the synthesiser (which lives below the simulator in the
     library stack and therefore takes its evaluator as a callback) to
     {!Pimcomp.Compile.compile_program} + {!Engine.run}.  Jobs fan out
-    over a {!Parallel_sweep.pool} of warm worker domains when one is
-    given; results are slot-ordered either way, so the synthesiser's
-    frontier is bit-identical for any domain count. *)
+    over a {!Pimutil.Domain_pool.Persistent} pool of warm worker domains
+    when one is given; results are slot-ordered either way, so the
+    synthesiser's frontier is bit-identical for any domain count. *)
 
 val eval_jobs :
-  ?pool:Parallel_sweep.pool ->
+  ?pool:Pimutil.Domain_pool.Persistent.t ->
   ?cache:Pimcomp.Cache.t ->
   ?batches:int ->
   networks:(string * Nnir.Graph.t) array ->
@@ -36,7 +36,7 @@ val eval_jobs :
     in [Compile.batch]. *)
 
 val evaluator :
-  ?pool:Parallel_sweep.pool ->
+  ?pool:Pimutil.Domain_pool.Persistent.t ->
   ?cache:Pimcomp.Cache.t ->
   ?batches:int ->
   networks:(string * Nnir.Graph.t) array ->

@@ -1,10 +1,9 @@
 (* Generic domain pool: fan independent (pure, deterministic) closures
    out across OCaml 5 domains with a shared atomic work counter, writing
-   each result into its input slot.  Hoisted out of the simulator's
-   Parallel_sweep so both the compiler (island-model GA) and the
-   simulator (evaluation sweeps) can use it without depending on each
-   other; this library is a leaf — it must stay free of pimcomp/pimsim
-   dependencies.
+   each result into its input slot.  Both the compiler (island-model GA)
+   and the simulator's callers (evaluation sweeps, synthesis) use it
+   without depending on each other; this library is a leaf — it must
+   stay free of pimcomp/pimsim dependencies.
 
    Guarantees:
 
@@ -73,9 +72,6 @@ let map ?domains ?spawn f items =
         | Empty -> assert false)
       results
   end
-
-let map_list ?domains f items =
-  Array.to_list (map ?domains f (Array.of_list items))
 
 (* --- persistent pool ------------------------------------------------------ *)
 

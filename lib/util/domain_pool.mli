@@ -29,8 +29,6 @@ val map :
     fails after k spawns, to exercise the partial-spawn cleanup path);
     production callers never pass it. *)
 
-val map_list : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
-
 (** Long-lived worker domains behind a job queue, for callers that issue
     many small batches (the serve daemon): domains spawn once, run
     [init] (e.g. growing the minor heap for the schedulers' allocation

@@ -1,7 +1,8 @@
 (* Tests for the generic domain pool in the leaf library [Pimutil]:
-   slot-ordered results, sequential/parallel equivalence, and exception
-   propagation out of worker domains — the properties both the
-   simulator sweeps and the island-model GA rely on. *)
+   slot-ordered results, sequential/parallel equivalence (also on a
+   simulator sweep), and exception propagation out of worker domains —
+   the properties both the simulator sweeps and the island-model GA
+   rely on. *)
 
 let test_slot_ordering () =
   let items = Array.init 137 (fun i -> i) in
@@ -26,11 +27,6 @@ let test_empty_and_default () =
     (Pimutil.Domain_pool.map ~domains:4 (fun i -> i) [||]);
   Alcotest.(check bool) "default domain count >= 1" true
     (Pimutil.Domain_pool.default_domains () >= 1)
-
-let test_map_list () =
-  Alcotest.(check (list int))
-    "list variant" [ 2; 4; 6 ]
-    (Pimutil.Domain_pool.map_list ~domains:2 (fun i -> 2 * i) [ 1; 2; 3 ])
 
 exception Boom of int
 
@@ -88,49 +84,92 @@ let test_partial_spawn_failure () =
     "every spawned worker joined before the re-raise" allowed
     (Atomic.get finished)
 
-(* The persistent pool must give map's slot-ordering and exception
-   contract across many batches on the same warm domains. *)
+module Persistent = Pimutil.Domain_pool.Persistent
+
+let with_pool ?init ~domains f =
+  let pool = Persistent.create ~domains ?init () in
+  Fun.protect ~finally:(fun () -> Persistent.shutdown pool) (fun () -> f pool)
+
+(* The persistent pool spawns its workers once: [init] runs once per
+   worker however many batches the pool serves. *)
 let test_persistent_pool () =
   let init_runs = Atomic.make 0 in
-  let pool =
-    Pimutil.Domain_pool.Persistent.create ~domains:3
-      ~init:(fun () -> Atomic.incr init_runs)
-      ()
-  in
-  Fun.protect
-    ~finally:(fun () -> Pimutil.Domain_pool.Persistent.shutdown pool)
-    (fun () ->
-      Alcotest.(check int) "domain count" 3
-        (Pimutil.Domain_pool.Persistent.domain_count pool);
+  with_pool ~domains:3
+    ~init:(fun () -> Atomic.incr init_runs)
+    (fun pool ->
+      Alcotest.(check int) "domain count" 3 (Persistent.domain_count pool);
+      for _ = 1 to 3 do
+        ignore (Persistent.run pool Fun.id [| 1; 2; 3 |])
+      done);
+  (* Workers are joined by now, so every init has run exactly once. *)
+  Alcotest.(check int) "init ran once per worker" 3 (Atomic.get init_runs)
+
+(* Across many batches on the same warm domains, [run] gives [map]'s
+   slot-ordered results. *)
+let test_pool_matches_map () =
+  with_pool ~domains:3 (fun pool ->
       for round = 1 to 5 do
         let items = Array.init (round * 13) (fun i -> i) in
-        let got =
-          Pimutil.Domain_pool.Persistent.run pool (fun i -> (i * i) + round)
-            items
-        in
+        let f i = (i * i) + round in
         Alcotest.(check (array int))
-          (Fmt.str "round %d slot order" round)
-          (Array.map (fun i -> (i * i) + round) items)
-          got
-      done;
+          (Fmt.str "round %d matches map" round)
+          (Pimutil.Domain_pool.map ~domains:3 f items)
+          (Persistent.run pool f items)
+      done)
+
+(* A worker exception reaches the caller, and the pool survives the
+   failing batch. *)
+let test_pool_exception () =
+  with_pool ~domains:2 (fun pool ->
       (match
-         Pimutil.Domain_pool.Persistent.run pool
+         Persistent.run pool
            (fun i -> if i = 3 then raise (Boom i) else i)
            (Array.init 8 (fun i -> i))
        with
       | _ -> Alcotest.fail "worker exception must reach the caller"
       | exception Boom 3 -> ());
-      (* The pool survives a failing batch. *)
       Alcotest.(check (array int))
         "pool usable after a failing batch" [| 0; 2; 4 |]
-        (Pimutil.Domain_pool.Persistent.run pool (fun i -> 2 * i)
-           [| 0; 1; 2 |]));
-  (* Workers are joined by now, so every init has run exactly once. *)
-  Alcotest.(check int) "init ran once per worker" 3 (Atomic.get init_runs);
-  (* After shutdown, run refuses. *)
-  match Pimutil.Domain_pool.Persistent.run pool (fun i -> i) [| 1 |] with
+        (Persistent.run pool (fun i -> 2 * i) [| 0; 1; 2 |]))
+
+(* A second shutdown is a no-op, and run then refuses. *)
+let test_pool_shutdown () =
+  let pool = Persistent.create ~domains:2 () in
+  Persistent.shutdown pool;
+  Persistent.shutdown pool;
+  match Persistent.run pool (fun i -> i) [| 1 |] with
   | _ -> Alcotest.fail "run after shutdown must raise"
   | exception Invalid_argument _ -> ()
+
+(* A simulator sweep over (program, parallelism) points, fanned across
+   domains as `pimcomp sweep` runs it, is bit-identical to the sequential
+   sweep, and each point matches the reference engine.  The programs are
+   the tiny network at its native size mapped onto 8 cores. *)
+let test_simulate_matches_sequential () =
+  let hw = Pimhw.Config.puma_like in
+  let compiled mode =
+    let options =
+      { Pimcomp.Compile.default_options with
+        strategy = Pimcomp.Compile.Puma_like; core_count = Some 8; mode }
+    in
+    (Pimcomp.Compile.compile ~options hw (Nnir.Zoo.tiny ())).program
+  in
+  let ht = compiled Pimcomp.Mode.High_throughput in
+  let ll = compiled Pimcomp.Mode.Low_latency in
+  let points = [| (ht, 4); (ht, 20); (ll, 4); (ll, 20) |] in
+  let sweep domains =
+    Pimutil.Domain_pool.map ~domains
+      (fun (program, parallelism) -> Pimsim.Engine.run ~parallelism hw program)
+      points
+  in
+  let seq = sweep 1 in
+  Alcotest.(check bool) "parallel sweep bit-identical to sequential" true
+    (seq = sweep 4);
+  Array.iteri
+    (fun i (program, parallelism) ->
+      Alcotest.(check bool) (Fmt.str "point %d matches Engine_ref" i) true
+        (seq.(i) = Pimsim.Engine_ref.run ~parallelism hw program))
+    points
 
 let () =
   Alcotest.run "domain_pool"
@@ -140,7 +179,6 @@ let () =
           Alcotest.test_case "slot ordering" `Quick test_slot_ordering;
           Alcotest.test_case "domains > items" `Quick test_domains_exceed_items;
           Alcotest.test_case "empty and default" `Quick test_empty_and_default;
-          Alcotest.test_case "map_list" `Quick test_map_list;
           Alcotest.test_case "exception propagation" `Quick
             test_exception_propagation;
           Alcotest.test_case "partial spawn failure" `Quick
@@ -148,4 +186,17 @@ let () =
         ] );
       ( "persistent",
         [ Alcotest.test_case "warm pool" `Quick test_persistent_pool ] );
+      ( "pool",
+        [
+          Alcotest.test_case "matches map, reusable" `Quick
+            test_pool_matches_map;
+          Alcotest.test_case "exception propagation" `Quick
+            test_pool_exception;
+          Alcotest.test_case "shutdown" `Quick test_pool_shutdown;
+        ] );
+      ( "simulate",
+        [
+          Alcotest.test_case "matches sequential and Engine_ref" `Quick
+            test_simulate_matches_sequential;
+        ] );
     ]

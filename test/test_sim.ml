@@ -332,14 +332,18 @@ let test_duplicate_send_rejected () =
 
 (* --- differential: flat-arena Engine vs the reference interpreter ----- *)
 
-let compile_zoo ~mode name =
-  let g = Nnir.Zoo.build ~input_size:(Nnir.Zoo.min_input_size name) name in
+let compile_puma ?core_count ~mode g =
   let options =
     { Pimcomp.Compile.default_options with
       strategy = Pimcomp.Compile.Puma_like;
+      core_count;
       mode }
   in
   (Pimcomp.Compile.compile ~options hw g).Pimcomp.Compile.program
+
+let compile_zoo ~mode name =
+  compile_puma ~mode
+    (Nnir.Zoo.build ~input_size:(Nnir.Zoo.min_input_size name) name)
 
 (* Every zoo network compiled PUMA-like at its minimum input size, in
    both modes — shared between the batch and differential suites. *)
@@ -384,7 +388,17 @@ let test_differential_zoo () =
         (Fmt.str "%s %s: engines bit-identical" name
            (Pimcomp.Mode.to_string mode))
         true (engines_agree program))
-    (Lazy.force zoo_programs)
+    (Lazy.force zoo_programs);
+  (* tiny at its native size, mapped onto an 8-core machine *)
+  List.iter
+    (fun mode ->
+      let program = compile_puma ~core_count:8 ~mode (Nnir.Zoo.tiny ()) in
+      Alcotest.(check bool)
+        (Fmt.str "tiny on 8 cores %s: engines bit-identical"
+           (Pimcomp.Mode.to_string mode))
+        true
+        (engines_agree ~parallelisms:[ 4; 20 ] program))
+    Pimcomp.Mode.all
 
 let random_programs_differential =
   QCheck.Test.make

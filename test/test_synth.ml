@@ -263,9 +263,9 @@ let e2e_options =
   }
 
 let run_e2e ~domains ~prune =
-  let pool = Pimsim.Parallel_sweep.create_pool ~domains () in
+  let pool = Pimutil.Domain_pool.Persistent.create ~domains () in
   Fun.protect
-    ~finally:(fun () -> Pimsim.Parallel_sweep.shutdown_pool pool)
+    ~finally:(fun () -> Pimutil.Domain_pool.Persistent.shutdown pool)
     (fun () ->
       Synth.run
         ~params:{ Synth.default_params with generations = 2; prune }
