@@ -16,14 +16,11 @@
               (writes BENCH_GA.json)
      sim      flat-arena engine vs the reference interpreter, and
               sequential vs domain-parallel sweep (writes BENCH_SIM.json)
-     verify   static program verifier overhead vs compile time
-              (writes BENCH_VERIFY.json)
-     micro    Bechamel micro-benchmarks of the compiler stages
 
    The sweep sections (fig8, fig10, ablation, sim) fan their evaluation
    points out across OCaml domains via Pimutil.Domain_pool; every
    point is a pure seeded computation, so the output is identical to a
-   sequential run.  The graph cache is populated before fanning out.
+   sequential run.
 
    Networks run at 1/4 of their native input resolution (layer structure
    unchanged — see DESIGN.md §1) so the whole suite completes in
@@ -47,19 +44,7 @@ let ga_params =
     patience = Some 30;
   }
 
-let graphs : (string, Nnir.Graph.t) Hashtbl.t = Hashtbl.create 8
-
-let graph_of (name, size) =
-  match Hashtbl.find_opt graphs name with
-  | Some g -> g
-  | None ->
-      let g = Nnir.Zoo.build ~input_size:size name in
-      Hashtbl.add graphs name g;
-      g
-
-(* Domain-fanned sections must not mutate [graphs] concurrently: build
-   every graph up front, then the workers only read. *)
-let warm_graphs nets = List.iter (fun net -> ignore (graph_of net)) nets
+let graph_of (name, size) = Nnir.Zoo.build ~input_size:size name
 
 let compile_and_sim ?(allocator = Pimcomp.Memalloc.Ag_reuse) ~mode ~strategy
     ~parallelism net =
@@ -127,25 +112,13 @@ let shutdown_sweep_pool () =
   if Lazy.is_val sweep_pool then
     Pimutil.Domain_pool.Persistent.shutdown (Lazy.force sweep_pool)
 
-(* Best-of-[reps] wall time of [f] after one warm-up call. *)
-let time_min ~reps f =
-  ignore (f ());
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    ignore (Sys.opaque_identity (f ()));
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt
-  done;
-  !best
-
-(* [f]'s last result and its best-of-3 wall time. *)
-let wall f =
+(* [f]'s last result and its best-of-[reps] wall time.  Every timed
+   path is deterministic (same inputs, same result every run), so the
+   minimum is the cleanest estimate of its cost under scheduler noise. *)
+let best_of ~reps f =
   let best = ref infinity and result = ref None in
-  for _ = 1 to 3 do
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    let dt = Unix.gettimeofday () -. t0 in
+  for _ = 1 to reps do
+    let r, dt = Pimutil.Clock.timed f in
     if dt < !best then best := dt;
     result := Some r
   done;
@@ -177,7 +150,6 @@ let fig8 () =
      wins.@.@.";
   Fmt.pr "%-14s %5s | %12s %12s | %12s %12s@." "network" "P" "HT thr (GA)"
     "HT norm" "LL lat (GA)" "LL norm";
-  warm_graphs networks;
   let points =
     Array.of_list
       (List.concat_map
@@ -285,7 +257,6 @@ let fig10 () =
     "Memory-reuse optimisation (paper Fig. 10).  HT: global-memory access@.\
      normalised to the naive allocator (transfer batch = 2 MVMs, as in the@.\
      paper).  LL: peak on-chip memory vs the 64 kB scratchpad.@.@.";
-  warm_graphs networks;
   let rows =
     pool_map_list
       (fun net ->
@@ -411,7 +382,6 @@ let ablation () =
     "PUMA-like";
   let strategy_nets = [ ("squeezenet", 56); ("resnet18", 56) ] in
   let objective_nets = [ ("squeezenet", 56); ("googlenet", 56) ] in
-  warm_graphs (strategy_nets @ objective_nets);
   let points =
     List.concat_map
       (fun net -> List.map (fun mode -> (net, mode)) Pimcomp.Mode.all)
@@ -498,7 +468,8 @@ let batch () =
    Full (re-evaluate every child from scratch) and Incremental (refresh
    only the terms the mutation touched) evaluation.  Both paths share
    their arithmetic, so the trajectories — and the final best fitness —
-   must be bit-identical; only the wall time may differ.
+   must be bit-identical (the run fails otherwise); only the wall time
+   may differ.
 
    A second section compares the single-population GA against the island
    model at the same evaluation budget: the island run is timed both
@@ -515,23 +486,11 @@ let ga_throughput () =
   let core_count = Pimcomp.Partition.fit_core_count table in
   let timing = Pimhw.Timing.create ~parallelism:20 hw in
   let params = Pimcomp.Genetic.default_params in
-  (* Best of three repetitions: the runs are deterministic (same seed,
-     same result every time), so the minimum wall time is the cleanest
-     estimate of the evaluation cost under scheduler noise. *)
   let run evaluation mode =
-    let once () =
-      let rng = Pimcomp.Rng.create ~seed:42 in
-      let t0 = Unix.gettimeofday () in
-      let r =
-        Pimcomp.Genetic.optimize ~params ~evaluation ~mode ~timing ~rng table
-          ~core_count ~max_node_num_in_core:16 ()
-      in
-      (r, Unix.gettimeofday () -. t0)
-    in
-    let r, s = once () in
-    let _, s2 = once () in
-    let _, s3 = once () in
-    (r, Float.min s (Float.min s2 s3))
+    best_of ~reps:3 (fun () ->
+        Pimcomp.Genetic.optimize ~params ~evaluation ~mode ~timing
+          ~rng:(Pimcomp.Rng.create ~seed:42) table ~core_count
+          ~max_node_num_in_core:16 ())
   in
   Fmt.pr
     "GA mapping-stage throughput on %s@%d, default params (population %d,@.\
@@ -562,6 +521,9 @@ let ga_throughput () =
           (Pimcomp.Mode.to_string mode)
           (full_s /. inc_s)
           (if identical then "identical" else "DIVERGED");
+        if not identical then
+          Fmt.failwith "ga: %a incremental and full trajectories diverged"
+            Pimcomp.Mode.pp mode;
         (mode, full, full_s, inc, inc_s, identical))
       Pimcomp.Mode.all
   in
@@ -635,6 +597,9 @@ let ga_throughput () =
              <= single.Pimcomp.Genetic.best_fitness
            then "equal-or-better"
            else "worse than single");
+        if not identical then
+          Fmt.failwith "ga: %a island runs diverged between 1 and %d domains"
+            Pimcomp.Mode.pp mode domains_par;
         (mode, single, single_s, single_curve, seq_s, par, par_s, par_curve,
          identical))
       Pimcomp.Mode.all
@@ -721,7 +686,6 @@ let sim () =
   in
   let parallelism = Pimsim.Engine.default_parallelism in
   let reps = if tiny then 3 else 9 in
-  let time_min f = time_min ~reps f in
   Fmt.pr
     "Flat-arena engine vs the reference interpreter on %s@%d (PUMA-like@.\
      mapping, parallelism %d, best of %d runs):@.@."
@@ -734,21 +698,24 @@ let sim () =
         let r, _ = compile_and_sim ~mode ~strategy:puma ~parallelism net in
         let program = r.Pimcomp.Compile.program in
         let arena = Pimsim.Engine.arena ~parallelism hw program in
-        let m_ref = Pimsim.Engine_ref.run ~parallelism hw program in
-        let m_cold = Pimsim.Engine.run ~parallelism hw program in
-        let m_warm = Pimsim.Engine.exec arena in
+        let m_ref, ref_s =
+          best_of ~reps (fun () ->
+              Pimsim.Engine_ref.run ~parallelism hw program)
+        in
+        let m_cold, cold_s =
+          best_of ~reps (fun () -> Pimsim.Engine.run ~parallelism hw program)
+        in
+        let m_warm, warm_s =
+          best_of ~reps (fun () -> Pimsim.Engine.exec arena)
+        in
         let identical = m_ref = m_cold && m_ref = m_warm in
-        let ref_s =
-          time_min (fun () -> Pimsim.Engine_ref.run ~parallelism hw program)
-        in
-        let cold_s =
-          time_min (fun () -> Pimsim.Engine.run ~parallelism hw program)
-        in
-        let warm_s = time_min (fun () -> Pimsim.Engine.exec arena) in
         Fmt.pr "%-4s | %9.3f %9.3f %9.3f | %7.2fx %7.2fx | %b@."
           (Pimcomp.Mode.to_string mode)
           (ref_s *. 1e3) (cold_s *. 1e3) (warm_s *. 1e3) (ref_s /. cold_s)
           (ref_s /. warm_s) identical;
+        if not identical then
+          Fmt.failwith "sim: %a metrics diverged across ref, cold and warm"
+            Pimcomp.Mode.pp mode;
         (mode, ref_s, cold_s, warm_s, identical))
       Pimcomp.Mode.all
   in
@@ -757,7 +724,6 @@ let sim () =
      pool.  The two result arrays must be bit-identical. *)
   let sweep_nets = if tiny then [ net ] else networks in
   let sweep_parallelisms = if tiny then [ 4; 8 ] else [ 4; 8; 16; 32 ] in
-  warm_graphs sweep_nets;
   let points =
     Array.of_list
       (List.concat_map
@@ -787,8 +753,8 @@ let sim () =
       (fun (program, parallelism) -> Pimsim.Engine.run ~parallelism hw program)
       points
   in
-  let seq, seq_s = wall (simulate 1) in
-  let par, par_s = wall (simulate domains) in
+  let seq, seq_s = best_of ~reps:3 (simulate 1) in
+  let par, par_s = best_of ~reps:3 (simulate domains) in
   let sweep_identical = seq = par in
   Fmt.pr
     "@.Fig. 8 sweep grid: %d points; sequential %.3f s, %d domains %.3f s \
@@ -796,6 +762,9 @@ let sim () =
     (Array.length points) seq_s domains par_s (seq_s /. par_s)
     (if sweep_identical then "bit-identical" else "DIVERGED")
     recommended;
+  if not sweep_identical then
+    Fmt.failwith "sim: sweep results diverged between 1 and %d domains"
+      domains;
   write_json "BENCH_SIM.json" @@ fun json ->
   Format.fprintf json
     "{@.  \"network\": \"%s\",@.  \"input_size\": %d,@.  \"parallelism\": \
@@ -819,154 +788,15 @@ let sim () =
     (Array.length points) domains recommended seq_s par_s (seq_s /. par_s)
     sweep_identical
 
-(* --- verifier overhead --------------------------------------------------------- *)
-
-(* Measures the static program verifier (Pimcomp.Verify) against the
-   compile pipeline it guards: full-zoo GA compiles in both modes with
-   the verifier enabled, using the same paper GA parameters as Table II
-   (population 100, patience 60) — the compile time the paper reports —
-   and recording the stamped verification stage time plus a standalone
-   best-of-N Verify.run timing per program.  The acceptance bar is that
-   verification stays under 5% of compile time; the JSON also records
-   the share against a PUMA-like heuristic compile — the cheapest
-   possible pipeline, so the verifier's worst case.  Results land in
-   BENCH_VERIFY.json; PIMCOMP_SIM_TINY=1 shrinks the run to the tiny
-   network for the `dune runtest` smoke invocation. *)
-let verify_bench () =
-  let tiny = Sys.getenv_opt "PIMCOMP_SIM_TINY" <> None in
-  let nets =
-    if tiny then [ ("tiny", Nnir.Zoo.min_input_size "tiny") ] else networks
-  in
-  let reps = if tiny then 3 else 5 in
-  let mapping =
-    if tiny then ga
-    else
-      Pimcomp.Compile.Genetic_algorithm
-        { Pimcomp.Genetic.default_params with patience = Some 60 }
-  in
-  Fmt.pr
-    "Static verifier overhead: Table II GA compiles with --verify across@.\
-     the zoo; stamped stage time vs a standalone best-of-%d Verify.run.@.@."
-    reps;
-  Fmt.pr "%-14s %-4s | %8s %10s %10s | %9s %8s@." "network" "mode" "instrs"
-    "compile s" "verify s" "re-run s" "share";
-  let cases =
-    List.concat_map
-      (fun net -> List.map (fun mode -> (net, mode)) Pimcomp.Mode.all)
-      nets
-  in
-  let options mode strategy =
-    { Pimcomp.Compile.default_options with mode; parallelism = 20; strategy }
-  in
-  (* The zoo sweep goes through Compile.batch, but pinned to one domain:
-     the stamped per-stage wall times are the measurement here, and
-     concurrent jobs would inflate each other's stages with contention. *)
-  warm_graphs nets;
-  let results =
-    Pimcomp.Compile.batch ~jobs:1 hw
-      (List.concat_map
-         (fun (net, mode) ->
-           let g = graph_of net in
-           [ (g, options mode mapping); (g, options mode puma) ])
-         cases)
-  in
-  let rec pairs = function
-    | [] -> []
-    | a :: b :: tl -> (a, b) :: pairs tl
-    | [ _ ] -> assert false
-  in
-  let rows =
-    List.map2
-      (fun (net, mode) ((r : Pimcomp.Compile.t), (r_puma : Pimcomp.Compile.t)) ->
-            let g = graph_of net in
-            let program = r.Pimcomp.Compile.program in
-            let instrs = Pimcomp.Isa.num_instrs program in
-            (match Pimcomp.Verify.run ~graph:g ~config:hw program with
-            | [] -> ()
-            | vs ->
-                Fmt.failwith "%s %a failed verification: %a" (fst net)
-                  Pimcomp.Mode.pp mode Pimcomp.Verify.report vs);
-            let standalone = ref infinity in
-            for _ = 1 to reps do
-              let t0 = Unix.gettimeofday () in
-              ignore
-                (Sys.opaque_identity
-                   (Pimcomp.Verify.run ~graph:g ~config:hw program));
-              let dt = Unix.gettimeofday () -. t0 in
-              if dt < !standalone then standalone := dt
-            done;
-            let s = r.Pimcomp.Compile.stage_seconds in
-            let sp = r_puma.Pimcomp.Compile.stage_seconds in
-            let share =
-              s.Pimcomp.Compile.verification /. Float.max 1e-9 s.Pimcomp.Compile.total
-            in
-            Fmt.pr "%-14s %-4s | %8d %10.4f %10.4f | %9.4f %7.2f%%@."
-              (fst net)
-              (Pimcomp.Mode.to_string mode)
-              instrs s.Pimcomp.Compile.total s.Pimcomp.Compile.verification
-              !standalone (share *. 100.0);
-            (net, mode, instrs, s.Pimcomp.Compile.total,
-             s.Pimcomp.Compile.verification, !standalone,
-             sp.Pimcomp.Compile.total, sp.Pimcomp.Compile.verification))
-      cases (pairs results)
-  in
-  let total_compile =
-    List.fold_left (fun acc (_, _, _, t, _, _, _, _) -> acc +. t) 0.0 rows
-  in
-  let total_verify =
-    List.fold_left (fun acc (_, _, _, _, v, _, _, _) -> acc +. v) 0.0 rows
-  in
-  let puma_compile =
-    List.fold_left (fun acc (_, _, _, _, _, _, t, _) -> acc +. t) 0.0 rows
-  in
-  let puma_verify =
-    List.fold_left (fun acc (_, _, _, _, _, _, _, v) -> acc +. v) 0.0 rows
-  in
-  let overall = total_verify /. Float.max 1e-9 total_compile in
-  let puma_share = puma_verify /. Float.max 1e-9 puma_compile in
-  Fmt.pr
-    "@.zoo total: compile %.3f s, verification %.3f s (%.2f%% of compile, \
-     bar: < 5%%)@.heuristic floor: PUMA-like compile %.3f s, verification \
-     %.2f%% of it@."
-    total_compile total_verify (overall *. 100.0) puma_compile
-    (puma_share *. 100.0);
-  write_json "BENCH_VERIFY.json" @@ fun json ->
-  Format.fprintf json "{@.  \"tiny\": %b,@.  \"programs\": [@." tiny;
-  List.iteri
-    (fun i
-         (net, mode, instrs, compile_s, verify_s, standalone_s, puma_s,
-          puma_verify_s) ->
-      Format.fprintf json
-        "    { \"network\": %S, \"mode\": %S, \"instructions\": %d,@.      \
-         \"compile_seconds\": %.6f, \"verify_seconds\": %.6f, \
-         \"standalone_verify_seconds\": %.6f,@.      \"verify_share\": %.4f, \
-         \"puma_compile_seconds\": %.6f, \"puma_verify_seconds\": %.6f,@.      \
-         \"violations\": 0 }%s@."
-        (fst net)
-        (Pimcomp.Mode.to_string mode)
-        instrs compile_s verify_s standalone_s
-        (verify_s /. Float.max 1e-9 compile_s)
-        puma_s puma_verify_s
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Format.fprintf json
-    "  ],@.  \"total_compile_seconds\": %.6f,@.  \
-     \"total_verify_seconds\": %.6f,@.  \"overall_verify_share\": %.4f,@.  \
-     \"puma_compile_seconds\": %.6f,@.  \"puma_verify_share\": %.4f,@.  \
-     \"under_5_percent\": %b@.}@."
-    total_compile total_verify overall puma_compile puma_share
-    (overall < 0.05)
-
 (* --- compiler throughput -------------------------------------------------------- *)
 
 (* Benchmarks the flat-arena dataflow schedulers against the reference
-   hashtable formulations (Schedule_ll_ref / Schedule_ht_ref), the
-   Isa_text parser on the largest LL stream, and the whole-zoo parallel
-   compile driver (Compile.batch) against a sequential run.  Every
-   comparison asserts bit-identical programs first — a speedup over a
-   divergent reference is meaningless.  Results land in
-   BENCH_COMPILE.json; PIMCOMP_SIM_TINY=1 shrinks the run for the
-   `dune runtest` smoke invocation. *)
+   hashtable formulations (Schedule_ll_ref / Schedule_ht_ref), and the
+   whole-zoo parallel batch compile (Compile.batch) against a
+   sequential run.  Every comparison asserts bit-identical programs
+   first — a speedup over a divergent reference is meaningless.
+   Results land in BENCH_COMPILE.json; PIMCOMP_SIM_TINY=1 shrinks the
+   run for the `dune runtest` smoke invocation. *)
 let compile_bench () =
   let tiny = Sys.getenv_opt "PIMCOMP_SIM_TINY" <> None in
   let sched_nets =
@@ -976,7 +806,6 @@ let compile_bench () =
         ("inception_v3", Nnir.Zoo.scaled_input_size ~factor:4 "inception_v3") ]
   in
   let reps = if tiny then 3 else 7 in
-  let time_min f = time_min ~reps f in
   (* Whole-zoo compile through Compile.batch: every zoo network in both
      modes with the PUMA-like mapping (compile time is dominated by
      scheduling there, which is what this section measures), sequential
@@ -992,7 +821,6 @@ let compile_bench () =
         (fun name -> (name, Nnir.Zoo.scaled_input_size ~factor:4 name))
         Nnir.Zoo.names
   in
-  warm_graphs zoo_nets;
   let work =
     List.concat_map
       (fun net ->
@@ -1010,9 +838,11 @@ let compile_bench () =
   in
   let recommended = Pimutil.Domain_pool.default_domains () in
   let domains = max 4 recommended in
-  let seq, seq_s = wall (fun () -> Pimcomp.Compile.batch ~jobs:1 hw work) in
+  let seq, seq_s =
+    best_of ~reps:3 (fun () -> Pimcomp.Compile.batch ~jobs:1 hw work)
+  in
   let par, par_s =
-    wall (fun () -> Pimcomp.Compile.batch ~jobs:domains hw work)
+    best_of ~reps:3 (fun () -> Pimcomp.Compile.batch ~jobs:domains hw work)
   in
   let batch_identical =
     List.for_all2
@@ -1029,6 +859,9 @@ let compile_bench () =
     (List.length work) seq_s domains par_s (seq_s /. par_s)
     (if batch_identical then "bit-identical" else "DIVERGED")
     recommended;
+  if not batch_identical then
+    Fmt.failwith "compile: whole-zoo batch diverged between 1 and %d domains"
+      domains;
   (* Per-stage share of the sequential run, summed over the zoo. *)
   let sum f =
     List.fold_left
@@ -1074,6 +907,9 @@ let compile_bench () =
           in
           let program = run () in
           let identical = program = run_ref () in
+          if not identical then
+            Fmt.failwith "compile: %s %a flat and reference programs differ"
+              (fst net) Pimcomp.Mode.pp mode;
           let instrs = Pimcomp.Isa.num_instrs program in
           (* Interleave the two sides within one loop: this container's
              clock drifts enough that back-to-back best-of-N loops
@@ -1094,49 +930,24 @@ let compile_bench () =
           for _ = 1 to reps do
             Pimcomp.Sched_common.ensure_bulk_nursery ();
             Gc.full_major ();
-            let t0 = Unix.gettimeofday () in
-            ignore (Sys.opaque_identity (run ()));
-            let t1 = Unix.gettimeofday () in
+            flat_best := Float.min !flat_best (snd (Pimutil.Clock.timed run));
             Gc.set default_gc;
             Gc.full_major ();
-            let t2 = Unix.gettimeofday () in
-            ignore (Sys.opaque_identity (run_ref ()));
-            let t3 = Unix.gettimeofday () in
-            if t1 -. t0 < !flat_best then flat_best := t1 -. t0;
-            if t3 -. t2 < !ref_best then ref_best := t3 -. t2
+            ref_best := Float.min !ref_best (snd (Pimutil.Clock.timed run_ref))
           done;
           let ref_s = !ref_best and flat_s = !flat_best in
           Fmt.pr "%-14s %-4s | %8d | %9.3f %9.3f | %7.2fx | %b@." (fst net)
             (Pimcomp.Mode.to_string mode)
             instrs (ref_s *. 1e3) (flat_s *. 1e3) (ref_s /. flat_s) identical;
-          (net, mode, instrs, ref_s, flat_s, identical, program)
+          (net, mode, instrs, ref_s, flat_s, identical)
         in
         List.map measure Pimcomp.Mode.all)
       sched_nets
   in
-  (* Isa_text round-trip on the largest LL stream: the parser used to be
-     quadratic in instructions per core. *)
-  let _, _, rt_instrs, _, _, _, rt_program =
-    List.fold_left
-      (fun ((_, _, bi, _, _, _, _) as best)
-           ((_, mode, i, _, _, _, _) as row) ->
-        if mode = Pimcomp.Mode.Low_latency && i > bi then row else best)
-      (List.hd sched_rows) (List.tl sched_rows)
-  in
-  let text = Pimcomp.Isa_text.to_string rt_program in
-  let parsed = Pimcomp.Isa_text.of_string text in
-  let rt_identical = parsed = rt_program in
-  let print_s = time_min (fun () -> Pimcomp.Isa_text.to_string rt_program) in
-  let parse_s = time_min (fun () -> Pimcomp.Isa_text.of_string text) in
-  Fmt.pr
-    "@.Isa_text round-trip of the %d-instruction LL stream: print %.3f s, \
-     parse %.3f s,@.round-trip %s.@."
-    rt_instrs print_s parse_s
-    (if rt_identical then "exact" else "DIVERGED");
   write_json "BENCH_COMPILE.json" @@ fun json ->
   Format.fprintf json "{@.  \"tiny\": %b,@.  \"schedulers\": [@." tiny;
   List.iteri
-    (fun i (net, mode, instrs, ref_s, flat_s, identical, _) ->
+    (fun i (net, mode, instrs, ref_s, flat_s, identical) ->
       Format.fprintf json
         "    { \"network\": %S, \"mode\": %S, \"instructions\": %d,@.      \
          \"ref_seconds\": %.6f, \"flat_seconds\": %.6f, \"speedup\": %.2f, \
@@ -1147,11 +958,7 @@ let compile_bench () =
         (if i = List.length sched_rows - 1 then "" else ","))
     sched_rows;
   Format.fprintf json
-    "  ],@.  \"isa_text\": { \"instructions\": %d, \"print_seconds\": %.6f, \
-     \"parse_seconds\": %.6f, \"round_trip_exact\": %b },@."
-    rt_instrs print_s parse_s rt_identical;
-  Format.fprintf json
-    "  \"zoo_batch\": { \"jobs\": %d, \"domains\": %d, \
+    "  ],@.  \"zoo_batch\": { \"jobs\": %d, \"domains\": %d, \
      \"recommended_domains\": %d,@.    \"seq_seconds\": %.6f, \
      \"par_seconds\": %.6f, \"speedup\": %.2f, \"bit_identical\": %b,@.    \
      \"stage_seconds\": { \"partitioning\": %.6f, \"replicating_mapping\": \
@@ -1169,12 +976,14 @@ let compile_bench () =
      hit    the same request again (container load + checksum + full
             Verify.run), best of 3
 
-   The acceptance bar is hit >= 10x faster than cold for every zoo
-   network, with the loaded program bit-identical to the freshly
-   compiled one.  A second table checks bit-identity of store/load
-   round-trips across zoo x {HT, LL} x all allocators (PUMA-like
-   mapping — the identity sweep is about the artifact path, not GA
-   time), and an eviction smoke run exercises the LRU budget.  Results
+   The loaded program must be bit-identical to the freshly compiled
+   one; the bar of a hit >= 10x faster than cold for every zoo network
+   is reported, not enforced, since wall-clock ratios near the bar
+   swing with host noise.  A second table checks bit-identity of
+   store/load round-trips across zoo x {HT, LL} x all allocators
+   (PUMA-like mapping — the identity sweep is about the artifact path,
+   not GA time), and an eviction smoke run checks that the LRU budget
+   keeps the newest entry servable.  Results
    land in BENCH_CACHE.json; PIMCOMP_SIM_TINY=1 shrinks everything for
    the `dune runtest` smoke invocation. *)
 let cache_bench () =
@@ -1228,7 +1037,6 @@ let cache_bench () =
       rm_rf root)
   @@ fun () ->
   let cache = Pimcomp.Cache.open_dir (Filename.concat root "main") in
-  warm_graphs nets;
   Fmt.pr
     "Content-addressed compile cache: cold compile+store vs verified hit@.\
      (default serving options, best-of-3 hits, bar: >= 10x per network).@.@.";
@@ -1269,6 +1077,8 @@ let cache_bench () =
         let cold_s = cold.Pimcomp.Compile.seconds in
         Fmt.pr "%-14s | %10.3f %10.4f | %7.1fx | %9d | %b@." (fst net) cold_s
           !hit_s (cold_s /. !hit_s) entry_bytes identical;
+        if not identical then
+          Fmt.failwith "cache: %s hit differs from the fresh compile" (fst net);
         (net, cold_s, !hit_s, entry_bytes, identical))
       nets
   in
@@ -1326,6 +1136,9 @@ let cache_bench () =
   Fmt.pr
     "identity sweep: %d points (zoo x mode x allocator), %d failures@."
     !identity_points !identity_failures;
+  if !identity_failures > 0 then
+    Fmt.failwith "cache: %d identity-sweep round trips failed"
+      !identity_failures;
   (* Eviction smoke: a 1-byte budget forces every store to evict all
      older entries; the newest must survive and stay servable. *)
   let evict_cache =
@@ -1355,6 +1168,8 @@ let cache_bench () =
      entries, newest servable: %b@."
     (List.length evict_nets) evict_stats.Pimcomp.Cache.evictions
     evict_stats.Pimcomp.Cache.entries survivor_served;
+  if not survivor_served then
+    failwith "cache: the newest entry did not survive eviction";
   let stats = Pimcomp.Cache.stats cache in
   write_json "BENCH_CACHE.json" @@ fun json ->
   Format.fprintf json "{@.  \"tiny\": %b,@.  \"networks\": [@." tiny;
@@ -1385,63 +1200,6 @@ let cache_bench () =
     stats.Pimcomp.Cache.hits stats.Pimcomp.Cache.misses
     stats.Pimcomp.Cache.rejected stats.Pimcomp.Cache.evictions
     stats.Pimcomp.Cache.entries stats.Pimcomp.Cache.bytes
-
-(* --- Bechamel micro-benchmarks ------------------------------------------------ *)
-
-let micro () =
-  let open Bechamel in
-  let g = graph_of ("squeezenet", 56) in
-  let table = Pimcomp.Partition.of_graph hw g in
-  let core_count = Pimcomp.Partition.fit_core_count table in
-  let timing = Pimhw.Timing.create ~parallelism:20 hw in
-  let rng = Pimcomp.Rng.create ~seed:1 in
-  let chrom =
-    Pimcomp.Chromosome.compact_initial rng table ~core_count
-      ~max_node_num_in_core:16 ~extra_replica_attempts:8 ()
-  in
-  let layout = Pimcomp.Layout.of_chromosome chrom in
-  let ht_program = Pimcomp.Schedule_ht.schedule layout in
-  let ll_program = Pimcomp.Schedule_ll.schedule layout in
-  let tests =
-    [
-      Test.make ~name:"partition" (Staged.stage (fun () ->
-          ignore (Pimcomp.Partition.of_graph hw g)));
-      Test.make ~name:"fitness-ht" (Staged.stage (fun () ->
-          ignore (Pimcomp.Fitness.ht timing chrom)));
-      Test.make ~name:"fitness-ll" (Staged.stage (fun () ->
-          ignore (Pimcomp.Fitness.ll timing chrom)));
-      Test.make ~name:"mutation" (Staged.stage (fun () ->
-          let c = Pimcomp.Chromosome.copy chrom in
-          ignore (Pimcomp.Chromosome.mutate_random rng c)));
-      Test.make ~name:"schedule-ht" (Staged.stage (fun () ->
-          ignore (Pimcomp.Schedule_ht.schedule layout)));
-      Test.make ~name:"schedule-ll" (Staged.stage (fun () ->
-          ignore (Pimcomp.Schedule_ll.schedule layout)));
-      Test.make ~name:"simulate-ht" (Staged.stage (fun () ->
-          ignore (Pimsim.Engine.run ~parallelism:20 hw ht_program)));
-      Test.make ~name:"simulate-ll" (Staged.stage (fun () ->
-          ignore (Pimsim.Engine.run ~parallelism:20 hw ll_program)));
-    ]
-  in
-  Fmt.pr "Bechamel micro-benchmarks on squeezenet@56 (OLS, ns/run):@.";
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let analysis =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false
-             ~predictors:[| Measure.run |])
-          instance results
-      in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Fmt.pr "  %-22s %14.1f ns/run@." name est
-          | Some _ | None -> Fmt.pr "  %-22s (no estimate)@." name)
-        analysis)
-    tests
 
 (* --- synth ------------------------------------------------------------------- *)
 
@@ -1665,7 +1423,6 @@ let alloc_bench () =
       [ ("tiny", 16); ("lenet", Nnir.Zoo.min_input_size "lenet") ]
     else networks
   in
-  warm_graphs nets;
   let parallelism = Pimsim.Engine.default_parallelism in
   let compile_with allocator mode net =
     let options =
@@ -1910,22 +1667,12 @@ let stream_bench () =
       [ 1; 2; 4; 8 ]
   in
   let all_identical = List.for_all snd identity_rows in
-  let timed f =
-    let best = ref infinity and result = ref None in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt;
-      result := Some r
-    done;
-    (Option.get !result, !best)
-  in
   let mat_big, mat_s =
-    timed (fun () -> Pimsim.Batch.run ~parallelism hw_s program ~batches:big_n)
+    best_of ~reps (fun () ->
+        Pimsim.Batch.run ~parallelism hw_s program ~batches:big_n)
   in
   let (stream_big, stats), stream_s =
-    timed (fun () ->
+    best_of ~reps (fun () ->
         Pimsim.Batch.run_stream ~parallelism hw_s program ~batches:big_n)
   in
   (* Resident state: what each path must hold live to simulate N
@@ -2046,11 +1793,9 @@ let sections : (string * (unit -> unit)) list =
     ("ablation", ablation);
     ("ga", ga_throughput);
     ("sim", sim);
-    ("verify", verify_bench);
     ("compile", compile_bench);
     ("cache", cache_bench);
     ("batch", batch);
-    ("micro", micro);
     ("synth", synth_bench);
     ("alloc", alloc_bench);
     ("stream", stream_bench);

@@ -477,19 +477,18 @@ let sweep_cmd =
                (fun mode -> List.map (fun p -> (mode, p)) parallelisms)
                Pimcomp.Mode.all)
         in
-        let t0 = Unix.gettimeofday () in
         (* Each point is an independent seeded compile+simulate; the
            domain pool returns them in point order, identical to a
            sequential run. *)
-        let results =
-          Pimutil.Domain_pool.map ?domains
-            (fun (mode, parallelism) ->
-              let options = { options with mode; parallelism } in
-              let r = Pimcomp.Compile.compile ~options hw graph in
-              Pimsim.Engine.run ~parallelism hw r.Pimcomp.Compile.program)
-            points
+        let results, dt =
+          Pimutil.Clock.timed (fun () ->
+              Pimutil.Domain_pool.map ?domains
+                (fun (mode, parallelism) ->
+                  let options = { options with mode; parallelism } in
+                  let r = Pimcomp.Compile.compile ~options hw graph in
+                  Pimsim.Engine.run ~parallelism hw r.Pimcomp.Compile.program)
+                points)
         in
-        let dt = Unix.gettimeofday () -. t0 in
         Fmt.pr "%-4s %5s | %12s %12s %12s@." "mode" "P" "thr inf/s" "lat us"
           "energy uJ";
         Array.iteri
@@ -853,6 +852,8 @@ let serve_cmd =
         let hw = Pimhw.Config.puma_like in
         let cache = open_cache cache_dir cache_max_mb in
         let pool = warm_pool ?domains:jobs () in
+        (* A client that hangs up must end only its own conversation. *)
+        Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
         Fun.protect
           ~finally:(fun () -> Pimutil.Domain_pool.Persistent.shutdown pool)
           (fun () ->
@@ -1052,17 +1053,6 @@ let synth_cmd =
     in
     Arg.(value & flag & info [ "no-grid-seed" ] ~doc)
   in
-  let no_prune_arg =
-    let doc =
-      "Disable the analytic pre-filters (naive baseline; the frontier is \
-       unchanged, only slower to reach)."
-    in
-    Arg.(value & flag & info [ "no-prune" ] ~doc)
-  in
-  let no_memo_arg =
-    let doc = "Disable evaluation memoisation (naive baseline)." in
-    Arg.(value & flag & info [ "no-memo" ] ~doc)
-  in
   let domains_arg =
     let doc =
       "Warm worker domains evaluating candidates (default: the host's \
@@ -1085,7 +1075,7 @@ let synth_cmd =
   let run networks input_size mode parallelism allocator strategy seed
       generations fast objective domains xbar_sizes xbars_per_core core_counts
       local_kb vfus search_generations children area_budget no_grid_seed
-      no_prune no_memo json_path cache_dir cache_max_mb =
+      json_path cache_dir cache_max_mb =
     wrap (fun () ->
         let names =
           match networks with
@@ -1118,13 +1108,12 @@ let synth_cmd =
         in
         let params =
           {
-            Pimcomp.Synth.generations = search_generations;
+            Pimcomp.Synth.default_params with
+            generations = search_generations;
             children;
             seed;
             grid_seed = not no_grid_seed;
             area_budget_mm2 = area_budget;
-            prune = not no_prune;
-            memoise = not no_memo;
           }
         in
         let cache = open_cache cache_dir cache_max_mb in
@@ -1197,7 +1186,7 @@ let synth_cmd =
        $ generations_arg $ fast_arg $ objective_arg $ domains_arg
        $ xbar_sizes_arg $ xbars_per_core_arg $ core_counts_arg $ local_kb_arg
        $ vfus_arg $ search_generations_arg $ children_arg $ area_budget_arg
-       $ no_grid_seed_arg $ no_prune_arg $ no_memo_arg $ json_arg
+       $ no_grid_seed_arg $ json_arg
        $ cache_dir_arg $ cache_max_mb_arg))
 
 let main_cmd =

@@ -63,8 +63,6 @@ let core_count t = t.core_count
 let table t = t.table
 let genes t core = t.cores.(core)
 
-let encoded t core = List.map encode t.cores.(core)
-
 (* --- derived quantities ------------------------------------------------- *)
 
 let core_xbars t core = t.used_xbars.(core)
@@ -227,14 +225,6 @@ let free_xbars t core =
   (Partition.table_config t.table).Pimhw.Config.xbars_per_core
   - core_xbars t core
 
-(* Can [core] accept [count] more AGs of [node_index]?  Slot-count only
-   matters if the core doesn't already hold the node. *)
-let can_accept t ~core ~node_index ~count =
-  let info = Partition.entry t.table node_index in
-  let needs_slot = find_gene t.cores.(core) node_index = None in
-  free_xbars t core >= count * info.Partition.xbars_per_ag
-  && ((not needs_slot) || List.length t.cores.(core) < t.max_node_num_in_core)
-
 (* Scatter [count] AGs of a node over cores with space, visiting cores
    in random order (the fitness function judges whether co-locating with
    existing genes or opening fresh cores was the better move).  Returns
@@ -387,12 +377,6 @@ let compact_initial rng table ~core_count ~max_node_num_in_core
 type mutation = Add_replica | Remove_replica | Spread_gene | Merge_gene
 
 let all_mutations = [| Add_replica; Remove_replica; Spread_gene; Merge_gene |]
-
-let mutation_name = function
-  | Add_replica -> "I:add-replica"
-  | Remove_replica -> "II:remove-replica"
-  | Spread_gene -> "III:spread"
-  | Merge_gene -> "IV:merge"
 
 (* Each mutation reports what it moved: the nodes whose replication or
    placement changed and the cores whose gene lists changed.  [None]

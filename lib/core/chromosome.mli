@@ -48,7 +48,6 @@ val unshare : t -> t
 val core_count : t -> int
 val table : t -> Partition.table
 val genes : t -> int -> gene list
-val encoded : t -> int -> int list
 
 val core_xbars : t -> int -> int
 val free_xbars : t -> int -> int
@@ -62,7 +61,6 @@ val cores_of_node : t -> int -> int list
 val replication_by_node_id : t -> Nnir.Node.id -> int
 (** Same, by graph node id; 1 for non-weighted nodes. *)
 
-val can_accept : t -> core:int -> node_index:int -> count:int -> bool
 val add_ags : t -> core:int -> node_index:int -> count:int -> unit
 val remove_ags : t -> core:int -> node_index:int -> count:int -> bool
 val scatter_ags : Rng.t -> t -> node_index:int -> count:int -> bool
@@ -88,7 +86,6 @@ val pp_violation : violation Fmt.t
 type mutation = Add_replica | Remove_replica | Spread_gene | Merge_gene
 
 val all_mutations : mutation array
-val mutation_name : mutation -> string
 
 type touched = { t_nodes : int list; t_cores : int list }
 (** What a mutation moved: weighted nodes whose replication or placement

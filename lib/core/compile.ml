@@ -76,21 +76,15 @@ type t = {
   stage_seconds : stage_seconds;
 }
 
-(* Wall-clock per stage: [Sys.time] counts CPU seconds, which both
-   under-reports multi-threaded stages and hides I/O waits; Table II
-   reports elapsed time. *)
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let v = f () in
-  (v, Unix.gettimeofday () -. t0)
-
 let compile ?(options = default_options) (config : Pimhw.Config.t)
     (graph : Nnir.Graph.t) =
   Pimhw.Config.validate config;
   let cpu0 = Sys.time () in
   let timing = Pimhw.Timing.create ~parallelism:options.parallelism config in
   (* stage 1: node partitioning *)
-  let table, partitioning = timed (fun () -> Partition.of_graph config graph) in
+  let table, partitioning =
+    Pimutil.Clock.timed (fun () -> Partition.of_graph config graph)
+  in
   let core_count =
     match options.core_count with
     | Some n -> n
@@ -98,7 +92,7 @@ let compile ?(options = default_options) (config : Pimhw.Config.t)
   in
   (* stage 2: weight replicating + core mapping *)
   let (chromosome, ga), replicating_mapping =
-    timed (fun () ->
+    Pimutil.Clock.timed (fun () ->
         match options.strategy with
         | Genetic_algorithm params ->
             let rng = Rng.create ~seed:options.seed in
@@ -145,7 +139,7 @@ let compile ?(options = default_options) (config : Pimhw.Config.t)
   let fitness = Fitness.evaluate options.mode timing chromosome in
   (* stage 3: dataflow scheduling *)
   let (layout, program), scheduling =
-    timed (fun () ->
+    Pimutil.Clock.timed (fun () ->
         let layout = Layout.of_chromosome chromosome in
         let program =
           match options.mode with
@@ -172,7 +166,7 @@ let compile ?(options = default_options) (config : Pimhw.Config.t)
   in
   (* stage 4: static verification of the compiled stream *)
   let (), verification =
-    timed (fun () ->
+    Pimutil.Clock.timed (fun () ->
         if options.verify then
           match Verify.run ~graph ~config program with
           | [] -> ()
@@ -341,38 +335,22 @@ type served = {
 
 let compile_program ?(options = default_options) ?cache
     (config : Pimhw.Config.t) graph =
-  let t0 = Unix.gettimeofday () in
-  match cache with
-  | None ->
-      let r = compile ~options config graph in
-      {
-        program = r.program;
-        outcome = Cache_off;
-        key = None;
-        seconds = Unix.gettimeofday () -. t0;
-        result = Some r;
-      }
-  | Some cache -> (
-      let key = cache_key ~options config graph in
-      match Cache.find cache ~key ~graph ~config () with
-      | Some program ->
-          {
-            program;
-            outcome = Cache_hit;
-            key = Some key;
-            seconds = Unix.gettimeofday () -. t0;
-            result = None;
-          }
-      | None ->
-          let r = compile ~options config graph in
-          Cache.store cache ~key r.program;
-          {
-            program = r.program;
-            outcome = Cache_miss;
-            key = Some key;
-            seconds = Unix.gettimeofday () -. t0;
-            result = Some r;
-          })
+  let (program, outcome, key, result), seconds =
+    Pimutil.Clock.timed (fun () ->
+        match cache with
+        | None ->
+            let r = compile ~options config graph in
+            (r.program, Cache_off, None, Some r)
+        | Some cache -> (
+            let key = cache_key ~options config graph in
+            match Cache.find cache ~key ~graph ~config () with
+            | Some program -> (program, Cache_hit, Some key, None)
+            | None ->
+                let r = compile ~options config graph in
+                Cache.store cache ~key r.program;
+                (r.program, Cache_miss, Some key, Some r)))
+  in
+  { program; outcome; key; seconds; result }
 
 (* --- batch ------------------------------------------------------------------- *)
 

@@ -735,20 +735,6 @@ let estimate_energy_pj (em : Pimhw.Energy_model.t) (mode : Mode.t) timing
 
 (* --- objective assembly ---------------------------------------------------- *)
 
-(* Gentle pressure toward resource economy: replicas that buy no time
-   still cost crossbar programming and leakage, so ties break toward the
-   smaller mapping (at most a 1% effect — any real speedup wins). *)
-let resource_pressure (chrom : Chromosome.t) =
-  let config = Partition.table_config (Chromosome.table chrom) in
-  let capacity =
-    Chromosome.core_count chrom * config.Pimhw.Config.xbars_per_core
-  in
-  let used = ref 0 in
-  for core = 0 to Chromosome.core_count chrom - 1 do
-    used := !used + Chromosome.core_xbars chrom core
-  done;
-  1.0 +. (0.01 *. float_of_int !used /. float_of_int (max 1 capacity))
-
 (* Combine the cached time with the objective.  The time path is fully
    cached; the energy-delay objective recomputes the energy estimate from
    scratch (it is only used by the energy benchmarks, where evaluation
@@ -759,6 +745,10 @@ let assemble st =
   st.fit <-
     (match st.ctx.objective with
     | Minimize_time ->
+        (* Gentle pressure toward resource economy: replicas that buy no
+           time still cost crossbar programming and leakage, so ties
+           break toward the smaller mapping (at most a 1% effect — any
+           real speedup wins). *)
         let used = Array.fold_left ( + ) 0 st.core_xbars in
         time
         *. (1.0

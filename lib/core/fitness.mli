@@ -46,9 +46,6 @@ val estimate_energy_pj :
 (** First-order per-inference energy of a mapping (dynamic crossbar work
     plus leakage over estimated busy windows). *)
 
-val resource_pressure : Chromosome.t -> float
-(** Multiplicative tie-breaker (<= 1.01) favouring smaller mappings. *)
-
 val evaluate :
   ?objective:objective -> Mode.t -> Pimhw.Timing.t -> Chromosome.t -> float
 (** GA objective: estimated time (default) or energy-delay product.

@@ -125,23 +125,6 @@ let replication_by_id t node_id =
   | Some l -> l.replication
   | None -> 1
 
-(* LL-mode row ownership: contiguous blocks.  Replica r owns 0-based rows
-   [r*H/R, (r+1)*H/R), mirroring the HT window split; contiguous ranges
-   keep each consumer core's input halo small (round-robin would make
-   every core receive almost every provider row). *)
-let ll_replica_of_row layout ~row =
-  let r0 = row - 1 in
-  let h = max 1 layout.info.Partition.out_height in
-  let rep = max 1 layout.replication in
-  let lo g = g * h / rep in
-  let guess = min (rep - 1) (r0 * rep / h) in
-  let rec adjust g =
-    if g > 0 && r0 < lo g then adjust (g - 1)
-    else if g < rep - 1 && r0 >= lo (g + 1) then adjust (g + 1)
-    else g
-  in
-  adjust guess
-
 (* AGs of a replica grouped by hosting core: (core, ag ids) ascending. *)
 let ags_by_core (r : replica) =
   let tbl = Hashtbl.create 4 in

@@ -157,13 +157,6 @@ let info_of_node t node_id =
   let i = index_of_node t node_id in
   if i < 0 then None else Some t.entries.(i)
 
-let info_of_node_exn t node_id =
-  match info_of_node t node_id with
-  | Some info -> info
-  | None ->
-      invalid_arg
-        (Fmt.str "Partition: node %d has no crossbar partition" node_id)
-
 (* Crossbars needed at replication 1 — the feasibility floor. *)
 let min_xbars t =
   Array.fold_left (fun acc info -> acc + xbars_per_replica info) 0 t.entries

@@ -33,7 +33,6 @@ val index_of_node : table -> Nnir.Node.id -> int
 (** Dense weighted index of a node id, or [-1]. *)
 
 val info_of_node : table -> Nnir.Node.id -> info option
-val info_of_node_exn : table -> Nnir.Node.id -> info
 
 val min_xbars : table -> int
 (** Crossbars required at replication 1 (feasibility floor). *)

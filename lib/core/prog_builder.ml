@@ -63,14 +63,12 @@ let create ~core_count ~strategy ~capacity ?plan () =
     trace_len = 0;
   }
 
-let num_instrs t core = t.bufs.(core).count
-
 let rec check_deps core idx = function
   | [] -> ()
   | d :: tl ->
       if d < 0 || d >= idx then
         invalid_arg
-          (Fmt.str "Prog_builder.emit: dep %d out of range on core %d (at %d)"
+          (Fmt.str "Prog_builder: dep %d out of range on core %d (at %d)"
              d core idx);
       check_deps core idx tl
 
@@ -110,14 +108,6 @@ let emit_load t ~core ~deps ~node ~bytes =
 let emit_store t ~core ~deps ~node ~bytes =
   t.global_store_bytes <- t.global_store_bytes + bytes;
   push t ~core { Isa.op = Isa.Store { bytes }; deps; node_id = node }
-
-let emit t ~core ?(deps = []) ?(node = -1) op =
-  (match op with
-  | Isa.Load { bytes } -> t.global_load_bytes <- t.global_load_bytes + bytes
-  | Isa.Store { bytes } ->
-      t.global_store_bytes <- t.global_store_bytes + bytes
-  | _ -> ());
-  push t ~core { Isa.op; deps; node_id = node }
 
 let push_trace t ev =
   let idx = t.trace_len in
@@ -184,12 +174,6 @@ let alloc_ag_slot t ~core ~bytes ~node ~key =
   push_trace t (Isa.Alloc { core; bytes; request = Memalloc.Ag_slot key });
   planned_alloc t ~core ~node ordinal (fun () ->
       Memalloc.alloc_ag_slot t.alloc ~core ~bytes ~key)
-
-let alloc_buffer t ~core ~bytes ?(node = -1) request =
-  match request with
-  | Memalloc.Fresh -> alloc_fresh t ~core ~bytes ~node
-  | Memalloc.Accumulator key -> alloc_accumulator t ~core ~bytes ~node ~key
-  | Memalloc.Ag_slot key -> alloc_ag_slot t ~core ~bytes ~node ~key
 
 let free_buffer t ~core ~bytes =
   let ordinal = t.trace_len in

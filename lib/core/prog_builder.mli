@@ -17,14 +17,10 @@ val create :
     buffers bypass the allocator and emit the planned STORE/LOAD round
     trips instead. *)
 
-val num_instrs : t -> int -> int
-
-val emit : t -> core:int -> ?deps:int list -> ?node:Nnir.Node.id -> Isa.op -> int
-(** Appends an instruction and returns its index within the core.
-    Raises [Invalid_argument] if a dependency index is out of range. *)
-
-(** Scalar-operand variants of {!emit} for the schedulers' hot loops.
-    All arguments are required labels — without flambda, an optional
+(** Instruction emitters for the schedulers' hot loops.  Each appends
+    an instruction and returns its index within the core, and raises
+    [Invalid_argument] if a dependency index is out of range.  All
+    arguments are required labels — without flambda, an optional
     argument boxes a [Some] at every call site.  The [deps] list is
     retained as given (it is never mutated), so passing a shared list
     is fine. *)
@@ -56,12 +52,9 @@ val emit_load :
 val emit_store :
   t -> core:int -> deps:int list -> node:Nnir.Node.id -> bytes:int -> int
 
-val alloc_buffer :
-  t -> core:int -> bytes:int -> ?node:Nnir.Node.id -> Memalloc.request -> int list
-(** Requests a local buffer; returns the indices of any spill
-    instructions emitted, to be added to dependent work. *)
-
-(** Scalar variants of {!alloc_buffer}, mirroring {!Memalloc}'s. *)
+(** Local-buffer requests, mirroring {!Memalloc}'s.  Each returns the
+    indices of any spill instructions emitted, to be added to dependent
+    work. *)
 
 val alloc_fresh :
   t -> core:int -> bytes:int -> node:Nnir.Node.id -> int list

@@ -163,12 +163,3 @@ let sequential_mapping table replication ~core_count ~max_node_num_in_core =
 let build ?(budget_fraction = 0.85) table ~core_count ~max_node_num_in_core =
   let replication = puma_replication table ~core_count ~budget_fraction in
   sequential_mapping table replication ~core_count ~max_node_num_in_core
-
-(* Stronger ablation variant: bottleneck-aware balanced replication with
-   the same sequential mapping. *)
-let build_balanced ?(budget_fraction = 0.85) table ~core_count
-    ~max_node_num_in_core =
-  let replication =
-    balanced_replication table ~core_count ~budget_fraction
-  in
-  sequential_mapping table replication ~core_count ~max_node_num_in_core

@@ -27,11 +27,3 @@ val build :
   Chromosome.t
 (** PUMA replication + sequential mapping.  Raises
     {!Chromosome.Infeasible} when the network does not fit. *)
-
-val build_balanced :
-  ?budget_fraction:float ->
-  Partition.table ->
-  core_count:int ->
-  max_node_num_in_core:int ->
-  Chromosome.t
-(** Balanced replication + sequential mapping (ablation variant). *)

@@ -12,8 +12,6 @@ type t = { mutable state : int }
 
 let create ~seed = { state = seed }
 
-let copy t = { state = t.state }
-
 (* 62-bit non-negative mixer output; additions and multiplications wrap
    mod the word size, as in the 64-bit original. *)
 let bits t =

@@ -5,7 +5,6 @@
 type t
 
 val create : seed:int -> t
-val copy : t -> t
 
 val split : t -> t
 (** Split off a statistically independent child stream (splitmix-style):

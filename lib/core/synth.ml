@@ -157,14 +157,7 @@ let random_point rng axes =
   done;
   !p
 
-let run ?(params = default_params) ?(base = Pimhw.Config.puma_like)
-    ?(options = { Compile.default_options with strategy = Compile.Puma_like })
-    ~axes ~networks ~eval () =
-  if Array.length networks = 0 then invalid_arg "Synth.run: no networks";
-  if params.generations < 0 then invalid_arg "Synth.run: negative generations";
-  if params.children <= 0 then invalid_arg "Synth.run: children must be positive";
-  Ds.validate_axes axes;
-  let t_start = Unix.gettimeofday () in
+let search ~params ~base ~options ~axes ~networks ~eval =
   let n_nets = Array.length networks in
   let graph_digests =
     if params.memoise then
@@ -344,9 +337,8 @@ let run ?(params = default_params) ?(base = Pimhw.Config.puma_like)
     let results =
       if Array.length job_array = 0 then [||]
       else begin
-        let t0 = Unix.gettimeofday () in
-        let r = eval job_array in
-        eval_seconds := !eval_seconds +. (Unix.gettimeofday () -. t0);
+        let r, seconds = Pimutil.Clock.timed (fun () -> eval job_array) in
+        eval_seconds := !eval_seconds +. seconds;
         if Array.length r <> Array.length job_array then
           invalid_arg
             (Printf.sprintf
@@ -471,9 +463,22 @@ let run ?(params = default_params) ?(base = Pimhw.Config.puma_like)
         infeasible = !infeasible;
         dominated = !dominated;
         generations = params.generations + 1;
-        wall_seconds = Unix.gettimeofday () -. t_start;
+        wall_seconds = 0.0 (* stamped by [run] *);
         eval_seconds = !eval_seconds;
       };
     infeasible_points = List.rev !infeasible_log;
     pruned_points = List.rev !pruned_log;
   }
+
+let run ?(params = default_params) ?(base = Pimhw.Config.puma_like)
+    ?(options = { Compile.default_options with strategy = Compile.Puma_like })
+    ~axes ~networks ~eval () =
+  if Array.length networks = 0 then invalid_arg "Synth.run: no networks";
+  if params.generations < 0 then invalid_arg "Synth.run: negative generations";
+  if params.children <= 0 then invalid_arg "Synth.run: children must be positive";
+  Ds.validate_axes axes;
+  let result, wall_seconds =
+    Pimutil.Clock.timed (fun () ->
+        search ~params ~base ~options ~axes ~networks ~eval)
+  in
+  { result with stats = { result.stats with wall_seconds } }

@@ -131,9 +131,6 @@ let to_config ?(base = Config.puma_like) p =
   config
 
 let crossbar_supply p = p.core_count * p.xbars_per_core
-let xbar_capacity p = p.xbar_size * p.xbar_size
-let area_mm2 ?base p = Config.chip_area_mm2 (to_config ?base p)
-let power_mw ?base p = Config.chip_power_mw (to_config ?base p)
 let axis_count = 5
 
 let axis_values a = function

@@ -58,14 +58,6 @@ val crossbar_supply : point -> int
 (** [core_count * xbars_per_core] — against a network set's
     replication-1 weight-footprint lower bound. *)
 
-val xbar_capacity : point -> int
-(** Weight cells per crossbar ([xbar_size^2]). *)
-
-val area_mm2 : ?base:Config.t -> point -> float
-(** Chip area of [to_config point] via {!Config.chip_area_mm2}. *)
-
-val power_mw : ?base:Config.t -> point -> float
-
 (** {2 Generic axis access (used by the synthesiser's mutation)} *)
 
 val axis_count : int

@@ -50,13 +50,6 @@ let noc_ns t ~hops ~bytes =
   (float_of_int hops *. t.config.t_hop_ns)
   +. (float_of_int flits *. t.config.t_core_cycle_ns)
 
-(* Global memory access: fixed latency plus bandwidth-limited streaming. *)
-let global_memory_ns t ~bytes =
-  if bytes <= 0 then 0.0
-  else
-    t.config.t_dram_latency_ns
-    +. (float_of_int bytes /. t.config.global_memory_gbps)
-
 let pp ppf t =
   Fmt.pf ppf "T_MVM=%.1f ns, T_interval=%.2f ns (parallelism %d)" t.t_mvm_ns
     t.t_interval_ns t.parallelism

@@ -25,6 +25,5 @@ val operation_cycle_ns : t -> ags_in_core:int -> float
 
 val vec_ns : t -> elements:int -> float
 val noc_ns : t -> hops:int -> bytes:int -> float
-val global_memory_ns : t -> bytes:int -> float
 
 val pp : t Fmt.t

@@ -63,14 +63,6 @@ let conv_relu ?name ?stride ?pad ?groups b x ~out_channels ~kernel =
   let c = conv ?name ?stride ?pad ?groups b x ~out_channels ~kernel in
   relu b c
 
-let conv_rect_relu ?name ?stride_h ?stride_w ?pad b x ~out_channels ~kernel_h
-    ~kernel_w =
-  let c =
-    conv_rect ?name ?stride_h ?stride_w ?pad b x ~out_channels ~kernel_h
-      ~kernel_w
-  in
-  relu b c
-
 let max_pool ?name ?(stride = 2) ?(pad = 0) ?ceil_mode b x ~kernel =
   add ?name b (Op.pool ~stride ~pad ?ceil_mode ~kind:Op.Max_pool ~kernel ())
     ~inputs:[ x ]

@@ -30,10 +30,6 @@ val conv_relu :
   ?name:string -> ?stride:int -> ?pad:int -> ?groups:int ->
   t -> Node.id -> out_channels:int -> kernel:int -> Node.id
 
-val conv_rect_relu :
-  ?name:string -> ?stride_h:int -> ?stride_w:int -> ?pad:Op.padding ->
-  t -> Node.id -> out_channels:int -> kernel_h:int -> kernel_w:int -> Node.id
-
 val max_pool :
   ?name:string -> ?stride:int -> ?pad:int -> ?ceil_mode:bool ->
   t -> Node.id -> kernel:int -> Node.id

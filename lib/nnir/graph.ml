@@ -35,9 +35,6 @@ let inputs g =
   |> List.map Node.id
 
 let iter f g = Array.iter f g.nodes
-let fold f acc g = Array.fold_left f acc g.nodes
-
-let iter_topo f g = Array.iter (fun id -> f g.nodes.(id)) g.topo_order
 
 (* Kahn's algorithm; also detects cycles. *)
 let compute_topo_order nodes consumers =

@@ -19,8 +19,6 @@ val outputs : t -> Node.id list
 val inputs : t -> Node.id list
 
 val iter : (Node.t -> unit) -> t -> unit
-val fold : ('a -> Node.t -> 'a) -> 'a -> t -> 'a
-val iter_topo : (Node.t -> unit) -> t -> unit
 
 val weighted_nodes : t -> Node.id list
 (** Ids of conv/FC nodes, in id order. *)

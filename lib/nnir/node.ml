@@ -21,8 +21,6 @@ let name n = n.name
 let op n = n.op
 let inputs n = n.inputs
 
-let output_shape_opt n = n.output_shape
-
 let output_shape n =
   match n.output_shape with
   | Some s -> s

@@ -18,8 +18,6 @@ val name : t -> string
 val op : t -> Op.t
 val inputs : t -> id list
 
-val output_shape_opt : t -> Tensor.shape option
-
 val output_shape : t -> Tensor.shape
 (** Raises [Invalid_argument] if shapes have not been inferred. *)
 

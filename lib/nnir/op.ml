@@ -119,11 +119,6 @@ let is_weighted = function
 
 let is_input = function Input _ -> true | _ -> false
 
-(* Operators executed by the vector functional unit. *)
-let is_vfu_op = function
-  | Pool _ | Activation _ | Eltwise _ | Softmax -> true
-  | Input _ | Conv _ | Fully_connected _ | Concat | Flatten | Identity -> false
-
 (* Operators realised purely by local-memory data movement. *)
 let is_memory_op = function
   | Concat | Flatten | Identity -> true

@@ -91,7 +91,6 @@ val is_weighted : t -> bool
     crossbar Array Groups. *)
 
 val is_input : t -> bool
-val is_vfu_op : t -> bool
 val is_memory_op : t -> bool
 
 val expected_arity : t -> int

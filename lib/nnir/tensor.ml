@@ -61,8 +61,6 @@ let of_list = Array.of_list
 let pp ppf (s : shape) =
   Fmt.pf ppf "[%a]" Fmt.(list ~sep:(any "x") int) (Array.to_list s)
 
-let to_string s = Fmt.str "%a" pp s
-
 let validate s =
   Array.iteri
     (fun i d ->

@@ -37,7 +37,6 @@ val to_list : shape -> int list
 val of_list : int list -> shape
 
 val pp : shape Fmt.t
-val to_string : shape -> string
 
 val validate : shape -> unit
 (** Raises [Invalid_argument] if any dimension is non-positive. *)

@@ -324,7 +324,6 @@ let arena ?(parallelism = default_parallelism) (hw : Pimhw.Config.t)
   }
 
 let program a = a.program
-let parallelism a = Pimhw.Timing.parallelism a.timing
 
 (* Reset the state every instance shares.  A window slot's tables are
    initialised when an instance is admitted to it. *)

@@ -50,7 +50,6 @@ val exec :
     it is scheduled (see {!Trace}). *)
 
 val program : t -> Pimcomp.Isa.t
-val parallelism : t -> int
 
 val run :
   ?parallelism:int ->

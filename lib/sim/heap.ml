@@ -9,9 +9,6 @@ let dummy = { time = 0.0; core = -1; index = -1 }
 
 let create () = { data = Array.make 256 dummy; size = 0 }
 
-let is_empty h = h.size = 0
-let length h = h.size
-
 let less a b =
   a.time < b.time
   || (a.time = b.time && (a.core < b.core || (a.core = b.core && a.index < b.index)))

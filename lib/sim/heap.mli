@@ -4,8 +4,6 @@ type entry = { time : float; core : int; index : int }
 type t
 
 val create : unit -> t
-val is_empty : t -> bool
-val length : t -> int
 val push : t -> entry -> unit
 val pop : t -> entry option
 

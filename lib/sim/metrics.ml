@@ -14,19 +14,6 @@ type energy = {
   hyper_transport_static_pj : float;
 }
 
-let zero_energy =
-  {
-    mvm_pj = 0.0;
-    vec_pj = 0.0;
-    local_mem_pj = 0.0;
-    global_mem_pj = 0.0;
-    noc_pj = 0.0;
-    core_static_pj = 0.0;
-    router_static_pj = 0.0;
-    global_static_pj = 0.0;
-    hyper_transport_static_pj = 0.0;
-  }
-
 let dynamic_pj e =
   e.mvm_pj +. e.vec_pj +. e.local_mem_pj +. e.global_mem_pj +. e.noc_pj
 

@@ -12,7 +12,6 @@ type energy = {
   hyper_transport_static_pj : float;
 }
 
-val zero_energy : energy
 val dynamic_pj : energy -> float
 val static_pj : energy -> float
 val total_pj : energy -> float

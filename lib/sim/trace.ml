@@ -50,12 +50,6 @@ let run ?parallelism hw (program : Isa.t) =
 let events t = t.events
 let length t = Array.length t.events
 
-let events_of_core t core =
-  Array.to_list t.events |> List.filter (fun e -> e.core = core)
-
-let events_of_node t node_id =
-  Array.to_list t.events |> List.filter (fun e -> e.node_id = node_id)
-
 (* Busy time per core, by instruction class. *)
 type core_profile = {
   profile_core : int;

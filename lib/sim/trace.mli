@@ -22,8 +22,6 @@ val capture : Engine.t -> Metrics.t * t
 
 val events : t -> event array
 val length : t -> int
-val events_of_core : t -> int -> event list
-val events_of_node : t -> Nnir.Node.id -> event list
 
 type core_profile = {
   profile_core : int;

@@ -15,6 +15,7 @@ let read_chunk fd bytes =
   match Unix.read fd bytes 0 (Bytes.length bytes) with
   | n -> n
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> -1 (* retry *)
+  | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> 0 (* hung up: EOF *)
 
 let readable_now fd =
   match Unix.select [ fd ] [] [] 0.0 with
@@ -89,8 +90,12 @@ let serve ?(max_batch = 64) ~input ~output ~handle () =
     | [] -> ()
     | requests ->
         let responses, verdict = handle requests in
-        if responses <> [] then
-          write_all output (String.concat "\n" responses ^ "\n");
+        (* A client that hung up ends its own conversation, never the
+           process: EPIPE (the caller ignores SIGPIPE) or ECONNRESET. *)
+        (if responses <> [] then
+           try write_all output (String.concat "\n" responses ^ "\n")
+           with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+             running := false);
         if verdict = Stop then running := false);
     if !eof && !queued = [] then running := false
   done

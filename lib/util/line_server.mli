@@ -4,7 +4,10 @@
     bounded by [max_batch]), and hands each non-empty batch to [handle].
     Responses are written back in order, one line each, and flushed
     before the next read.  The loop ends on EOF, or when [handle]
-    returns {!Stop} (its responses are still written first). *)
+    returns {!Stop} (its responses are still written first).  A client
+    that hangs up ([ECONNRESET] on a read, [EPIPE] or [ECONNRESET] on a
+    write) ends the loop like EOF; the caller must ignore [SIGPIPE] for
+    a write to see [EPIPE] rather than die. *)
 
 type verdict = Continue | Stop
 

@@ -140,15 +140,35 @@ let check_non_dominated frontier =
         frontier)
     frontier
 
+(* Both seed rounds: the axes grid, and the random points that
+   `pimcomp synth --no-grid-seed` asks for (a different frontier). *)
+let seed_rounds =
+  List.map
+    (fun grid_seed ->
+      { Synth.default_params with generations = 4; grid_seed })
+    [ true; false ]
+
 let test_frontier_non_dominated () =
-  let r = run_stub () in
-  Alcotest.(check bool) "frontier non-empty" true (r.Synth.frontier <> []);
-  check_non_dominated r.Synth.frontier
+  List.iter
+    (fun params ->
+      let r = run_stub ~params () in
+      Alcotest.(check bool)
+        (Printf.sprintf "grid_seed=%b: frontier non-empty"
+           params.Synth.grid_seed)
+        true (r.Synth.frontier <> []);
+      check_non_dominated r.Synth.frontier)
+    seed_rounds
 
 let test_deterministic () =
-  let a = run_stub () and b = run_stub () in
-  Alcotest.(check bool) "same seed, bit-identical frontier" true
-    (a.Synth.frontier = b.Synth.frontier)
+  List.iter
+    (fun params ->
+      let a = run_stub ~params () and b = run_stub ~params () in
+      Alcotest.(check bool)
+        (Printf.sprintf "grid_seed=%b: same seed, bit-identical frontier"
+           params.Synth.grid_seed)
+        true
+        (a.Synth.frontier = b.Synth.frontier))
+    seed_rounds
 
 let test_prune_memoise_invariance () =
   (* prune/memoise only change cost, never the result. *)
