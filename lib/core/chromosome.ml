@@ -26,6 +26,10 @@ let decode code =
 
 type t = {
   table : Partition.table;
+  (* copied out of [table] at construction: the mutations read them per
+     candidate, and a field read is cheaper than a call into [Partition] *)
+  entries : Partition.info array;
+  xbars_per_core : int;
   core_count : int;
   max_node_num_in_core : int;
   (* cores.(c) is the gene list of core c, kept sorted by node_index with
@@ -69,8 +73,7 @@ let core_xbars t core = t.used_xbars.(core)
 let total_ags t node_index = t.node_ags.(node_index)
 
 let replication t node_index =
-  let info = Partition.entry t.table node_index in
-  total_ags t node_index / info.Partition.ags_per_replica
+  total_ags t node_index / t.entries.(node_index).Partition.ags_per_replica
 
 (* Cores holding at least one AG of a weighted node, ascending. *)
 let cores_of_node t node_index =
@@ -181,8 +184,16 @@ let is_valid t = violations t = []
 
 (* --- gene-list surgery --------------------------------------------------- *)
 
-let find_gene gene_list node_index =
-  List.find_opt (fun g -> g.node_index = node_index) gene_list
+(* AG count of [node_index] in a gene list, 0 when the node has no gene
+   there (stored counts are strictly positive).  Lists are sorted by
+   node_index, so the scan stops at the first gene past it. *)
+let rec gene_ags gene_list node_index =
+  match gene_list with
+  | [] -> 0
+  | g :: rest ->
+      if g.node_index < node_index then gene_ags rest node_index
+      else if g.node_index = node_index then g.ag_count
+      else 0
 
 (* Insert / replace / drop (ag_count = 0) in a single pass, preserving
    the sorted-by-node_index invariant and sharing the untouched tail. *)
@@ -198,32 +209,25 @@ let rec set_gene gene_list node_index ag_count =
       else { node_index; ag_count } :: gene_list
 
 let add_ags t ~core ~node_index ~count =
-  let current =
-    match find_gene t.cores.(core) node_index with
-    | Some g -> g.ag_count
-    | None -> 0
-  in
+  let current = gene_ags t.cores.(core) node_index in
   t.cores.(core) <- set_gene t.cores.(core) node_index (current + count);
   t.node_ags.(node_index) <- t.node_ags.(node_index) + count;
   t.used_xbars.(core) <-
-    t.used_xbars.(core)
-    + (count * (Partition.entry t.table node_index).xbars_per_ag)
+    t.used_xbars.(core) + (count * t.entries.(node_index).xbars_per_ag)
 
 let remove_ags t ~core ~node_index ~count =
-  match find_gene t.cores.(core) node_index with
-  | Some g when g.ag_count >= count ->
-      t.cores.(core) <- set_gene t.cores.(core) node_index (g.ag_count - count);
-      t.node_ags.(node_index) <- t.node_ags.(node_index) - count;
-      t.used_xbars.(core) <-
-        t.used_xbars.(core)
-        - (count * (Partition.entry t.table node_index).xbars_per_ag);
-      true
-  | _ -> false
+  let current = gene_ags t.cores.(core) node_index in
+  if current <> 0 && current >= count then begin
+    t.cores.(core) <- set_gene t.cores.(core) node_index (current - count);
+    t.node_ags.(node_index) <- t.node_ags.(node_index) - count;
+    t.used_xbars.(core) <-
+      t.used_xbars.(core) - (count * t.entries.(node_index).xbars_per_ag);
+    true
+  end
+  else false
 
 (* Crossbars still free on a core. *)
-let free_xbars t core =
-  (Partition.table_config t.table).Pimhw.Config.xbars_per_core
-  - core_xbars t core
+let free_xbars t core = t.xbars_per_core - core_xbars t core
 
 (* Scatter [count] AGs of a node over cores with space, visiting cores
    in random order (the fitness function judges whether co-locating with
@@ -231,37 +235,38 @@ let free_xbars t core =
    the cores that received AGs, or [None] (and rolls back) if they don't
    all fit. *)
 let scatter_ags_cores rng t ~node_index ~count =
-  let info = Partition.entry t.table node_index in
+  let info = t.entries.(node_index) in
   let order = t.scratch_order in
   for i = 0 to t.core_count - 1 do
     order.(i) <- i
   done;
   Rng.shuffle rng order;
-  let placed = ref [] in
+  (* the receiving cores, latest first, and what each took *)
+  let cores = ref [] and takes = ref [] in
   let remaining = ref count in
-  let try_core core =
-    if !remaining > 0 then begin
-      let cap = free_xbars t core / info.Partition.xbars_per_ag in
-      let cap =
-        if find_gene t.cores.(core) node_index <> None then cap
-        else if List.length t.cores.(core) < t.max_node_num_in_core then cap
-        else 0
-      in
-      let take = min cap !remaining in
-      if take > 0 then begin
-        add_ags t ~core ~node_index ~count:take;
-        placed := (core, take) :: !placed;
-        remaining := !remaining - take
-      end
+  let i = ref 0 in
+  while !remaining > 0 && !i < t.core_count do
+    let core = order.(!i) in
+    incr i;
+    let cap = free_xbars t core / info.Partition.xbars_per_ag in
+    let cap =
+      if gene_ags t.cores.(core) node_index <> 0 then cap
+      else if List.length t.cores.(core) < t.max_node_num_in_core then cap
+      else 0
+    in
+    let take = Int.min cap !remaining in
+    if take > 0 then begin
+      add_ags t ~core ~node_index ~count:take;
+      cores := core :: !cores;
+      takes := take :: !takes;
+      remaining := !remaining - take
     end
-  in
-  Array.iter try_core order;
-  if !remaining = 0 then Some (List.map fst !placed)
+  done;
+  if !remaining = 0 then Some !cores
   else begin
-    List.iter
-      (fun (core, take) ->
-        ignore (remove_ags t ~core ~node_index ~count:take))
-      !placed;
+    List.iter2
+      (fun core take -> ignore (remove_ags t ~core ~node_index ~count:take))
+      !cores !takes;
     None
   end
 
@@ -278,6 +283,8 @@ let create_empty table ~core_count ~max_node_num_in_core =
     invalid_arg "Chromosome: max_node_num_in_core <= 0";
   {
     table;
+    entries = Partition.entries table;
+    xbars_per_core = (Partition.table_config table).Pimhw.Config.xbars_per_core;
     core_count;
     max_node_num_in_core;
     cores = Array.make core_count [];
@@ -343,13 +350,13 @@ let compact_initial rng table ~core_count ~max_node_num_in_core
                 info.Partition.name !remaining));
       let c = !core in
       let slot_ok =
-        find_gene t.cores.(c) node_index <> None
+        gene_ags t.cores.(c) node_index <> 0
         || List.length t.cores.(c) < max_node_num_in_core
       in
       let cap =
         if slot_ok then free_xbars t c / info.Partition.xbars_per_ag else 0
       in
-      let take = min cap !remaining in
+      let take = Int.min cap !remaining in
       if take > 0 then begin
         add_ags t ~core:c ~node_index ~count:take;
         remaining := !remaining - take;
@@ -387,9 +394,8 @@ type touched = { t_nodes : int list; t_cores : int list }
 
 (* Mutation I: pick a node, add one replica, scatter its AGs. *)
 let mutate_add_replica rng t =
-  let n = Partition.num_weighted t.table in
-  let node_index = Rng.int rng n in
-  let info = Partition.entry t.table node_index in
+  let node_index = Rng.int rng (Array.length t.entries) in
+  let info = t.entries.(node_index) in
   match
     scatter_ags_cores rng t ~node_index ~count:info.Partition.ags_per_replica
   with
@@ -426,13 +432,13 @@ let count_matching ~n ~p =
 (* Mutation II: pick a node with R > 1, remove one replica, recovering
    crossbars from random genes. *)
 let mutate_remove_replica rng t =
-  let n = Partition.num_weighted t.table in
+  let n = Array.length t.entries in
   let p i = replication t i > 1 in
   match count_matching ~n ~p with
   | 0 -> None
   | total ->
       let node_index = nth_matching ~n ~p (Rng.int rng total) in
-      let info = Partition.entry t.table node_index in
+      let info = t.entries.(node_index) in
       let remaining = ref info.Partition.ags_per_replica in
       let order = t.scratch_order in
       for i = 0 to t.core_count - 1 do
@@ -440,17 +446,18 @@ let mutate_remove_replica rng t =
       done;
       Rng.shuffle rng order;
       let cores = ref [] in
-      Array.iter
-        (fun core ->
-          if !remaining > 0 then
-            match find_gene t.cores.(core) node_index with
-            | Some g ->
-                let take = min g.ag_count !remaining in
-                ignore (remove_ags t ~core ~node_index ~count:take);
-                cores := core :: !cores;
-                remaining := !remaining - take
-            | None -> ())
-        order;
+      let i = ref 0 in
+      while !remaining > 0 && !i < t.core_count do
+        let core = order.(!i) in
+        incr i;
+        let ags = gene_ags t.cores.(core) node_index in
+        if ags <> 0 then begin
+          let take = Int.min ags !remaining in
+          ignore (remove_ags t ~core ~node_index ~count:take);
+          cores := core :: !cores;
+          remaining := !remaining - take
+        end
+      done;
       assert (!remaining = 0);
       Some { t_nodes = [ node_index ]; t_cores = !cores }
 
@@ -458,43 +465,47 @@ let mutate_remove_replica rng t =
    list and [Rng.pick_list] it; these count-then-index scans select the
    same element with the same single [Rng.int] draw (pick_list indexes
    from the head of the consed — i.e. reversed — list, hence the
-   [total - 1 - draw]) without allocating per candidate.  Mutation is on
-   the GA's critical path next to the incremental evaluator, so the
-   allocation churn showed. *)
-let count_genes t ~p =
+   [total - 1 - draw]) without allocating per candidate.  Candidates are
+   the genes with at least [min_ags] AGs; every stored gene has one. *)
+let rec count_in ~min_ags acc = function
+  | [] -> acc
+  | g :: rest ->
+      count_in ~min_ags (if g.ag_count >= min_ags then acc + 1 else acc) rest
+
+let rec nth_in ~min_ags nth = function
+  | [] -> assert false
+  | g :: rest ->
+      if g.ag_count < min_ags then nth_in ~min_ags nth rest
+      else if nth = 0 then g
+      else nth_in ~min_ags (nth - 1) rest
+
+let count_genes t ~min_ags =
   let total = ref 0 in
-  Array.iter
-    (fun gene_list -> List.iter (fun g -> if p g then incr total) gene_list)
-    t.cores;
+  for core = 0 to t.core_count - 1 do
+    total := count_in ~min_ags !total t.cores.(core)
+  done;
   !total
 
-exception Found_gene of int * gene
+(* The [nth] candidate in core order, then gene-list order. *)
+let nth_gene t ~min_ags nth =
+  let core = ref 0 and nth = ref nth in
+  let here = ref (count_in ~min_ags 0 t.cores.(0)) in
+  while !nth >= !here do
+    nth := !nth - !here;
+    incr core;
+    here := count_in ~min_ags 0 t.cores.(!core)
+  done;
+  (!core, nth_in ~min_ags !nth t.cores.(!core))
 
-let nth_gene t ~p nth =
-  let seen = ref 0 in
-  try
-    Array.iteri
-      (fun core gene_list ->
-        List.iter
-          (fun g ->
-            if p g then begin
-              if !seen = nth then raise (Found_gene (core, g));
-              incr seen
-            end)
-          gene_list)
-      t.cores;
-    assert false
-  with Found_gene (core, g) -> (core, g)
-
-let random_gene rng t ~p =
-  match count_genes t ~p with
+let random_gene rng t ~min_ags =
+  match count_genes t ~min_ags with
   | 0 -> None
-  | total -> Some (nth_gene t ~p (total - 1 - Rng.int rng total))
+  | total -> Some (nth_gene t ~min_ags (total - 1 - Rng.int rng total))
 
 (* Mutation III: pick a gene with >= 2 AGs and spread part of it to
    other cores. *)
 let mutate_spread rng t =
-  match random_gene rng t ~p:(fun g -> g.ag_count >= 2) with
+  match random_gene rng t ~min_ags:2 with
   | None -> None
   | Some (core, g) -> (
       let move = Rng.range rng 1 (g.ag_count - 1) in
@@ -509,15 +520,13 @@ let mutate_spread rng t =
 (* Mutation IV: pick a gene and merge all of it into the same node's gene
    on another core. *)
 let mutate_merge rng t =
-  match random_gene rng t ~p:(fun _ -> true) with
+  match random_gene rng t ~min_ags:1 with
   | None -> None
   | Some (src_core, g) -> (
-      let xbars_per_ag =
-        (Partition.entry t.table g.node_index).Partition.xbars_per_ag
-      in
+      let xbars_per_ag = t.entries.(g.node_index).Partition.xbars_per_ag in
       let p c =
         c <> src_core
-        && find_gene t.cores.(c) g.node_index <> None
+        && gene_ags t.cores.(c) g.node_index <> 0
         && free_xbars t c >= g.ag_count * xbars_per_ag
       in
       match count_matching ~n:t.core_count ~p with
@@ -569,9 +578,8 @@ let placements t =
       let holders = ref [] in
       Array.iteri
         (fun core gene_list ->
-          match find_gene gene_list node_index with
-          | Some g -> holders := (core, g.ag_count) :: !holders
-          | None -> ())
+          let ags = gene_ags gene_list node_index in
+          if ags <> 0 then holders := (core, ags) :: !holders)
         t.cores;
       let holders =
         List.sort

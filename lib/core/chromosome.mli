@@ -49,6 +49,10 @@ val core_count : t -> int
 val table : t -> Partition.table
 val genes : t -> int -> gene list
 
+val gene_ags : gene list -> int -> int
+(** [gene_ags (genes t core) node_index] — AGs of the weighted node on
+    that core, 0 when the core holds none.  Allocation-free. *)
+
 val core_xbars : t -> int -> int
 val free_xbars : t -> int -> int
 val total_ags : t -> int -> int

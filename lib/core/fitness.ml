@@ -119,32 +119,13 @@ let standalone_ns ?(comm_ns = 0.0) timing table (g : Nnir.Graph.t) node_id
       Pimhw.Timing.vec_ns timing ~elements
       /. float_of_int (max 1 replication)
 
-(* Fraction of [cores] that also appear in [provider_cores] (both
-   ascending).  1.0 when the consumer's cores all hold the provider too,
-   so rows need no mesh hop. *)
-let overlap_fraction cores provider_cores =
-  match cores with
-  | [] -> 1.0
-  | _ ->
-      let rec mem (c : int) = function
-        | [] -> false
-        | x :: rest -> x = c || mem c rest
-      in
-      let shared = ref 0 and len = ref 0 in
-      List.iter
-        (fun c ->
-          incr len;
-          if mem c provider_cores then incr shared)
-        cores;
-      float_of_int !shared /. float_of_int !len
-
 (* --- evaluation context --------------------------------------------------- *)
 
 (* Chromosome-independent constants of the LL chain, one per graph node. *)
 type ll_node = {
   n_widx : int;              (* dense weighted index, or -1 *)
-  n_inputs : Nnir.Node.id list;
-  n_anc_widx : int list;     (* weighted ancestors, for VFU replication *)
+  n_inputs : Nnir.Node.id array;
+  n_anc_widx : int array;    (* weighted ancestors, for VFU replication *)
   n_wait : float;            (* waiting fraction W *)
   n_fill_k : int;            (* input rows needed before the first output *)
   n_noc_row : float;         (* mesh hop cost of one output row *)
@@ -196,11 +177,12 @@ let make_ll_ctx timing table =
         let inputs = Nnir.Node.inputs node in
         let widx = Partition.index_of_node table id in
         let anc_widx =
-          if widx >= 0 then []
+          if widx >= 0 then [||]
           else
-            List.map
-              (Partition.index_of_node table)
-              (Nnir.Graph.weighted_ancestors g id)
+            Array.of_list
+              (List.map
+                 (Partition.index_of_node table)
+                 (Nnir.Graph.weighted_ancestors g id))
         in
         let _, row_bytes = Sched_common.row_geometry node in
         let row_elements = row_bytes / Nnir.Tensor.bytes_per_element in
@@ -220,7 +202,7 @@ let make_ll_ctx timing table =
         in
         {
           n_widx = widx;
-          n_inputs = inputs;
+          n_inputs = Array.of_list inputs;
           n_anc_widx = anc_widx;
           n_wait;
           n_fill_k;
@@ -242,8 +224,10 @@ let make_ll_ctx timing table =
       nd.n_frontier <-
         (if nd.n_widx >= 0 then [ nd.n_widx ]
          else
-           List.sort_uniq compare
-             (List.concat_map (fun src -> nodes.(src).n_frontier) nd.n_inputs)))
+           List.sort_uniq Int.compare
+             (List.concat_map
+                (fun src -> nodes.(src).n_frontier)
+                (Array.to_list nd.n_inputs))))
     topo;
   let holder_deps = Array.make (Partition.num_weighted table) [] in
   let succs = Array.make n [] in
@@ -253,7 +237,7 @@ let make_ll_ctx timing table =
       List.iter
         (fun w -> holder_deps.(w) <- id :: holder_deps.(w))
         nd.n_frontier;
-      List.iter (fun src -> succs.(src) <- id :: succs.(src)) nd.n_inputs)
+      Array.iter (fun src -> succs.(src) <- id :: succs.(src)) nd.n_inputs)
     topo;
   { topo; nodes; holder_deps; succs }
 
@@ -319,7 +303,6 @@ type state = {
   chrom : Chromosome.t;
   (* per weighted node *)
   repl : int array;
-  splits : int array;
   cycles : int array;
   penalty : float array;
   holders : int list array;      (* cores holding the node, ascending *)
@@ -327,7 +310,6 @@ type state = {
   (* per core *)
   core_busy : float array;       (* segment time + accumulation extras *)
   core_traffic : float array;    (* HT global-memory bytes *)
-  core_xbars : int array;
   (* per graph node, LL mode only ([||] under HT): the holder-set
      propagation and mesh-overlap terms of the chain, which depend only
      on the holder sets of each node's weighted frontier — not on the
@@ -336,6 +318,7 @@ type state = {
   ll_remote : float array;
   ll_start : float array;        (* chain scratch, overwritten per eval *)
   ll_eff : float array;
+  core_mark : bool array;        (* LL core-set scratch, all-false between uses *)
   bank_scratch : float array;    (* HT bank-sum scratch, zeroed per eval *)
   (* dirty-set scratch for [Inc.update], all-false between updates *)
   core_dirty : bool array;
@@ -350,6 +333,24 @@ type state = {
   mutable fit : float;
 }
 
+(* The refresh functions below are the GA's inner loop, so they follow
+   three rules: no closure captures a float accumulator (a captured ref
+   is boxed, and so is every partial sum stored in it), ints are
+   compared with int comparisons ([Int.max], not the polymorphic [max]),
+   and every id list the chain walks is an array. *)
+
+let rec set_flags (arr : bool array) = function
+  | [] -> ()
+  | c :: rest ->
+      arr.(c) <- true;
+      set_flags arr rest
+
+let rec clear_flags (arr : bool array) = function
+  | [] -> ()
+  | c :: rest ->
+      arr.(c) <- false;
+      clear_flags arr rest
+
 (* One pass over the cores re-derives everything the fitness needs about
    a weighted node: replication, split replicas, operation cycles, the
    per-window accumulation penalty and the holder set. *)
@@ -359,17 +360,6 @@ let refresh_node ?(only_dirty = false) st w =
   let apr = info.Partition.ags_per_replica in
   let total = ref 0 and whole = ref 0 in
   let holders = ref [] in
-  (* gene lists are sorted by node_index, so stop at the first one past w *)
-  let rec scan core = function
-    | [] -> ()
-    | (g : Chromosome.gene) :: rest ->
-        if g.node_index < w then scan core rest
-        else if g.node_index = w then begin
-          total := !total + g.ag_count;
-          whole := !whole + (g.ag_count / apr);
-          holders := core :: !holders
-        end
-  in
   (* [only_dirty] skips cores outside the caller's candidate mask
      ([core_dirty] + [scan_dirty]): a core whose gene list did not change
      holds the node now iff it held it before, so scanning the previous
@@ -379,22 +369,29 @@ let refresh_node ?(only_dirty = false) st w =
       (not only_dirty)
       || st.core_dirty.(core)
       || st.scan_dirty.(core)
-    then scan core (Chromosome.genes st.chrom core)
+    then begin
+      let ags = Chromosome.gene_ags (Chromosome.genes st.chrom core) w in
+      if ags <> 0 then begin
+        total := !total + ags;
+        whole := !whole + (ags / apr);
+        holders := core :: !holders
+      end
+    end
   done;
   let r = !total / apr in
+  let splits = Int.max 0 (r - !whole) in
   st.repl.(w) <- r;
-  st.splits.(w) <- max 0 (r - !whole);
-  st.cycles.(w) <- Partition.ceil_div info.Partition.windows (max 1 r);
+  st.cycles.(w) <- Partition.ceil_div info.Partition.windows (Int.max 1 r);
   st.penalty.(w) <-
-    (if st.splits.(w) <= 0 then 0.0
+    (if splits <= 0 then 0.0
      else
-       float_of_int st.splits.(w)
-       /. float_of_int (max 1 r)
+       float_of_int splits
+       /. float_of_int (Int.max 1 r)
        *. ctx.transfer_ns.(w));
   st.holders.(w) <- !holders;
   st.vec_share.(w) <-
     float_of_int info.Partition.out_height
-    /. float_of_int (max 1 (List.length !holders))
+    /. float_of_int (Int.max 1 (List.length !holders))
     *. ctx.c_vec_row.(w)
 
 (* Re-derive a core's cached terms from its gene list and the per-node
@@ -439,38 +436,47 @@ let seg_time st len total =
   done;
   !time
 
+(* The gene walks are [while] loops over a list cursor, so that no
+   closure captures the float sums. *)
 let refresh_core st core =
   let ctx = st.ctx in
-  let genes = Chromosome.genes st.chrom core in
+  let genes = ref (Chromosome.genes st.chrom core) in
   let len = ref 0 and total = ref 0 in
-  st.core_xbars.(core) <- Chromosome.core_xbars st.chrom core;
   match ctx.mode with
   | Mode.High_throughput ->
       let comm = ref 0.0 and traffic = ref 0.0 in
       let working_set = ref 0.0 in
       let max_cycles = ref 0 in
-      List.iter
-        (fun (g : Chromosome.gene) ->
-          let w = g.node_index in
-          let c = st.cycles.(w) in
-          if g.ag_count > 0 && c > 0 then seg_insert st len total c g.ag_count;
-          if c > !max_cycles then max_cycles := c;
-          let cycles = float_of_int c in
-          comm := !comm +. (cycles *. st.penalty.(w));
-          (* input loads are proportional to the AG share of the replica;
-             output stores to the per-window result *)
-          let share =
-            float_of_int g.ag_count
-            /. float_of_int (max 1 ctx.infos.(w).Partition.ags_per_replica)
-          in
-          let per_window_bytes = ctx.per_window_bytes.(w) in
-          traffic :=
-            !traffic +. (cycles *. share *. float_of_int per_window_bytes);
-          (* simultaneously live bytes: a 2-window transfer batch of inputs
-             and staged outputs for every AG on this core *)
-          working_set :=
-            !working_set +. (2.0 *. share *. float_of_int per_window_bytes))
-        genes;
+      while
+        match !genes with
+        | [] -> false
+        | (g : Chromosome.gene) :: rest ->
+            genes := rest;
+            let w = g.node_index in
+            let c = st.cycles.(w) in
+            if g.ag_count > 0 && c > 0 then
+              seg_insert st len total c g.ag_count;
+            if c > !max_cycles then max_cycles := c;
+            let cycles = float_of_int c in
+            comm := !comm +. (cycles *. st.penalty.(w));
+            (* input loads are proportional to the AG share of the
+               replica; output stores to the per-window result *)
+            let share =
+              float_of_int g.ag_count
+              /. float_of_int
+                   (Int.max 1 ctx.infos.(w).Partition.ags_per_replica)
+            in
+            let per_window_bytes = ctx.per_window_bytes.(w) in
+            traffic :=
+              !traffic +. (cycles *. share *. float_of_int per_window_bytes);
+            (* simultaneously live bytes: a 2-window transfer batch of
+               inputs and staged outputs for every AG on this core *)
+            working_set :=
+              !working_set +. (2.0 *. share *. float_of_int per_window_bytes);
+            true
+      do
+        ()
+      done;
       (* Working sets beyond the scratchpad spill: every overflowing byte
          makes a round trip per operation cycle (cf. Memalloc capacities). *)
       let overflow = Float.max 0.0 (!working_set -. ctx.local_bytes) in
@@ -480,37 +486,77 @@ let refresh_core st core =
       st.core_busy.(core) <- seg_time st !len !total +. !comm
   | Mode.Low_latency ->
       let extra = ref 0.0 in
-      List.iter
-        (fun (g : Chromosome.gene) ->
-          let w = g.node_index in
-          let c = st.cycles.(w) in
-          if g.ag_count > 0 && c > 0 then seg_insert st len total c g.ag_count;
-          extra :=
-            !extra +. st.vec_share.(w) +. (float_of_int c *. st.penalty.(w)))
-        genes;
+      while
+        match !genes with
+        | [] -> false
+        | (g : Chromosome.gene) :: rest ->
+            genes := rest;
+            let w = g.node_index in
+            let c = st.cycles.(w) in
+            if g.ag_count > 0 && c > 0 then
+              seg_insert st len total c g.ag_count;
+            extra :=
+              !extra +. st.vec_share.(w) +. (float_of_int c *. st.penalty.(w));
+            true
+      do
+        ()
+      done;
       st.core_busy.(core) <- seg_time st !len !total +. !extra
 
+let rec mark_holders st = function
+  | [] -> ()
+  | w :: rest ->
+      set_flags st.core_mark st.holders.(w);
+      mark_holders st rest
+
+let rec count_marked (mark : bool array) acc = function
+  | [] -> acc
+  | c :: rest -> count_marked mark (if mark.(c) then acc + 1 else acc) rest
+
 (* Cores each node's work lives on: own AG cores for weighted nodes,
-   inherited from the weighted frontier otherwise. *)
+   inherited from the weighted frontier otherwise.  A frontier of several
+   nodes takes the ascending union of their holder sets: mark them, then
+   sweep the cores downwards, consing and clearing each mark. *)
 let refresh_ll_cores st id =
   let lc = match st.ctx.ll with Some l -> l | None -> assert false in
   st.ll_cores.(id) <-
     (match lc.nodes.(id).n_frontier with
     | [ w ] -> st.holders.(w)
     | ws ->
-        List.sort_uniq Int.compare
-          (List.concat_map (fun w -> st.holders.(w)) ws))
+        mark_holders st ws;
+        let union = ref [] in
+        for core = st.ctx.core_count - 1 downto 0 do
+          if st.core_mark.(core) then begin
+            st.core_mark.(core) <- false;
+            union := core :: !union
+          end
+        done;
+        !union)
 
 (* Worst non-overlap with any provider: the fraction of this node's rows
-   that need a mesh hop. *)
+   that need a mesh hop.  A provider's overlap is the share of this
+   node's cores that also hold the provider, 1.0 when this node has no
+   cores; with this node's cores marked, that share is the provider's
+   marked-core count over this node's core count (core sets hold each
+   core once). *)
 let refresh_ll_remote st id =
   let lc = match st.ctx.ll with Some l -> l | None -> assert false in
-  st.ll_remote.(id) <-
-    List.fold_left
-      (fun acc src ->
-        Float.max acc
-          (1.0 -. overlap_fraction st.ll_cores.(id) st.ll_cores.(src)))
-      0.0 lc.nodes.(id).n_inputs
+  let inputs = lc.nodes.(id).n_inputs in
+  let cores = st.ll_cores.(id) in
+  let len = List.length cores in
+  set_flags st.core_mark cores;
+  let worst = ref 0.0 in
+  for j = 0 to Array.length inputs - 1 do
+    let overlap =
+      if len = 0 then 1.0
+      else
+        float_of_int (count_marked st.core_mark 0 st.ll_cores.(inputs.(j)))
+        /. float_of_int len
+    in
+    worst := Float.max !worst (1.0 -. overlap)
+  done;
+  clear_flags st.core_mark cores;
+  st.ll_remote.(id) <- !worst
 
 (* F_HT from the caches: max over core busy times and per-bank
    global-memory drain times (traffic serialises per bank, as in the
@@ -527,11 +573,10 @@ let ht_time st =
     bank_bytes.(core mod ctx.banks) <-
       bank_bytes.(core mod ctx.banks) +. st.core_traffic.(core)
   done;
-  Array.iter
-    (fun bytes ->
-      let t = bytes /. ctx.gmem_gbps in
-      if t > !worst then worst := t)
-    bank_bytes;
+  for bank = 0 to Array.length bank_bytes - 1 do
+    let t = bank_bytes.(bank) /. ctx.gmem_gbps in
+    if t > !worst then worst := t
+  done;
   !worst
 
 (* F_LL from the caches: the waiting-fraction chain over the topology
@@ -541,74 +586,77 @@ let ll_time st =
   let lc = match ctx.ll with Some l -> l | None -> assert false in
   let start = st.ll_start and eff = st.ll_eff in
   let finish = ref 0.0 in
-  Array.iter
-    (fun id ->
-      let nd = lc.nodes.(id) in
-      (* Replication of this node's work: its own for weighted nodes, the
-         max of its weighted ancestors' for VFU/memory ops (Section IV-D2:
-         other operations are divided according to the predecessor conv's
-         replication). *)
-      let replication =
-        if nd.n_widx >= 0 then st.repl.(nd.n_widx)
-        else
-          match nd.n_anc_widx with
-          | [] -> 1
-          | l -> List.fold_left (fun acc w -> max acc st.repl.(w)) 1 l
-      in
-      let comm_ns = if nd.n_widx >= 0 then st.penalty.(nd.n_widx) else 0.0 in
-      let s =
-        if nd.n_widx >= 0 then
-          float_of_int st.cycles.(nd.n_widx)
-          *. (ctx.op_cycle.(nd.n_widx) +. comm_ns)
-        else nd.n_vec_total /. float_of_int (max 1 replication)
-      in
-      match nd.n_inputs with
-      | [] ->
-          start.(id) <- 0.0;
-          eff.(id) <- 0.0
-      | inputs ->
-          (* Per-stage pipeline-fill latency.  With contiguous row
-             ownership the provider's first rows come from one replica,
-             serialised at its per-window rate, so the fill is
-             rows_needed x provider_row_time — replication does not help
-             the fill, only the steady state.  Add the chunk transfer to
-             the consumer cores (scaled by mapping overlap) and the
-             head-core accumulation burst. *)
-          let remote = st.ll_remote.(id) in
-          (* Column-wise replication means all R_p replicas cooperate on
-             each provider row, so a fill row costs W_p/R_p windows. *)
-          let provider_fill src =
-            let pn = lc.nodes.(src) in
-            if pn.n_widx >= 0 then
-              let pinfo = ctx.infos.(pn.n_widx) in
-              let r_p = max 1 st.repl.(pn.n_widx) in
-              float_of_int ((nd.n_fill_k - 1) * pinfo.Partition.out_width)
-              *. ctx.op_cycle.(pn.n_widx)
-              /. float_of_int r_p
-            else pn.n_vec_fill
-          in
-          let stage_overhead = (remote *. nd.n_noc_row) +. nd.n_vec_row in
-          (* The consumer waits for the later of the structural fill
-             (first rows stream from one replica) and the W fraction of
-             the provider's steady-state execution (Fig. 6). *)
-          let st_time =
-            List.fold_left
-              (fun acc src ->
-                Float.max acc
-                  (start.(src)
-                  +. Float.max (provider_fill src) (eff.(src) *. nd.n_wait)))
-              0.0 inputs
-            +. stage_overhead
-          in
-          let provider_rate =
-            List.fold_left
-              (fun acc src -> Float.max acc (eff.(src) *. (1.0 -. nd.n_wait)))
-              0.0 inputs
-          in
-          start.(id) <- st_time;
-          eff.(id) <- Float.max s provider_rate;
-          finish := Float.max !finish (st_time +. eff.(id)))
-    lc.topo;
+  for k = 0 to Array.length lc.topo - 1 do
+    let id = lc.topo.(k) in
+    let nd = lc.nodes.(id) in
+    (* Replication of this node's work: its own for weighted nodes, the
+       max of its weighted ancestors' for VFU/memory ops (Section IV-D2:
+       other operations are divided according to the predecessor conv's
+       replication). *)
+    let replication =
+      if nd.n_widx >= 0 then st.repl.(nd.n_widx)
+      else begin
+        let r = ref 1 in
+        for j = 0 to Array.length nd.n_anc_widx - 1 do
+          r := Int.max !r st.repl.(nd.n_anc_widx.(j))
+        done;
+        !r
+      end
+    in
+    let comm_ns = if nd.n_widx >= 0 then st.penalty.(nd.n_widx) else 0.0 in
+    let s =
+      if nd.n_widx >= 0 then
+        float_of_int st.cycles.(nd.n_widx)
+        *. (ctx.op_cycle.(nd.n_widx) +. comm_ns)
+      else nd.n_vec_total /. float_of_int (Int.max 1 replication)
+    in
+    let inputs = nd.n_inputs in
+    if Array.length inputs = 0 then begin
+      start.(id) <- 0.0;
+      eff.(id) <- 0.0
+    end
+    else begin
+      (* Per-stage pipeline-fill latency.  With contiguous row ownership
+         the provider's first rows come from one replica, serialised at
+         its per-window rate, so the fill is rows_needed x
+         provider_row_time — replication does not help the fill, only
+         the steady state.  Add the chunk transfer to the consumer cores
+         (scaled by mapping overlap) and the head-core accumulation
+         burst. *)
+      let remote = st.ll_remote.(id) in
+      let stage_overhead = (remote *. nd.n_noc_row) +. nd.n_vec_row in
+      (* The consumer waits for the later of the structural fill (first
+         rows stream from one replica) and the W fraction of the
+         provider's steady-state execution (Fig. 6), and then runs no
+         faster than its slowest provider delivers the remaining
+         (1 - W). *)
+      let wait = ref 0.0 and provider_rate = ref 0.0 in
+      for j = 0 to Array.length inputs - 1 do
+        let src = inputs.(j) in
+        let pn = lc.nodes.(src) in
+        (* Column-wise replication means all R_p replicas cooperate on
+           each provider row, so a fill row costs W_p/R_p windows. *)
+        let fill =
+          if pn.n_widx >= 0 then
+            let pinfo = ctx.infos.(pn.n_widx) in
+            let r_p = Int.max 1 st.repl.(pn.n_widx) in
+            float_of_int ((nd.n_fill_k - 1) * pinfo.Partition.out_width)
+            *. ctx.op_cycle.(pn.n_widx)
+            /. float_of_int r_p
+          else pn.n_vec_fill
+        in
+        wait :=
+          Float.max !wait
+            (start.(src) +. Float.max fill (eff.(src) *. nd.n_wait));
+        provider_rate :=
+          Float.max !provider_rate (eff.(src) *. (1.0 -. nd.n_wait))
+      done;
+      let st_time = !wait +. stage_overhead in
+      start.(id) <- st_time;
+      eff.(id) <- Float.max s !provider_rate;
+      finish := Float.max !finish (st_time +. eff.(id))
+    end
+  done;
   (* Congestion bound: in the row pipeline every mapped layer is active
      at once, so the makespan is also bounded by the busiest core's total
      work (MVM issue/serialisation plus accumulation epilogues). *)
@@ -635,18 +683,17 @@ let create_state ctx chrom =
       ctx;
       chrom;
       repl = Array.make n 0;
-      splits = Array.make n 0;
       cycles = Array.make n 0;
       penalty = Array.make n 0.0;
       holders = Array.make n [];
       vec_share = Array.make n 0.0;
       core_busy = Array.make ctx.core_count 0.0;
       core_traffic = Array.make ctx.core_count 0.0;
-      core_xbars = Array.make ctx.core_count 0;
       ll_cores = Array.make graph_n [];
       ll_remote = Array.make graph_n 0.0;
       ll_start = Array.make graph_n 0.0;
       ll_eff = Array.make graph_n 0.0;
+      core_mark = Array.make ctx.core_count false;
       bank_scratch = Array.make ctx.banks 0.0;
       core_dirty = Array.make ctx.core_count false;
       scan_dirty = Array.make ctx.core_count false;
@@ -749,11 +796,14 @@ let assemble st =
            time still cost crossbar programming and leakage, so ties
            break toward the smaller mapping (at most a 1% effect — any
            real speedup wins). *)
-        let used = Array.fold_left ( + ) 0 st.core_xbars in
+        let used = ref 0 in
+        for core = 0 to st.ctx.core_count - 1 do
+          used := !used + Chromosome.core_xbars st.chrom core
+        done;
         time
         *. (1.0
-           +. 0.01 *. float_of_int used
-              /. float_of_int (max 1 st.ctx.xbar_capacity))
+           +. 0.01 *. float_of_int !used
+              /. float_of_int (Int.max 1 st.ctx.xbar_capacity))
     | Minimize_energy_delay ->
         let em =
           Pimhw.Energy_model.create st.ctx.timing.Pimhw.Timing.config
@@ -784,19 +834,17 @@ module Inc = struct
       st with
       chrom;
       repl = Array.copy st.repl;
-      splits = Array.copy st.splits;
       cycles = Array.copy st.cycles;
       penalty = Array.copy st.penalty;
       holders = Array.copy st.holders;
       vec_share = Array.copy st.vec_share;
       core_busy = Array.copy st.core_busy;
       core_traffic = Array.copy st.core_traffic;
-      core_xbars = Array.copy st.core_xbars;
       ll_cores = Array.copy st.ll_cores;
       ll_remote = Array.copy st.ll_remote;
-      (* scratch arrays ([ll_start]/[ll_eff], [bank_scratch], the dirty
-         flags, [seg_*]) carry no state between evaluations, so parent
-         and child share them *)
+      (* scratch arrays ([ll_start]/[ll_eff], [core_mark],
+         [bank_scratch], the dirty flags, [seg_*]) carry no state between
+         evaluations, so parent and child share them *)
     }
 
   (* A fully independent copy: like [copy] but with fresh scratch
@@ -813,6 +861,7 @@ module Inc = struct
       st with
       ll_start = Array.make graph_n 0.0;
       ll_eff = Array.make graph_n 0.0;
+      core_mark = Array.make st.ctx.core_count false;
       bank_scratch = Array.make (Array.length st.bank_scratch) 0.0;
       core_dirty = Array.make st.ctx.core_count false;
       scan_dirty = Array.make st.ctx.core_count false;
@@ -832,18 +881,6 @@ module Inc = struct
     | [], [] -> true
     | x :: xs, y :: ys -> x = y && same_cores xs ys
     | _ -> false
-
-  let rec set_flags (arr : bool array) = function
-    | [] -> ()
-    | c :: rest ->
-        arr.(c) <- true;
-        set_flags arr rest
-
-  let rec clear_flags (arr : bool array) = function
-    | [] -> ()
-    | c :: rest ->
-        arr.(c) <- false;
-        clear_flags arr rest
 
   let update st (touched : Chromosome.touched) =
     let nodes =
@@ -902,7 +939,7 @@ module Inc = struct
             st.ll_dirty.(id) <- false;
             refresh_ll_cores st id;
             st.ll_dirty2.(id) <- true;
-            List.iter (fun s -> st.ll_dirty2.(s) <- true) lc.succs.(id)
+            set_flags st.ll_dirty2 lc.succs.(id)
           end
         done;
         for id = 0 to n - 1 do

@@ -247,6 +247,7 @@ let optimize ?(params = default_params) ?(seeds = []) ?objective
     ?(evaluation = Incremental) ?progress ~mode ~timing ~rng table ~core_count
     ~max_node_num_in_core () =
   if params.population < 2 then invalid_arg "Genetic.optimize: population < 2";
+  if params.iterations < 0 then invalid_arg "Genetic.optimize: iterations < 0";
   let ctx = Fitness.context ?objective mode timing table ~core_count in
   let eval, eval_child = make_eval ?objective ~evaluation ~mode ~timing ctx in
   let seeds =
@@ -292,6 +293,8 @@ let optimize_islands ?(params = default_params)
     ~max_node_num_in_core () =
   if params.population < 2 then
     invalid_arg "Genetic.optimize_islands: population < 2";
+  if params.iterations < 0 then
+    invalid_arg "Genetic.optimize_islands: iterations < 0";
   if island.migration_interval < 1 then
     invalid_arg "Genetic.optimize_islands: migration_interval < 1";
   if island.migration_size < 0 then
@@ -430,6 +433,8 @@ let optimize_islands ?(params = default_params)
    benchmarks to show the mutations matter. *)
 let random_search ?(params = default_params) ?objective ~mode ~timing ~rng
     table ~core_count ~max_node_num_in_core () =
+  if params.iterations < 0 then
+    invalid_arg "Genetic.random_search: iterations < 0";
   let budget = params.population * (params.iterations + 1) in
   let evaluations = ref 0 in
   let best = ref None in

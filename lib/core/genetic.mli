@@ -75,7 +75,8 @@ val optimize :
   result
 (** Single panmictic population on the calling domain.  [progress] is
     called after every generation (benchmark instrumentation; it cannot
-    influence the search). *)
+    influence the search).  Raises [Invalid_argument] when
+    [params.population < 2] or [params.iterations < 0]. *)
 
 val optimize_islands :
   ?params:params ->
@@ -106,7 +107,8 @@ val optimize_islands :
     results are merged in island order.  [history] is the running global
     best per generation (length [generations_run + 1]); [patience] is
     counted per generation but only stops at a migration-batch boundary;
-    [progress] fires once per batch. *)
+    [progress] fires once per batch.  Raises [Invalid_argument] on the
+    same parameters as {!optimize}. *)
 
 val random_search :
   ?params:params ->
@@ -122,4 +124,5 @@ val random_search :
 (** Same evaluation budget, initialisation only — the mutation-ablation
     baseline.  [history] records the running best at every
     population-sized chunk of the budget, so ablation plots compare
-    curves of matching shape. *)
+    curves of matching shape.  Raises [Invalid_argument] when
+    [params.iterations < 0]. *)

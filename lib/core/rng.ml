@@ -29,15 +29,20 @@ let bits t =
    of accepted draws. *)
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound <= 0";
-  (* [rem] = 2^62 mod bound; draws in (max_int - rem, max_int] are the
-     partial final bucket and get rejected. *)
-  let rem = ((max_int mod bound) + 1) mod bound in
-  let cutoff = max_int - rem in
-  let rec draw () =
-    let r = bits t in
-    if r > cutoff then draw () else r mod bound
-  in
-  draw ()
+  let r = ref (bits t) in
+  (* The rejected partial final bucket is (max_int - rem, max_int] with
+     [rem] = 2^62 mod bound < bound, so every draw at or below
+     [max_int - bound + 1] is accepted without computing [rem]; the two
+     divisions run only for draws above it, which are rare unless
+     [bound] is a sizeable fraction of 2^62. *)
+  if !r > max_int - bound + 1 then begin
+    let rem = ((max_int mod bound) + 1) mod bound in
+    let cutoff = max_int - rem in
+    while !r > cutoff do
+      r := bits t
+    done
+  end;
+  !r mod bound
 
 (* Split off a statistically independent child stream (splitmix-style).
    The child's initial state folds two mixer outputs into one full-width

@@ -388,6 +388,306 @@ let test_island_competitive () =
     (island.Pimcomp.Genetic.best_fitness
     <= single.Pimcomp.Genetic.best_fitness *. 1.1)
 
+(* A negative generation count is a caller error, not an empty search:
+   [optimize], [optimize_islands] and [random_search] reject it up
+   front, as the first two reject a population below 2. *)
+let test_negative_iterations_rejected () =
+  let table, cores = setup "tiny" 16 in
+  let timing = Pimhw.Timing.create ~parallelism:8 hw in
+  let params = { params with Pimcomp.Genetic.iterations = -1 } in
+  let mode = Pimcomp.Mode.High_throughput in
+  let rng () = Pimcomp.Rng.create ~seed:43 in
+  Alcotest.check_raises "optimize"
+    (Invalid_argument "Genetic.optimize: iterations < 0") (fun () ->
+      ignore
+        (Pimcomp.Genetic.optimize ~params ~mode ~timing ~rng:(rng ()) table
+           ~core_count:cores ~max_node_num_in_core:16 ()));
+  Alcotest.check_raises "optimize_islands"
+    (Invalid_argument "Genetic.optimize_islands: iterations < 0") (fun () ->
+      ignore
+        (Pimcomp.Genetic.optimize_islands ~params ~mode ~timing ~rng:(rng ())
+           table ~core_count:cores ~max_node_num_in_core:16 ()));
+  Alcotest.check_raises "random_search"
+    (Invalid_argument "Genetic.random_search: iterations < 0") (fun () ->
+      ignore
+        (Pimcomp.Genetic.random_search ~params ~mode ~timing ~rng:(rng ())
+           table ~core_count:cores ~max_node_num_in_core:16 ()))
+
+(* --- Rng.int stream ----------------------------------------------------------- *)
+
+(* Reference [Rng.int] without the fast-accept path: every draw is
+   checked against the exact rejection cutoff.  The GA's trajectories
+   are pure functions of the accepted draws, so [Rng.int] must accept
+   exactly these, and consume the same number of raw draws. *)
+let reference_int rng bound =
+  let rem = ((max_int mod bound) + 1) mod bound in
+  let cutoff = max_int - rem in
+  let rec draw () =
+    let r = Pimcomp.Rng.bits rng in
+    if r > cutoff then draw () else r mod bound
+  in
+  draw ()
+
+let bound_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        return 1;
+        int_range 2 1000;
+        map (fun k -> 1 lsl k) (int_range 0 61);
+        (* just above 2^61, where nearly half of all draws are rejected *)
+        map (fun d -> (1 lsl 61) + d) (int_range 1 1_000_000);
+        map (fun d -> max_int - d) (int_range 0 1_000_000);
+      ])
+
+let rng_int_matches_reference =
+  QCheck.Test.make ~name:"Rng.int accepts the reference stream" ~count:300
+    QCheck.(
+      pair int
+        (list_of_size (Gen.int_range 1 40)
+           (make ~print:string_of_int bound_gen)))
+    (fun (seed, bounds) ->
+      let rng = Pimcomp.Rng.create ~seed in
+      let reference = Pimcomp.Rng.create ~seed in
+      List.for_all
+        (fun bound ->
+          let same = ref true in
+          for _ = 1 to 16 do
+            if Pimcomp.Rng.int rng bound <> reference_int reference bound then
+              same := false
+          done;
+          !same)
+        bounds
+      && Pimcomp.Rng.bits rng = Pimcomp.Rng.bits reference)
+
+(* --- pinned trajectories ------------------------------------------------------ *)
+
+(* "incremental equals full" compares two paths that share the fitness
+   refresh arithmetic, so it cannot catch a change common to both.
+   These runs pin whole GA trajectories to recorded values instead:
+   - [bench -- ga]'s setup (resnet18 at a quarter of its input size,
+     [fit_core_count] cores, parallelism 20, default params, seed 42) in
+     both modes; BENCH_GA.json records the same best fitness and
+     evaluation count;
+   - googlenet in LL at [fast_params], whose concat nodes give the LL
+     chain nodes with four inputs.
+   Fitness values are compared as [%h] strings, so a change in the last
+   bit fails. *)
+type pinned = {
+  best : float;
+  evaluations : int;
+  failed_mutations : int;
+  history : string list;  (* best fitness per generation, as [%h] *)
+}
+
+let resnet18_ht =
+  {
+    best = 5474.081458333334;
+    evaluations = 18085;
+    failed_mutations = 15;
+    history =
+      [
+        "0x1.3445e71c71c72p+15"; "0x1.343fc71c71c71p+15"; "0x1.9c0961c71c71cp+14";
+        "0x1.9c0961c71c71cp+14"; "0x1.9c0131c71c71cp+14"; "0x1.9bf901c71c71dp+14";
+        "0x1.9bf901c71c71dp+14"; "0x1.52b34e8f5c29p+14"; "0x1.40bf7cf0a3d71p+14";
+        "0x1.40bf7cf0a3d71p+14"; "0x1.40bf7cf0a3d71p+14"; "0x1.3d5793c4d5e6fp+14";
+        "0x1.3d43435c28f5dp+14"; "0x1.3453838e38e39p+14"; "0x1.3441d1c71c71dp+14";
+        "0x1.3441d1c71c71dp+14"; "0x1.343fc71c71c71p+14"; "0x1.343fc71c71c71p+14";
+        "0x1.343bb1c71c71cp+14"; "0x1.343bb1c71c71cp+14"; "0x1.34364p+14";
+        "0x1.34364p+14"; "0x1.34364p+14"; "0x1.34364p+14";
+        "0x1.34364p+14"; "0x1.34364p+14"; "0x1.34364p+14";
+        "0x1.34364p+14"; "0x1.34364p+14"; "0x1.34364p+14";
+        "0x1.34364p+14"; "0x1.08782827d27d2p+14"; "0x1.08782827d27d2p+14";
+        "0x1.08782827d27d2p+14"; "0x1.08782827d27d2p+14"; "0x1.070d3afc962fcp+14";
+        "0x1.070d3afc962fcp+14"; "0x1.e26aff1eb851ep+13"; "0x1.e265b051eb853p+13";
+        "0x1.e1ccd2e147aep+13"; "0x1.e178a0b851eb8p+13"; "0x1.bbfc8cda740dbp+13";
+        "0x1.bbfc8cda740dbp+13"; "0x1.b2fbe671c71c6p+13"; "0x1.b2fbe671c71c6p+13";
+        "0x1.b18cbbbbbbbbcp+13"; "0x1.b18cbbbbbbbbcp+13"; "0x1.8422048888889p+13";
+        "0x1.8422048888889p+13"; "0x1.8422048888889p+13"; "0x1.75e5e47ae147ap+13";
+        "0x1.6b928b47ae147p+13"; "0x1.663af22222222p+13"; "0x1.65c93eeeeeeefp+13";
+        "0x1.6264a2p+13"; "0x1.6264a2p+13"; "0x1.5f8c0e3333334p+13";
+        "0x1.5f8c0e3333334p+13"; "0x1.4fa9d4fa4fa5p+13"; "0x1.4402f53e93e94p+13";
+        "0x1.43ff622222222p+13"; "0x1.43ff622222222p+13"; "0x1.41c9755555555p+13";
+        "0x1.3d1b73582d82ep+13"; "0x1.31abbe02468adp+13"; "0x1.27ac877777778p+13";
+        "0x1.22cbe6f5c28f6p+13"; "0x1.1d332047ae148p+13"; "0x1.1d332047ae148p+13";
+        "0x1.1d332047ae148p+13"; "0x1.1d332047ae148p+13"; "0x1.1d332047ae148p+13";
+        "0x1.19556d654321p+13"; "0x1.11e94bf5c28f6p+13"; "0x1.0f773d5555556p+13";
+        "0x1.0f4a69999999ap+13"; "0x1.0f4a69999999ap+13"; "0x1.0f4a69999999ap+13";
+        "0x1.071fccp+13"; "0x1.0277551eb851ep+13"; "0x1.0277551eb851ep+13";
+        "0x1.0277551eb851ep+13"; "0x1.0277551eb851ep+13"; "0x1.0262d7ae147aep+13";
+        "0x1.fae7ef0a3d70ap+12"; "0x1.fae7ef0a3d70ap+12"; "0x1.f5cc211a2b3c4p+12";
+        "0x1.f5a44b579be02p+12"; "0x1.f2fde66666667p+12"; "0x1.f2d64ccccccccp+12";
+        "0x1.f2d64ccccccccp+12"; "0x1.f28ecccccccccp+12"; "0x1.f175c3e93e93ep+12";
+        "0x1.f175c3e93e93ep+12"; "0x1.e68afb60b60b6p+12"; "0x1.e68afb60b60b6p+12";
+        "0x1.e68afb60b60b6p+12"; "0x1.e68264e81b4e8p+12"; "0x1.e68264e81b4e8p+12";
+        "0x1.e68264e81b4e8p+12"; "0x1.e57905b05b05bp+12"; "0x1.e57905b05b05bp+12";
+        "0x1.db9d81d0369d1p+12"; "0x1.db9d81d0369d1p+12"; "0x1.d9f4682468acep+12";
+        "0x1.d9bfef62fc963p+12"; "0x1.d9bfef62fc963p+12"; "0x1.d9670737c048dp+12";
+        "0x1.d34642d82d82ep+12"; "0x1.cf2c03c4d5e7p+12"; "0x1.cf23d7f6e5d4cp+12";
+        "0x1.c840f33333334p+12"; "0x1.c47c962fc963p+12"; "0x1.c47c962fc963p+12";
+        "0x1.c4739ddddddddp+12"; "0x1.c151844444444p+12"; "0x1.c14f898765433p+12";
+        "0x1.b00b2fd27d27ep+12"; "0x1.b00b2fd27d27ep+12"; "0x1.b00b2fd27d27ep+12";
+        "0x1.b00b2fd27d27ep+12"; "0x1.b003917530ecbp+12"; "0x1.a208c8091a2b4p+12";
+        "0x1.a208c8091a2b4p+12"; "0x1.a208c8091a2b4p+12"; "0x1.a208c8091a2b4p+12";
+        "0x1.9e456130eca87p+12"; "0x1.9e456130eca87p+12"; "0x1.97a11851eb852p+12";
+        "0x1.97a11851eb852p+12"; "0x1.93d4985b05b05p+12"; "0x1.93d4985b05b05p+12";
+        "0x1.918e749f49f49p+12"; "0x1.918e749f49f49p+12"; "0x1.91875f92c5f92p+12";
+        "0x1.91875f92c5f92p+12"; "0x1.91875f92c5f92p+12"; "0x1.91804a8641fdbp+12";
+        "0x1.907130369d036p+12"; "0x1.862a3afc962fcp+12"; "0x1.7e8150eca8641p+12";
+        "0x1.7e7221907f6e6p+12"; "0x1.7e6a89e26af37p+12"; "0x1.7d459d70a3d7p+12";
+        "0x1.7d459d70a3d7p+12"; "0x1.7d459d70a3d7p+12"; "0x1.7d459d70a3d7p+12";
+        "0x1.7d459d70a3d7p+12"; "0x1.7cb0cccccccccp+12"; "0x1.7cb0cccccccccp+12";
+        "0x1.7cb0cccccccccp+12"; "0x1.7cb0cccccccccp+12"; "0x1.7cac99999999ap+12";
+        "0x1.76c6182d82d82p+12"; "0x1.76c6182d82d82p+12"; "0x1.76c6182d82d82p+12";
+        "0x1.76c6182d82d82p+12"; "0x1.76c6182d82d82p+12"; "0x1.7689dfa8c536fp+12";
+        "0x1.75faa48edab4cp+12"; "0x1.70e3bb1c71c71p+12"; "0x1.70e3bb1c71c71p+12";
+        "0x1.70dea4fa4fa5p+12"; "0x1.70dea4fa4fa5p+12"; "0x1.70dd044444444p+12";
+        "0x1.6b44ad18a6dfbp+12"; "0x1.6504b680f2b9dp+12"; "0x1.62a720a3d70a4p+12";
+        "0x1.62a720a3d70a4p+12"; "0x1.62a720a3d70a4p+12"; "0x1.62a720a3d70a4p+12";
+        "0x1.62a3370a3d70ap+12"; "0x1.62a3370a3d70ap+12"; "0x1.629f4d70a3d7p+12";
+        "0x1.629f4d70a3d7p+12"; "0x1.608e8740da74p+12"; "0x1.608aa4c3b2a1ap+12";
+        "0x1.608aa4c3b2a1ap+12"; "0x1.5a3d4be02468bp+12"; "0x1.5a3d4be02468bp+12";
+        "0x1.5a3d4be02468bp+12"; "0x1.591fe16c16c17p+12"; "0x1.5909127d27d28p+12";
+        "0x1.5909127d27d28p+12"; "0x1.5909127d27d28p+12"; "0x1.5906ca9876543p+12";
+        "0x1.5906ca9876543p+12"; "0x1.5905455555556p+12"; "0x1.5905455555556p+12";
+        "0x1.5905455555556p+12"; "0x1.5905455555556p+12"; "0x1.5905455555556p+12";
+        "0x1.5757aab3c4d5fp+12"; "0x1.5757aab3c4d5fp+12"; "0x1.5757aab3c4d5fp+12";
+        "0x1.562512a1907f7p+12"; "0x1.562512a1907f7p+12"; "0x1.562512a1907f7p+12";
+        "0x1.56214da740da8p+12"; "0x1.56214da740da8p+12"; "0x1.56214da740da8p+12"
+      ];
+  }
+
+let resnet18_ll =
+  {
+    best = 19680.195480405793;
+    evaluations = 17876;
+    failed_mutations = 224;
+    history =
+      [
+        "0x1.786aae9781b9cp+16"; "0x1.76dcf715d3bd2p+16"; "0x1.154dfc1388c83p+16";
+        "0x1.0978039da8762p+16"; "0x1.fab595f2b2fe8p+15"; "0x1.e60d2973b467bp+15";
+        "0x1.d8df0cae4adf6p+15"; "0x1.d3b4bceab41dcp+15"; "0x1.d3b4bceab41dcp+15";
+        "0x1.ac4f422b6767ep+15"; "0x1.75192117b479ap+15"; "0x1.75192117b479ap+15";
+        "0x1.71da269be96cbp+15"; "0x1.70804b605dde7p+15"; "0x1.6f1264b789d45p+15";
+        "0x1.4843b9562c0b7p+15"; "0x1.4843b9562c0b7p+15"; "0x1.45d273c546486p+15";
+        "0x1.3f01563e35e93p+15"; "0x1.366bc659cfed4p+15"; "0x1.282c7b92f0b19p+15";
+        "0x1.246f5cf1dd521p+15"; "0x1.1b91d3c1db8c8p+15"; "0x1.1758def6ca3aap+15";
+        "0x1.174f7b8fe465ep+15"; "0x1.13a738ae8e5ecp+15"; "0x1.132db74e48e39p+15";
+        "0x1.0f94796bb0a4bp+15"; "0x1.0f94796bb0a4bp+15"; "0x1.0b018c0b07edcp+15";
+        "0x1.01cbd6e0fdb29p+15"; "0x1.fe5d0d26754edp+14"; "0x1.f8e139cf257a5p+14";
+        "0x1.f48ec0eb4d9a9p+14"; "0x1.e7a70eca2f525p+14"; "0x1.e24d502de203p+14";
+        "0x1.d2fa607650802p+14"; "0x1.d2fa607650802p+14"; "0x1.cd76f56efd7b9p+14";
+        "0x1.cd76f56efd7b9p+14"; "0x1.be1985ca2d047p+14"; "0x1.bb9d0743e5de2p+14";
+        "0x1.baeda2b69fb46p+14"; "0x1.b9236c8730cdfp+14"; "0x1.b8ccd641129b1p+14";
+        "0x1.b8ab29c0f41bcp+14"; "0x1.af83bf5f362f3p+14"; "0x1.ae2d4ea6ab237p+14";
+        "0x1.acec8c50bfca1p+14"; "0x1.ac3fd9e149329p+14"; "0x1.a510fbb9550dep+14";
+        "0x1.9ff939ef3f61ep+14"; "0x1.9ff939ef3f61ep+14"; "0x1.948aea74bef17p+14";
+        "0x1.8ede6d153add2p+14"; "0x1.8b6ac4a097875p+14"; "0x1.8a15d86667474p+14";
+        "0x1.8a15d86667474p+14"; "0x1.6e7ce28bfd3e2p+14"; "0x1.6e7ce28bfd3e2p+14";
+        "0x1.6bc2ebc986b9fp+14"; "0x1.6bc2ebc986b9fp+14"; "0x1.6658659c5c884p+14";
+        "0x1.6500d4b3a856ep+14"; "0x1.5da92b4af338fp+14"; "0x1.5da92b4af338fp+14";
+        "0x1.5c25812230866p+14"; "0x1.5b7f3d3d84b86p+14"; "0x1.5886e628fea25p+14";
+        "0x1.57dd9e3f98a7ep+14"; "0x1.5531690b4ea63p+14"; "0x1.549391537fcd1p+14";
+        "0x1.529f1064c8945p+14"; "0x1.505b61612aac1p+14"; "0x1.505b61612aac1p+14";
+        "0x1.505b61612aac1p+14"; "0x1.505b61612aac1p+14"; "0x1.4ef20c0d90d14p+14";
+        "0x1.4ead4dc0e0f56p+14"; "0x1.4dff516458c0ap+14"; "0x1.4ba87732afba6p+14";
+        "0x1.4a03b0de86f97p+14"; "0x1.491328c579ed1p+14"; "0x1.48dbc0231db5ep+14";
+        "0x1.473d7881f3581p+14"; "0x1.4682266f6630ep+14"; "0x1.4682266f6630ep+14";
+        "0x1.45f2391286f05p+14"; "0x1.45891c5543567p+14"; "0x1.450c27b487ebfp+14";
+        "0x1.450c27b487ebfp+14"; "0x1.448e7e73147dcp+14"; "0x1.4480943f616d1p+14";
+        "0x1.443a326310a13p+14"; "0x1.434c6caa12985p+14"; "0x1.434c6caa12985p+14";
+        "0x1.434c6caa12985p+14"; "0x1.42ca5958728a7p+14"; "0x1.42b8052775dc5p+14";
+        "0x1.42b8052775dc5p+14"; "0x1.42a50f772e96dp+14"; "0x1.40d4b6491c005p+14";
+        "0x1.40d4b6491c005p+14"; "0x1.403821920b13p+14"; "0x1.403821920b13p+14";
+        "0x1.403821920b13p+14"; "0x1.403821920b13p+14"; "0x1.403821920b13p+14";
+        "0x1.403821920b13p+14"; "0x1.403821920b13p+14"; "0x1.403821920b13p+14";
+        "0x1.403821920b13p+14"; "0x1.403821920b13p+14"; "0x1.403821920b13p+14";
+        "0x1.403821920b13p+14"; "0x1.403821920b13p+14"; "0x1.403821920b13p+14";
+        "0x1.403821920b13p+14"; "0x1.403821920b13p+14"; "0x1.3fe43595c4533p+14";
+        "0x1.3fe43595c4533p+14"; "0x1.3fe43595c4533p+14"; "0x1.3fe43595c4533p+14";
+        "0x1.3fe43595c4533p+14"; "0x1.3fe43595c4533p+14"; "0x1.3f43bfd816f91p+14";
+        "0x1.3e9b672064b22p+14"; "0x1.3e9b672064b22p+14"; "0x1.3e9b672064b22p+14";
+        "0x1.3db0d62aa28f4p+14"; "0x1.3b764655e3db2p+14"; "0x1.3b764655e3db2p+14";
+        "0x1.3b764655e3db2p+14"; "0x1.3b6b49013be6p+14"; "0x1.3aa97ce33af02p+14";
+        "0x1.3aa97ce33af02p+14"; "0x1.3aa97ce33af02p+14"; "0x1.3aa97ce33af02p+14";
+        "0x1.3aa97ce33af02p+14"; "0x1.39c2b3ed7860cp+14"; "0x1.39c2b3ed7860cp+14";
+        "0x1.39c2b3ed7860cp+14"; "0x1.39c2b3ed7860cp+14"; "0x1.39c2b3ed7860cp+14";
+        "0x1.39c2b3ed7860cp+14"; "0x1.39c2b3ed7860cp+14"; "0x1.39c2b3ed7860cp+14";
+        "0x1.39c2b3ed7860cp+14"; "0x1.39c2b3ed7860cp+14"; "0x1.39c2b3ed7860cp+14";
+        "0x1.39c2b3ed7860cp+14"; "0x1.39c2b3ed7860cp+14"; "0x1.39c2b3ed7860cp+14";
+        "0x1.39c2b3ed7860cp+14"; "0x1.39c2b3ed7860cp+14"; "0x1.39c2b3ed7860cp+14";
+        "0x1.39c2b3ed7860cp+14"; "0x1.39bd2f28aa956p+14"; "0x1.3831ed67a24c7p+14";
+        "0x1.3831ed67a24c7p+14"; "0x1.3831ed67a24c7p+14"; "0x1.376c804c3668dp+14";
+        "0x1.376c804c3668dp+14"; "0x1.376c804c3668dp+14"; "0x1.3725e96924f41p+14";
+        "0x1.3725e96924f41p+14"; "0x1.364817310c387p+14"; "0x1.364817310c387p+14";
+        "0x1.364817310c387p+14"; "0x1.364817310c387p+14"; "0x1.35ae3c8fdcd01p+14";
+        "0x1.35ae3c8fdcd01p+14"; "0x1.35ae3c8fdcd01p+14"; "0x1.34dda4fb1a3e3p+14";
+        "0x1.34dda4fb1a3e3p+14"; "0x1.34dda4fb1a3e3p+14"; "0x1.34dda4fb1a3e3p+14";
+        "0x1.34dda4fb1a3e3p+14"; "0x1.34dda4fb1a3e3p+14"; "0x1.34dda4fb1a3e3p+14";
+        "0x1.34d179a71d60ap+14"; "0x1.34d179a71d60ap+14"; "0x1.34d179a71d60ap+14";
+        "0x1.34d179a71d60ap+14"; "0x1.34d179a71d60ap+14"; "0x1.34d179a71d60ap+14";
+        "0x1.349a76970e1b5p+14"; "0x1.349a76970e1b5p+14"; "0x1.349a76970e1b5p+14";
+        "0x1.34429c5a95ed7p+14"; "0x1.34429c5a95ed7p+14"; "0x1.34429c5a95ed7p+14";
+        "0x1.3380c82c03f79p+14"; "0x1.3380c82c03f79p+14"; "0x1.3380c82c03f79p+14";
+        "0x1.3380c82c03f79p+14"; "0x1.3380c82c03f79p+14"; "0x1.3380c82c03f79p+14";
+        "0x1.3380c82c03f79p+14"; "0x1.3380c82c03f79p+14"; "0x1.3380c82c03f79p+14"
+      ];
+  }
+
+let googlenet_ll =
+  {
+    best = 37397.936686463217;
+    evaluations = 1223;
+    failed_mutations = 1;
+    history =
+      [
+        "0x1.bc5ef1cf8394bp+16"; "0x1.bc269f5c9fa62p+16"; "0x1.baad003130b52p+16";
+        "0x1.baad003130b52p+16"; "0x1.baa7fa3fbad1fp+16"; "0x1.baa7fa3fbad1fp+16";
+        "0x1.ba5c492e32e13p+16"; "0x1.ba18d2679855bp+16"; "0x1.ba0fd3e77fd51p+16";
+        "0x1.b989863505abep+16"; "0x1.b989863505abep+16"; "0x1.b974a1afe6f39p+16";
+        "0x1.b91aa5bdb0aa8p+16"; "0x1.b8e743723f7bbp+16"; "0x1.b8e743723f7bbp+16";
+        "0x1.b8e743723f7bbp+16"; "0x1.b8e34a2f65929p+16"; "0x1.b8c251ca0d557p+16";
+        "0x1.b8c251ca0d557p+16"; "0x1.b8b62b2bc2d9ap+16"; "0x1.b837ad7f32ac4p+16";
+        "0x1.b7f398578b516p+16"; "0x1.b7f0d0b18664p+16"; "0x1.b7f0d0b18664p+16";
+        "0x1.b7ca0a9d0460dp+16"; "0x1.b7708f1c9f63cp+16"; "0x1.b7708f1c9f63cp+16";
+        "0x1.b7559f8a9072cp+16"; "0x1.b7559f8a9072cp+16"; "0x1.b7559f8a9072cp+16";
+        "0x1.e68cc3820da56p+15"; "0x1.e68cc3820da56p+15"; "0x1.e6798f46711edp+15";
+        "0x1.e60a44ed8a592p+15"; "0x1.e52088d9c2ca9p+15"; "0x1.e43e9df52ccaep+15";
+        "0x1.e435d8eb2c229p+15"; "0x1.e435d8eb2c229p+15"; "0x1.849e44d344199p+15";
+        "0x1.82a5b282b64b8p+15"; "0x1.761cdf51db8dbp+15"; "0x1.761cdf51db8dbp+15";
+        "0x1.756340bc546b6p+15"; "0x1.748e1753caec2p+15"; "0x1.748e1753caec2p+15";
+        "0x1.73b3371c27003p+15"; "0x1.4e9a24ab2c9e4p+15"; "0x1.4e9a24ab2c9e4p+15";
+        "0x1.4e2e1f00402cap+15"; "0x1.4c719a18e68d3p+15"; "0x1.4c719a18e68d3p+15";
+        "0x1.4c6dd5006a9e4p+15"; "0x1.4bc4579fac407p+15"; "0x1.4a8e90216f15dp+15";
+        "0x1.497308fc2eccfp+15"; "0x1.278dea813e007p+15"; "0x1.24ce115a08e29p+15";
+        "0x1.24ce115a08e29p+15"; "0x1.24c842a28c9c3p+15"; "0x1.24bc6bda08e29p+15";
+        "0x1.242bdf955e3c4p+15"
+      ];
+  }
+
+let test_pinned name ~params ~mode expected () =
+  let table, core_count =
+    setup name (Nnir.Zoo.scaled_input_size ~factor:4 name)
+  in
+  let timing = Pimhw.Timing.create ~parallelism:20 hw in
+  let r =
+    Pimcomp.Genetic.optimize ~params ~mode ~timing
+      ~rng:(Pimcomp.Rng.create ~seed:42)
+      table ~core_count ~max_node_num_in_core:16 ()
+  in
+  let hex = Printf.sprintf "%h" in
+  Alcotest.(check string)
+    "best fitness" (hex expected.best)
+    (hex r.Pimcomp.Genetic.best_fitness);
+  Alcotest.(check int)
+    "evaluations" expected.evaluations r.Pimcomp.Genetic.evaluations;
+  Alcotest.(check int)
+    "failed mutations" expected.failed_mutations
+    r.Pimcomp.Genetic.failed_mutations;
+  Alcotest.(check (list string))
+    "history" expected.history
+    (List.map hex r.Pimcomp.Genetic.history)
+
 let () =
   Alcotest.run "genetic"
     [
@@ -407,6 +707,20 @@ let () =
             test_ga_beats_random_search;
           Alcotest.test_case "random-search history curve" `Quick
             test_random_search_history_curve;
+          Alcotest.test_case "negative iterations rejected" `Quick
+            test_negative_iterations_rejected;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "resnet18 HT (bench ga setup)" `Quick
+            (test_pinned "resnet18" ~params:Pimcomp.Genetic.default_params
+               ~mode:Pimcomp.Mode.High_throughput resnet18_ht);
+          Alcotest.test_case "resnet18 LL (bench ga setup)" `Quick
+            (test_pinned "resnet18" ~params:Pimcomp.Genetic.default_params
+               ~mode:Pimcomp.Mode.Low_latency resnet18_ll);
+          Alcotest.test_case "googlenet LL (fast params)" `Quick
+            (test_pinned "googlenet" ~params:Pimcomp.Genetic.fast_params
+               ~mode:Pimcomp.Mode.Low_latency googlenet_ll);
         ] );
       ( "rng-split",
         [
@@ -414,6 +728,7 @@ let () =
           Alcotest.test_case "independent streams" `Quick
             test_split_independent;
         ] );
+      ("rng", [ QCheck_alcotest.to_alcotest rng_int_matches_reference ]);
       ( "islands",
         [
           Alcotest.test_case "smoke (2 islands)" `Quick test_island_smoke;
