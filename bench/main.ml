@@ -12,12 +12,12 @@
      fig10    memory-reuse optimisation (Fig. 10)
      table2   compile time per stage (Table II)
      ablation GA vs random search vs PUMA-like (DESIGN.md extension)
-     ga       incremental vs full fitness evaluation throughput
-              (writes BENCH_GA.json)
-     sim      flat-arena engine vs the reference interpreter, and
-              sequential vs domain-parallel sweep (writes BENCH_SIM.json)
+     batch    single-stream vs steady-state HT throughput
+     ga, cache, synth, alloc, stream
+              suites that each compare two paths users run, fail on any
+              divergence and write BENCH_<SUITE>.json
 
-   The sweep sections (fig8, fig10, ablation, sim) fan their evaluation
+   The sweep sections (fig8, fig10, ablation) fan their evaluation
    points out across OCaml domains via Pimutil.Domain_pool; every
    point is a pure seeded computation, so the output is identical to a
    sequential run.
@@ -476,9 +476,8 @@ let batch () =
    single-threaded (domains = 1) and fanned out over the domain pool,
    and both runs record a best-fitness-vs-wall-clock curve via the
    progress callback.  On a 1-core host the parallel number is honestly
-   below 1x (domain spawn/join overhead with nothing to overlap), as
-   with the sweep numbers in BENCH_SIM.json.  Results land in
-   BENCH_GA.json for the driver. *)
+   below 1x (domain spawn/join overhead with nothing to overlap).
+   Results land in BENCH_GA.json. *)
 let ga_throughput () =
   let net = ("resnet18", Nnir.Zoo.scaled_input_size ~factor:4 "resnet18") in
   let g = graph_of net in
@@ -664,307 +663,6 @@ let ga_throughput () =
         (if i = List.length island_rows - 1 then "" else ","))
     island_rows;
   Format.fprintf json "    ]@.  }@.}@."
-
-(* --- simulator engine --------------------------------------------------------- *)
-
-(* Benchmarks the flat-arena engine against the reference interpreter
-   (Engine_ref) and the domain-parallel sweep runner against a
-   sequential one.  Three timings per mode:
-
-     ref   Engine_ref.run   (boxed state, per-run allocation)
-     cold  Engine.run       (arena build + execute)
-     warm  Engine.exec      (execute on a reused arena — the sweep case)
-
-   All three must return bit-identical Metrics.t.  Results land in
-   BENCH_SIM.json for the driver.  PIMCOMP_SIM_TINY=1 shrinks the run
-   to the tiny network for the `dune runtest` smoke invocation. *)
-let sim () =
-  let tiny = Sys.getenv_opt "PIMCOMP_SIM_TINY" <> None in
-  let net =
-    if tiny then ("tiny", Nnir.Zoo.min_input_size "tiny")
-    else ("resnet18", Nnir.Zoo.scaled_input_size ~factor:4 "resnet18")
-  in
-  let parallelism = Pimsim.Engine.default_parallelism in
-  let reps = if tiny then 3 else 9 in
-  Fmt.pr
-    "Flat-arena engine vs the reference interpreter on %s@%d (PUMA-like@.\
-     mapping, parallelism %d, best of %d runs):@.@."
-    (fst net) (snd net) parallelism reps;
-  Fmt.pr "%-4s | %9s %9s %9s | %8s %8s | %s@." "mode" "ref ms" "cold ms"
-    "warm ms" "cold" "warm" "identical";
-  let engine_rows =
-    List.map
-      (fun mode ->
-        let r, _ = compile_and_sim ~mode ~strategy:puma ~parallelism net in
-        let program = r.Pimcomp.Compile.program in
-        let arena = Pimsim.Engine.arena ~parallelism hw program in
-        let m_ref, ref_s =
-          best_of ~reps (fun () ->
-              Pimsim.Engine_ref.run ~parallelism hw program)
-        in
-        let m_cold, cold_s =
-          best_of ~reps (fun () -> Pimsim.Engine.run ~parallelism hw program)
-        in
-        let m_warm, warm_s =
-          best_of ~reps (fun () -> Pimsim.Engine.exec arena)
-        in
-        let identical = m_ref = m_cold && m_ref = m_warm in
-        Fmt.pr "%-4s | %9.3f %9.3f %9.3f | %7.2fx %7.2fx | %b@."
-          (Pimcomp.Mode.to_string mode)
-          (ref_s *. 1e3) (cold_s *. 1e3) (warm_s *. 1e3) (ref_s /. cold_s)
-          (ref_s /. warm_s) identical;
-        if not identical then
-          Fmt.failwith "sim: %a metrics diverged across ref, cold and warm"
-            Pimcomp.Mode.pp mode;
-        (mode, ref_s, cold_s, warm_s, identical))
-      Pimcomp.Mode.all
-  in
-  (* Sweep scaling: the Fig. 8 point grid (network x mode x parallelism,
-     PUMA-like mapping), simulated sequentially and through the domain
-     pool.  The two result arrays must be bit-identical. *)
-  let sweep_nets = if tiny then [ net ] else networks in
-  let sweep_parallelisms = if tiny then [ 4; 8 ] else [ 4; 8; 16; 32 ] in
-  let points =
-    Array.of_list
-      (List.concat_map
-         (fun n ->
-           List.concat_map
-             (fun mode ->
-               List.map
-                 (fun p ->
-                   let options =
-                     {
-                       Pimcomp.Compile.default_options with
-                       mode;
-                       parallelism = p;
-                       strategy = puma;
-                     }
-                   in
-                   let r = Pimcomp.Compile.compile ~options hw (graph_of n) in
-                   (r.Pimcomp.Compile.program, p))
-                 sweep_parallelisms)
-             Pimcomp.Mode.all)
-         sweep_nets)
-  in
-  let recommended = Pimutil.Domain_pool.default_domains () in
-  let domains = max 4 recommended in
-  let simulate domains () =
-    Pimutil.Domain_pool.map ~domains
-      (fun (program, parallelism) -> Pimsim.Engine.run ~parallelism hw program)
-      points
-  in
-  let seq, seq_s = best_of ~reps:3 (simulate 1) in
-  let par, par_s = best_of ~reps:3 (simulate domains) in
-  let sweep_identical = seq = par in
-  Fmt.pr
-    "@.Fig. 8 sweep grid: %d points; sequential %.3f s, %d domains %.3f s \
-     (%.2fx),@.results %s (host recommends %d domains).@."
-    (Array.length points) seq_s domains par_s (seq_s /. par_s)
-    (if sweep_identical then "bit-identical" else "DIVERGED")
-    recommended;
-  if not sweep_identical then
-    Fmt.failwith "sim: sweep results diverged between 1 and %d domains"
-      domains;
-  write_json "BENCH_SIM.json" @@ fun json ->
-  Format.fprintf json
-    "{@.  \"network\": \"%s\",@.  \"input_size\": %d,@.  \"parallelism\": \
-     %d,@.  \"tiny\": %b,@.  \"engine\": [@."
-    (fst net) (snd net) parallelism tiny;
-  List.iteri
-    (fun i (mode, ref_s, cold_s, warm_s, identical) ->
-      Format.fprintf json
-        "    { \"mode\": %S, \"ref_ms\": %.3f, \"cold_ms\": %.3f, \
-         \"warm_ms\": %.3f,@.      \"speedup_cold\": %.2f, \
-         \"speedup_warm\": %.2f, \"bit_identical\": %b }%s@."
-        (Pimcomp.Mode.to_string mode)
-        (ref_s *. 1e3) (cold_s *. 1e3) (warm_s *. 1e3) (ref_s /. cold_s)
-        (ref_s /. warm_s) identical
-        (if i = List.length engine_rows - 1 then "" else ","))
-      engine_rows;
-  Format.fprintf json
-    "  ],@.  \"sweep\": { \"points\": %d, \"domains\": %d, \
-     \"recommended_domains\": %d,@.    \"seq_seconds\": %.3f, \
-     \"par_seconds\": %.3f, \"speedup\": %.2f, \"bit_identical\": %b }@.}@."
-    (Array.length points) domains recommended seq_s par_s (seq_s /. par_s)
-    sweep_identical
-
-(* --- compiler throughput -------------------------------------------------------- *)
-
-(* Benchmarks the flat-arena dataflow schedulers against the reference
-   hashtable formulations (Schedule_ll_ref / Schedule_ht_ref), and the
-   whole-zoo parallel batch compile (Compile.batch) against a
-   sequential run.  Every comparison asserts bit-identical programs
-   first — a speedup over a divergent reference is meaningless.
-   Results land in BENCH_COMPILE.json; PIMCOMP_SIM_TINY=1 shrinks the
-   run for the `dune runtest` smoke invocation. *)
-let compile_bench () =
-  let tiny = Sys.getenv_opt "PIMCOMP_SIM_TINY" <> None in
-  let sched_nets =
-    if tiny then [ ("tiny", Nnir.Zoo.min_input_size "tiny") ]
-    else
-      [ ("vgg16", Nnir.Zoo.scaled_input_size ~factor:4 "vgg16");
-        ("inception_v3", Nnir.Zoo.scaled_input_size ~factor:4 "inception_v3") ]
-  in
-  let reps = if tiny then 3 else 7 in
-  (* Whole-zoo compile through Compile.batch: every zoo network in both
-     modes with the PUMA-like mapping (compile time is dominated by
-     scheduling there, which is what this section measures), sequential
-     vs the domain pool.  Everything except the wall-clock stage stamps
-     must be bit-identical.  Runs before the scheduler differential
-     rows: those churn gigabytes through the major heap, and OCaml 5.1
-     has no compaction, so running them first would tax this
-     measurement with their fragmentation. *)
-  let zoo_nets =
-    if tiny then sched_nets
-    else
-      List.map
-        (fun name -> (name, Nnir.Zoo.scaled_input_size ~factor:4 name))
-        Nnir.Zoo.names
-  in
-  let work =
-    List.concat_map
-      (fun net ->
-        List.map
-          (fun mode ->
-            ( graph_of net,
-              {
-                Pimcomp.Compile.default_options with
-                mode;
-                parallelism = 20;
-                strategy = puma;
-              } ))
-          Pimcomp.Mode.all)
-      zoo_nets
-  in
-  let recommended = Pimutil.Domain_pool.default_domains () in
-  let domains = max 4 recommended in
-  let seq, seq_s =
-    best_of ~reps:3 (fun () -> Pimcomp.Compile.batch ~jobs:1 hw work)
-  in
-  let par, par_s =
-    best_of ~reps:3 (fun () -> Pimcomp.Compile.batch ~jobs:domains hw work)
-  in
-  let batch_identical =
-    List.for_all2
-      (fun (a : Pimcomp.Compile.t) (b : Pimcomp.Compile.t) ->
-        a.Pimcomp.Compile.program = b.Pimcomp.Compile.program
-        && a.Pimcomp.Compile.chromosome = b.Pimcomp.Compile.chromosome
-        && a.Pimcomp.Compile.fitness = b.Pimcomp.Compile.fitness)
-      seq par
-  in
-  Fmt.pr
-    "@.Whole-zoo compile (%d jobs, PUMA-like mapping, --verify): sequential \
-     %.3f s,@.%d domains %.3f s (%.2fx), results %s (host recommends %d \
-     domains).@."
-    (List.length work) seq_s domains par_s (seq_s /. par_s)
-    (if batch_identical then "bit-identical" else "DIVERGED")
-    recommended;
-  if not batch_identical then
-    Fmt.failwith "compile: whole-zoo batch diverged between 1 and %d domains"
-      domains;
-  (* Per-stage share of the sequential run, summed over the zoo. *)
-  let sum f =
-    List.fold_left
-      (fun acc (r : Pimcomp.Compile.t) ->
-        acc +. f r.Pimcomp.Compile.stage_seconds)
-      0.0 seq
-  in
-  let stage_partition = sum (fun s -> s.Pimcomp.Compile.partitioning) in
-  let stage_mapping = sum (fun s -> s.Pimcomp.Compile.replicating_mapping) in
-  let stage_sched = sum (fun s -> s.Pimcomp.Compile.scheduling) in
-  let stage_verify = sum (fun s -> s.Pimcomp.Compile.verification) in
-  Fmt.pr
-    "stage totals: partition %.3f s, map %.3f s, schedule %.3f s, verify \
-     %.3f s@."
-    stage_partition stage_mapping stage_sched stage_verify;
-
-  Fmt.pr
-    "Flat-arena schedulers vs the reference hashtable formulations@.\
-     (PUMA-like mapping, best of %d runs):@.@."
-    reps;
-  Fmt.pr "%-14s %-4s | %8s | %9s %9s | %8s | %s@." "network" "mode" "instrs"
-    "ref ms" "flat ms" "speedup" "identical";
-  let sched_rows =
-    List.concat_map
-      (fun net ->
-        let g = graph_of net in
-        let table = Pimcomp.Partition.of_graph hw g in
-        let core_count = Pimcomp.Partition.fit_core_count table in
-        let chrom =
-          Pimcomp.Puma_baseline.build table ~core_count
-            ~max_node_num_in_core:16
-        in
-        let layout = Pimcomp.Layout.of_chromosome chrom in
-        let measure mode =
-          let run, run_ref =
-            match mode with
-            | Pimcomp.Mode.High_throughput ->
-                ( (fun () -> Pimcomp.Schedule_ht.schedule layout),
-                  fun () -> Pimcomp.Schedule_ht_ref.schedule layout )
-            | Pimcomp.Mode.Low_latency ->
-                ( (fun () -> Pimcomp.Schedule_ll.schedule layout),
-                  fun () -> Pimcomp.Schedule_ll_ref.schedule layout )
-          in
-          let program = run () in
-          let identical = program = run_ref () in
-          if not identical then
-            Fmt.failwith "compile: %s %a flat and reference programs differ"
-              (fst net) Pimcomp.Mode.pp mode;
-          let instrs = Pimcomp.Isa.num_instrs program in
-          (* Interleave the two sides within one loop: this container's
-             clock drifts enough that back-to-back best-of-N loops
-             flatter whichever side runs second.  Each side is timed
-             under its own GC regime — the flat scheduler grows the
-             nursery on entry (sticky, once per process in real use;
-             re-established outside the timed window here), the
-             reference ran against the default-sized nursery it was
-             written under — so the once-per-process resize cost lands
-             in neither number. *)
-          let default_gc =
-            { (Gc.get ()) with Gc.minor_heap_size = 262_144 }
-          in
-          let ref_best = ref infinity and flat_best = ref infinity in
-          (* The [Gc.full_major] before each window keeps one side's
-             floating garbage from being collected on the other side's
-             clock. *)
-          for _ = 1 to reps do
-            Pimcomp.Sched_common.ensure_bulk_nursery ();
-            Gc.full_major ();
-            flat_best := Float.min !flat_best (snd (Pimutil.Clock.timed run));
-            Gc.set default_gc;
-            Gc.full_major ();
-            ref_best := Float.min !ref_best (snd (Pimutil.Clock.timed run_ref))
-          done;
-          let ref_s = !ref_best and flat_s = !flat_best in
-          Fmt.pr "%-14s %-4s | %8d | %9.3f %9.3f | %7.2fx | %b@." (fst net)
-            (Pimcomp.Mode.to_string mode)
-            instrs (ref_s *. 1e3) (flat_s *. 1e3) (ref_s /. flat_s) identical;
-          (net, mode, instrs, ref_s, flat_s, identical)
-        in
-        List.map measure Pimcomp.Mode.all)
-      sched_nets
-  in
-  write_json "BENCH_COMPILE.json" @@ fun json ->
-  Format.fprintf json "{@.  \"tiny\": %b,@.  \"schedulers\": [@." tiny;
-  List.iteri
-    (fun i (net, mode, instrs, ref_s, flat_s, identical) ->
-      Format.fprintf json
-        "    { \"network\": %S, \"mode\": %S, \"instructions\": %d,@.      \
-         \"ref_seconds\": %.6f, \"flat_seconds\": %.6f, \"speedup\": %.2f, \
-         \"bit_identical\": %b }%s@."
-        (fst net)
-        (Pimcomp.Mode.to_string mode)
-        instrs ref_s flat_s (ref_s /. flat_s) identical
-        (if i = List.length sched_rows - 1 then "" else ","))
-    sched_rows;
-  Format.fprintf json
-    "  ],@.  \"zoo_batch\": { \"jobs\": %d, \"domains\": %d, \
-     \"recommended_domains\": %d,@.    \"seq_seconds\": %.6f, \
-     \"par_seconds\": %.6f, \"speedup\": %.2f, \"bit_identical\": %b,@.    \
-     \"stage_seconds\": { \"partitioning\": %.6f, \"replicating_mapping\": \
-     %.6f,@.      \"scheduling\": %.6f, \"verification\": %.6f } }@.}@."
-    (List.length work) domains recommended seq_s par_s (seq_s /. par_s)
-    batch_identical stage_partition stage_mapping stage_sched stage_verify
 
 (* --- compile cache -------------------------------------------------------------- *)
 
@@ -1254,6 +952,8 @@ let synth_bench () =
     Fun.protect
       ~finally:(fun () -> Pimutil.Domain_pool.Persistent.shutdown pool)
       (fun () ->
+        (* so that no search pays for the previous one's garbage *)
+        Gc.full_major ();
         Pimcomp.Synth.run ~params:(params which) ~axes
           ~networks:synth_networks
           ~eval:
@@ -1265,22 +965,33 @@ let synth_bench () =
     (Pimhw.Design_space.cardinality axes)
     (String.concat ", "
        (Array.to_list (Array.map fst synth_networks)));
-  (* Pruned + memoised search, best of 2 (a GC pause in the fast run
-     would otherwise masquerade as lost search throughput). *)
-  let pruned_a = search ~domains:1 `Pruned in
-  let pruned_b = search ~domains:1 `Pruned in
-  if pruned_a.Pimcomp.Synth.frontier <> pruned_b.Pimcomp.Synth.frontier then
-    failwith "synth: same seed produced two different frontiers";
-  let pruned =
-    if
-      pruned_a.Pimcomp.Synth.stats.Pimcomp.Synth.wall_seconds
-      <= pruned_b.Pimcomp.Synth.stats.Pimcomp.Synth.wall_seconds
-    then pruned_a
-    else pruned_b
+  (* Pruned + memoised search against the naive baseline (no
+     pre-filters, no memo — every candidate pays a full compile+simulate,
+     duplicates included), interleaved and best of 3 each, so transient
+     host load hits both sides rather than one. *)
+  let runs =
+    List.init 3 (fun _ ->
+        let pruned = search ~domains:1 `Pruned in
+        (pruned, search ~domains:1 `Naive))
   in
-  (* Naive baseline: no pre-filters, no memo — every candidate pays a
-     full compile+simulate, duplicates included. *)
-  let naive = search ~domains:1 `Naive in
+  let fastest results =
+    List.fold_left
+      (fun (a : Pimcomp.Synth.result) (b : Pimcomp.Synth.result) ->
+        if
+          b.Pimcomp.Synth.stats.Pimcomp.Synth.wall_seconds
+          < a.Pimcomp.Synth.stats.Pimcomp.Synth.wall_seconds
+        then b
+        else a)
+      (List.hd results) (List.tl results)
+  in
+  let pruned = fastest (List.map fst runs) in
+  let naive = fastest (List.map snd runs) in
+  if
+    List.exists
+      (fun ((p : Pimcomp.Synth.result), _) ->
+        p.Pimcomp.Synth.frontier <> pruned.Pimcomp.Synth.frontier)
+      runs
+  then failwith "synth: same seed produced two different frontiers";
   (* Determinism across domain counts. *)
   let many_domains = max 2 (Pimutil.Domain_pool.default_domains ()) in
   let multi = search ~domains:many_domains `Pruned in
@@ -1792,8 +1503,6 @@ let sections : (string * (unit -> unit)) list =
     ("table2", table2);
     ("ablation", ablation);
     ("ga", ga_throughput);
-    ("sim", sim);
-    ("compile", compile_bench);
     ("cache", cache_bench);
     ("batch", batch);
     ("synth", synth_bench);

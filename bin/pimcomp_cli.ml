@@ -283,6 +283,7 @@ let error_message = function
   | Pimcomp.Memalloc.Doesnt_fit msg -> "doesn't fit: " ^ msg
   | Pimcomp.Chromosome.Infeasible msg -> "infeasible: " ^ msg
   | Pimcomp.Artifact.Corrupt msg -> "corrupt artifact: " ^ msg
+  | Sys_error msg -> msg
   | Pimcomp.Compile.Job_error { index; graph; exn } ->
       Fmt.str "batch job %d (%s) failed: %s" index graph
         (Printexc.to_string exn)
@@ -656,7 +657,10 @@ module Serve = struct
     ]
 
   (* Heavy ops run on pool domains; everything here must only touch the
-     request's own data plus the domain-safe cache handle. *)
+     request's own data plus the domain-safe cache handle.  [verify]
+     always compiles with the verifier on: a miss verifies in
+     [Compile.compile] and a hit in [Cache.find], and a violation
+     surfaces as the compile error. *)
   let run_heavy ~hw ~cache op req =
     let graph =
       load_network
@@ -680,26 +684,14 @@ module Serve = struct
         ?generations:(field J.int_field "generations")
         ?fast:(field J.bool_field "fast")
         ?objective:(parse objective_of_string "objective")
-        ?verify:(field J.bool_field "verify")
+        ?verify:
+          (if op = "verify" then Some true else field J.bool_field "verify")
         ()
     in
     let served = Pimcomp.Compile.compile_program ~options ?cache hw graph in
     match op with
     | "compile" -> J.Obj (program_fields served)
-    | "verify" -> (
-        match
-          Pimcomp.Verify.run ~graph ~config:hw served.Pimcomp.Compile.program
-        with
-        | [] ->
-            J.Obj (program_fields served @ [ ("violations", J.Int 0) ])
-        | violations ->
-            J.Obj
-              [
-                ("ok", J.Bool false);
-                ("violations", J.Int (List.length violations));
-                ( "error",
-                  J.String (Fmt.str "%a" Pimcomp.Verify.report violations) );
-              ])
+    | "verify" -> J.Obj (program_fields served @ [ ("violations", J.Int 0) ])
     | "simulate" ->
         let energy (m : Pimsim.Metrics.t) =
           J.Float (Pimsim.Metrics.total_pj m.Pimsim.Metrics.energy)
@@ -754,7 +746,9 @@ module Serve = struct
   (* A batch of request lines -> response lines (same order) + verdict.
      Light ops answer inline; heavy ops fan out over the pool.  Every
      failure is attributed to its own request line — one bad request
-     never poisons its batchmates or the daemon. *)
+     never poisons its batchmates or the daemon.  An exception that
+     [error_message] does not know is a bug: it is answered as an
+     internal error, and the daemon keeps serving. *)
   let handle ~hw ~cache ~pool lines =
     let classified =
       List.map
@@ -781,7 +775,10 @@ module Serve = struct
       Pimutil.Domain_pool.Persistent.run pool
         (fun (op, req) ->
           try run_heavy ~hw ~cache op req
-          with exn -> error (error_message exn))
+          with exn ->
+            error
+              (try error_message exn
+               with exn -> "internal error: " ^ Printexc.to_string exn))
         heavy
     in
     let next = ref 0 in
@@ -808,7 +805,7 @@ module Serve = struct
 
   let run_stdio ~hw ~cache ~pool =
     Pimutil.Line_server.serve ~input:Unix.stdin ~output:Unix.stdout
-      ~handle:(handle ~hw ~cache ~pool) ()
+      ~handle:(handle ~hw ~cache ~pool)
 
   let run_socket ~hw ~cache ~pool path =
     if Sys.file_exists path then Sys.remove path;
@@ -834,8 +831,7 @@ module Serve = struct
                 if verdict = Pimutil.Line_server.Stop then stopped := true;
                 (responses, verdict)
               in
-              Pimutil.Line_server.serve ~input:client ~output:client ~handle
-                ())
+              Pimutil.Line_server.serve ~input:client ~output:client ~handle)
         done)
 end
 

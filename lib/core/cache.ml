@@ -122,29 +122,18 @@ let touch path =
   let now = Unix.gettimeofday () in
   try Unix.utimes path now now with Unix.Unix_error _ -> ()
 
-type rejection = Container of string | Key_mismatch | Invalid of string
-
-let rejection_message = function
-  | Container m -> m
-  | Key_mismatch -> "entry key disagrees with its file name"
-  | Invalid m -> m
-
-(* Load + validate one entry; [Error] explains why it cannot be
-   trusted.  No counters here — [find] owns the bookkeeping. *)
+(* Load + validate one entry; [None] when it cannot be trusted.  No
+   counters here — [find] owns the bookkeeping. *)
 let load_entry ~key ~graph ~config path =
   match Artifact.of_file path with
-  | exception Artifact.Corrupt m -> Error (Container m)
+  | exception Artifact.Corrupt _ -> None
   | artifact ->
-      if artifact.Artifact.key <> key then Error Key_mismatch
-      else begin
-        let program = artifact.Artifact.program in
-        match Verify.run ~graph ~config program with
-        | [] -> Ok program
-        | violations ->
-            Error (Invalid (Fmt.str "%a" Verify.report violations))
-      end
+      let program = artifact.Artifact.program in
+      if artifact.Artifact.key = key && Verify.run ~graph ~config program = []
+      then Some program
+      else None
 
-let find ?(verbose = false) t ~key ~graph ~config () =
+let find t ~key ~graph ~config () =
   let path = path_of t key in
   if not (Sys.file_exists path) then begin
     locked t (fun () -> t.misses <- t.misses + 1);
@@ -152,14 +141,12 @@ let find ?(verbose = false) t ~key ~graph ~config () =
   end
   else
     match load_entry ~key ~graph ~config path with
-    | Ok program ->
+    | Some program ->
         touch path;
         locked t (fun () -> t.hits <- t.hits + 1);
         Some program
-    | Error why ->
+    | None ->
         (* Poisoned entry: drop it and recompile — never serve it. *)
-        if verbose then
-          Fmt.epr "cache: rejecting %s: %s@." path (rejection_message why);
         remove_quietly path;
         locked t (fun () ->
             t.rejected <- t.rejected + 1;

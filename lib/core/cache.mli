@@ -42,7 +42,6 @@ val open_dir : ?max_bytes:int -> string -> t
 val dir : t -> string
 
 val find :
-  ?verbose:bool ->
   t ->
   key:string ->
   graph:Nnir.Graph.t ->
@@ -52,7 +51,7 @@ val find :
 (** Verify-on-load lookup.  [Some program] is a hit: checksummed, key-
     matched, and [Verify.run]-clean against [graph]/[config].  [None]
     is a miss — including poisoned entries, which are deleted and
-    counted in [rejected] (and logged to stderr when [verbose]). *)
+    counted in [rejected]. *)
 
 val store : t -> key:string -> Isa.t -> unit
 (** Atomic publication, then LRU budget enforcement.  The newest entry

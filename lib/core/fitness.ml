@@ -95,10 +95,8 @@ let core_time timing pairs =
 
 (* --- standalone node time (exposed for tests) ----------------------------- *)
 
-(* Standalone uninterrupted execution time of a node given replication.
-   [comm_ns] is the extra per-window cost of split replicas. *)
-let standalone_ns ?(comm_ns = 0.0) timing table (g : Nnir.Graph.t) node_id
-    ~replication =
+(* Standalone uninterrupted execution time of a node given replication. *)
+let standalone_ns timing table (g : Nnir.Graph.t) node_id ~replication =
   let node = Nnir.Graph.node g node_id in
   match Partition.info_of_node table node_id with
   | Some info ->
@@ -108,7 +106,6 @@ let standalone_ns ?(comm_ns = 0.0) timing table (g : Nnir.Graph.t) node_id
       let per_cycle =
         Pimhw.Timing.operation_cycle_ns timing
           ~ags_in_core:info.Partition.ags_per_replica
-        +. comm_ns
       in
       float_of_int cycles *. per_cycle
   | None ->

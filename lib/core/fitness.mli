@@ -33,7 +33,6 @@ val per_window_comm_ns :
   Pimhw.Timing.t -> Partition.info -> splits:int -> replication:int -> float
 
 val standalone_ns :
-  ?comm_ns:float ->
   Pimhw.Timing.t ->
   Partition.table ->
   Nnir.Graph.t ->

@@ -161,13 +161,11 @@ let info_of_node t node_id =
 let min_xbars t =
   Array.fold_left (fun acc info -> acc + xbars_per_replica info) 0 t.entries
 
-(* Smallest core count that fits the network at replication 1 with the
-   given headroom factor for replication (paper: user-specified core_num;
-   this is the default policy). *)
-let fit_core_count ?(headroom = 1.5) t =
-  let xbars =
-    int_of_float (ceil (float_of_int (min_xbars t) *. headroom))
-  in
+(* Smallest core count that fits the network at replication 1 with 1.5x
+   headroom for replication (paper: user-specified core_num; this is the
+   default policy). *)
+let fit_core_count t =
+  let xbars = int_of_float (ceil (float_of_int (min_xbars t) *. 1.5)) in
   max 2 (ceil_div xbars t.config.xbars_per_core)
 
 let pp_info ppf i =

@@ -37,9 +37,9 @@ val info_of_node : table -> Nnir.Node.id -> info option
 val min_xbars : table -> int
 (** Crossbars required at replication 1 (feasibility floor). *)
 
-val fit_core_count : ?headroom:float -> table -> int
+val fit_core_count : table -> int
 (** Default core-count policy: smallest count fitting the network at
-    replication 1 times [headroom]. *)
+    replication 1 times 1.5 (headroom for replication). *)
 
 val pp_info : info Fmt.t
 val pp : table Fmt.t

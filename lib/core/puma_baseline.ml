@@ -160,6 +160,8 @@ let sequential_mapping table replication ~core_count ~max_node_num_in_core =
   ignore config;
   chrom
 
-let build ?(budget_fraction = 0.85) table ~core_count ~max_node_num_in_core =
-  let replication = puma_replication table ~core_count ~budget_fraction in
+let build table ~core_count ~max_node_num_in_core =
+  let replication =
+    puma_replication table ~core_count ~budget_fraction:0.85
+  in
   sequential_mapping table replication ~core_count ~max_node_num_in_core

@@ -20,10 +20,10 @@ val sequential_mapping :
   Chromosome.t
 
 val build :
-  ?budget_fraction:float ->
   Partition.table ->
   core_count:int ->
   max_node_num_in_core:int ->
   Chromosome.t
-(** PUMA replication + sequential mapping.  Raises
+(** PUMA replication within 85% of the crossbar budget + sequential
+    mapping.  Raises
     {!Chromosome.Infeasible} when the network does not fit. *)

@@ -157,7 +157,7 @@ let random_point rng axes =
   done;
   !p
 
-let search ~params ~base ~options ~axes ~networks ~eval =
+let search ~params ~options ~axes ~networks ~eval =
   let n_nets = Array.length networks in
   let graph_digests =
     if params.memoise then
@@ -283,7 +283,7 @@ let search ~params ~base ~options ~axes ~networks ~eval =
       List.mapi
         (fun i (p : Ds.point) ->
           incr considered;
-          let config = Ds.to_config ~base p in
+          let config = Ds.to_config p in
           let options = candidate_options options p in
           let key =
             if params.memoise then Some (point_key p ~config ~options)
@@ -470,7 +470,7 @@ let search ~params ~base ~options ~axes ~networks ~eval =
     pruned_points = List.rev !pruned_log;
   }
 
-let run ?(params = default_params) ?(base = Pimhw.Config.puma_like)
+let run ?(params = default_params)
     ?(options = { Compile.default_options with strategy = Compile.Puma_like })
     ~axes ~networks ~eval () =
   if Array.length networks = 0 then invalid_arg "Synth.run: no networks";
@@ -479,6 +479,6 @@ let run ?(params = default_params) ?(base = Pimhw.Config.puma_like)
   Ds.validate_axes axes;
   let result, wall_seconds =
     Pimutil.Clock.timed (fun () ->
-        search ~params ~base ~options ~axes ~networks ~eval)
+        search ~params ~options ~axes ~networks ~eval)
   in
   { result with stats = { result.stats with wall_seconds } }

@@ -46,7 +46,7 @@ val default_params : params
 
 type job = {
   point : Pimhw.Design_space.point;
-  config : Pimhw.Config.t;  (** [Design_space.to_config ~base point] *)
+  config : Pimhw.Config.t;  (** [Design_space.to_config point] *)
   options : Compile.options;  (** per-candidate: [core_count] pinned *)
   network : int;  (** index into [networks] *)
 }
@@ -118,15 +118,15 @@ val candidate_key :
 
 val run :
   ?params:params ->
-  ?base:Pimhw.Config.t ->
   ?options:Compile.options ->
   axes:Pimhw.Design_space.axes ->
   networks:(string * Nnir.Graph.t) array ->
   eval:(job array -> evaluation array) ->
   unit ->
   result
-(** Run the search.  [base] defaults to {!Pimhw.Config.puma_like};
-    [options] to {!Compile.default_options} with the PUMA-like mapping
+(** Run the search.  Candidates scale {!Pimhw.Config.puma_like}
+    ({!Pimhw.Design_space.to_config}); [options] defaults to
+    {!Compile.default_options} with the PUMA-like mapping
     strategy (a full GA per candidate would drown the search).  The
     evaluator receives one batch of jobs per generation and must return
     one slot-ordered [evaluation] per job; any exception it raises

@@ -89,8 +89,9 @@ let cardinality a =
   * List.length a.local_memory_kb_axis
   * List.length a.vfus_per_core_axis
 
-let to_config ?(base = Config.puma_like) p =
+let to_config p =
   validate_point p;
+  let base = Config.puma_like in
   let fi = float_of_int in
   (* PIM device count drives the in-core MVM unit's power and area, as
      in Config.isaac_like. *)

@@ -48,9 +48,9 @@ val enumerate : axes -> point list
 
 val cardinality : axes -> int
 
-val to_config : ?base:Config.t -> point -> Config.t
-(** Instantiate a full configuration (validated) from [base]
-    (default {!Config.puma_like}) by the scaling laws above. *)
+val to_config : point -> Config.t
+(** Instantiate a full configuration (validated) from
+    {!Config.puma_like} by the scaling laws above. *)
 
 (** {2 Cheap analytic bounds (no compile needed)} *)
 

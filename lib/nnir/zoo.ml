@@ -14,7 +14,7 @@ module B = Builder
 (* vgg                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let vgg ~name ~blocks ?(input_size = 224) ?(num_classes = 1000) () =
+let vgg ~name ~blocks ?(input_size = 224) () =
   let b = B.create name in
   let x = B.input b ~channels:3 ~size:input_size in
   let block x channel_counts =
@@ -29,29 +29,29 @@ let vgg ~name ~blocks ?(input_size = 224) ?(num_classes = 1000) () =
   let x = B.flatten b x in
   let x = B.fc_relu b x ~out_features:4096 in
   let x = B.fc_relu b x ~out_features:4096 in
-  let x = B.fc b x ~out_features:num_classes in
+  let x = B.fc b x ~out_features:1000 in
   let _ = B.softmax b x in
   B.finish b
 
-let vgg16 ?input_size ?num_classes () =
+let vgg16 ?input_size () =
   vgg ~name:"vgg16"
     ~blocks:
       [ [ 64; 64 ]; [ 128; 128 ]; [ 256; 256; 256 ]; [ 512; 512; 512 ];
         [ 512; 512; 512 ] ]
-    ?input_size ?num_classes ()
+    ?input_size ()
 
-let vgg19 ?input_size ?num_classes () =
+let vgg19 ?input_size () =
   vgg ~name:"vgg19"
     ~blocks:
       [ [ 64; 64 ]; [ 128; 128 ]; [ 256; 256; 256; 256 ];
         [ 512; 512; 512; 512 ]; [ 512; 512; 512; 512 ] ]
-    ?input_size ?num_classes ()
+    ?input_size ()
 
 (* ------------------------------------------------------------------ *)
 (* resnet18                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let resnet ~name ~stage_depths ?(input_size = 224) ?(num_classes = 1000) () =
+let resnet ~name ~stage_depths ?(input_size = 224) () =
   let b = B.create name in
   let basic_block x ~out_channels ~stride =
     let main =
@@ -83,23 +83,21 @@ let resnet ~name ~stage_depths ?(input_size = 224) ?(num_classes = 1000) () =
   let x = stage x ~depth:d4 ~out_channels:512 ~first_stride:2 in
   let x = B.global_avg_pool b x in
   let x = B.flatten b x in
-  let x = B.fc b x ~out_features:num_classes in
+  let x = B.fc b x ~out_features:1000 in
   let _ = B.softmax b x in
   B.finish b
 
-let resnet18 ?input_size ?num_classes () =
-  resnet ~name:"resnet18" ~stage_depths:(2, 2, 2, 2) ?input_size ?num_classes
-    ()
+let resnet18 ?input_size () =
+  resnet ~name:"resnet18" ~stage_depths:(2, 2, 2, 2) ?input_size ()
 
-let resnet34 ?input_size ?num_classes () =
-  resnet ~name:"resnet34" ~stage_depths:(3, 4, 6, 3) ?input_size ?num_classes
-    ()
+let resnet34 ?input_size () =
+  resnet ~name:"resnet34" ~stage_depths:(3, 4, 6, 3) ?input_size ()
 
 (* ------------------------------------------------------------------ *)
 (* squeezenet 1.0                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let squeezenet ?(input_size = 224) ?(num_classes = 1000) () =
+let squeezenet ?(input_size = 224) () =
   let b = B.create "squeezenet" in
   let fire x ~squeeze ~expand1 ~expand3 =
     let s = B.conv_relu b x ~out_channels:squeeze ~kernel:1 ~name:"squeeze1x1" in
@@ -122,7 +120,7 @@ let squeezenet ?(input_size = 224) ?(num_classes = 1000) () =
   let x = fire x ~squeeze:64 ~expand1:256 ~expand3:256 in
   let x = B.max_pool b x ~kernel:3 ~stride:2 ~ceil_mode:true in
   let x = fire x ~squeeze:64 ~expand1:256 ~expand3:256 in
-  let x = B.conv_relu b x ~out_channels:num_classes ~kernel:1 ~name:"conv10" in
+  let x = B.conv_relu b x ~out_channels:1000 ~kernel:1 ~name:"conv10" in
   let x = B.global_avg_pool b x in
   let x = B.flatten b x in
   let _ = B.softmax b x in
@@ -132,7 +130,7 @@ let squeezenet ?(input_size = 224) ?(num_classes = 1000) () =
 (* googlenet (inception v1)                                            *)
 (* ------------------------------------------------------------------ *)
 
-let googlenet ?(input_size = 224) ?(num_classes = 1000) () =
+let googlenet ?(input_size = 224) () =
   let b = B.create "googlenet" in
   let inception x ~c1 ~c3r ~c3 ~c5r ~c5 ~pool_proj =
     let b1 = B.conv_relu b x ~out_channels:c1 ~kernel:1 in
@@ -169,7 +167,7 @@ let googlenet ?(input_size = 224) ?(num_classes = 1000) () =
   let x = inception x ~c1:384 ~c3r:192 ~c3:384 ~c5r:48 ~c5:128 ~pool_proj:128 in
   let x = B.global_avg_pool b x in
   let x = B.flatten b x in
-  let x = B.fc b x ~out_features:num_classes in
+  let x = B.fc b x ~out_features:1000 in
   let _ = B.softmax b x in
   B.finish b
 
@@ -177,7 +175,7 @@ let googlenet ?(input_size = 224) ?(num_classes = 1000) () =
 (* inception v3                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let inception_v3 ?(input_size = 299) ?(num_classes = 1000) () =
+let inception_v3 ?(input_size = 299) () =
   let b = B.create "inception_v3" in
   let pad_hw ~h ~w : Op.padding = { top = h; bottom = h; left = w; right = w } in
   let conv1x7 x ~out_channels =
@@ -306,7 +304,7 @@ let inception_v3 ?(input_size = 299) ?(num_classes = 1000) () =
   let x = inception_e x in
   let x = B.global_avg_pool b x in
   let x = B.flatten b x in
-  let x = B.fc b x ~out_features:num_classes in
+  let x = B.fc b x ~out_features:1000 in
   let _ = B.softmax b x in
   B.finish b
 
@@ -314,7 +312,7 @@ let inception_v3 ?(input_size = 299) ?(num_classes = 1000) () =
 (* densenet-121 (concat-heavy; batch-norm folded)                      *)
 (* ------------------------------------------------------------------ *)
 
-let densenet121 ?(input_size = 224) ?(num_classes = 1000) () =
+let densenet121 ?(input_size = 224) () =
   let b = B.create "densenet121" in
   let growth = 32 in
   let dense_layer x =
@@ -350,7 +348,7 @@ let densenet121 ?(input_size = 224) ?(num_classes = 1000) () =
   let x = B.relu b x in
   let x = B.global_avg_pool b x in
   let x = B.flatten b x in
-  let x = B.fc b x ~out_features:num_classes in
+  let x = B.fc b x ~out_features:1000 in
   let _ = B.softmax b x in
   B.finish b
 
@@ -358,7 +356,7 @@ let densenet121 ?(input_size = 224) ?(num_classes = 1000) () =
 (* mobilenet v1 (depthwise separable convolutions, groups = C_in)      *)
 (* ------------------------------------------------------------------ *)
 
-let mobilenet ?(input_size = 224) ?(num_classes = 1000) () =
+let mobilenet ?(input_size = 224) () =
   let b = B.create "mobilenet" in
   let separable x ~in_channels ~out_channels ~stride =
     let dw =
@@ -385,7 +383,7 @@ let mobilenet ?(input_size = 224) ?(num_classes = 1000) () =
   let x = separable x ~in_channels:1024 ~out_channels:1024 ~stride:1 in
   let x = B.global_avg_pool b x in
   let x = B.flatten b x in
-  let x = B.fc b x ~out_features:num_classes in
+  let x = B.fc b x ~out_features:1000 in
   let _ = B.softmax b x in
   B.finish b
 
@@ -393,7 +391,7 @@ let mobilenet ?(input_size = 224) ?(num_classes = 1000) () =
 (* small networks for tests and examples                               *)
 (* ------------------------------------------------------------------ *)
 
-let lenet ?(input_size = 28) ?(num_classes = 10) () =
+let lenet ?(input_size = 28) () =
   let b = B.create "lenet" in
   let x = B.input b ~channels:1 ~size:input_size in
   let x = B.conv_relu b x ~out_channels:6 ~kernel:5 ~pad:2 in
@@ -403,11 +401,11 @@ let lenet ?(input_size = 28) ?(num_classes = 10) () =
   let x = B.flatten b x in
   let x = B.fc_relu b x ~out_features:120 in
   let x = B.fc_relu b x ~out_features:84 in
-  let x = B.fc b x ~out_features:num_classes in
+  let x = B.fc b x ~out_features:10 in
   let _ = B.softmax b x in
   B.finish b
 
-let alexnet ?(input_size = 224) ?(num_classes = 1000) () =
+let alexnet ?(input_size = 224) () =
   let b = B.create "alexnet" in
   let x = B.input b ~channels:3 ~size:input_size in
   let x = B.conv_relu b x ~out_channels:64 ~kernel:11 ~stride:4 ~pad:2 in
@@ -421,22 +419,22 @@ let alexnet ?(input_size = 224) ?(num_classes = 1000) () =
   let x = B.flatten b x in
   let x = B.fc_relu b x ~out_features:4096 in
   let x = B.fc_relu b x ~out_features:4096 in
-  let x = B.fc b x ~out_features:num_classes in
+  let x = B.fc b x ~out_features:1000 in
   let _ = B.softmax b x in
   B.finish b
 
-let mlp ?(input_features = 784) ?(num_classes = 10) () =
+let mlp () =
   let b = B.create "mlp" in
-  let x = B.input_shape b (Tensor.vector input_features) in
+  let x = B.input_shape b (Tensor.vector 784) in
   let x = B.fc_relu b x ~out_features:256 in
   let x = B.fc_relu b x ~out_features:128 in
-  let x = B.fc b x ~out_features:num_classes in
+  let x = B.fc b x ~out_features:10 in
   let _ = B.softmax b x in
   B.finish b
 
 (* A tiny CNN with a residual connection and a concat, exercising every
    scheduling path while staying minutes-fast to simulate. *)
-let tiny ?(input_size = 16) ?(num_classes = 10) () =
+let tiny ?(input_size = 16) () =
   let b = B.create "tiny" in
   let x = B.input b ~channels:3 ~size:input_size in
   let x = B.conv_relu b x ~out_channels:8 ~kernel:3 ~pad:1 in
@@ -449,7 +447,7 @@ let tiny ?(input_size = 16) ?(num_classes = 10) () =
   let x = B.concat b [ c1; c2 ] in
   let x = B.global_avg_pool b x in
   let x = B.flatten b x in
-  let x = B.fc b x ~out_features:num_classes in
+  let x = B.fc b x ~out_features:10 in
   let _ = B.softmax b x in
   B.finish b
 
@@ -458,7 +456,7 @@ let tiny ?(input_size = 16) ?(num_classes = 10) () =
 (* ------------------------------------------------------------------ *)
 
 type spec = {
-  builder : ?input_size:int -> ?num_classes:int -> unit -> Graph.t;
+  builder : ?input_size:int -> unit -> Graph.t;
   default_input_size : int;
   min_input_size : int;
 }
@@ -489,7 +487,7 @@ let specs : (string * spec) list =
       { builder = alexnet; default_input_size = 224; min_input_size = 63 } );
     ( "mlp",
       {
-        builder = (fun ?input_size:_ ?num_classes () -> mlp ?num_classes ());
+        builder = (fun ?input_size:_ () -> mlp ());
         default_input_size = 1;
         min_input_size = 1;
       } );
@@ -510,7 +508,7 @@ let spec name =
         (Fmt.str "Zoo.spec: unknown network %S (known: %s)" name
            (String.concat ", " names))
 
-let build ?input_size ?num_classes name =
+let build ?input_size name =
   let s = spec name in
   (match input_size with
   | Some size when size < s.min_input_size ->
@@ -518,7 +516,7 @@ let build ?input_size ?num_classes name =
         (Fmt.str "Zoo.build: %s requires input_size >= %d (got %d)" name
            s.min_input_size size)
   | _ -> ());
-  s.builder ?input_size ?num_classes ()
+  s.builder ?input_size ()
 
 let default_input_size name = (spec name).default_input_size
 let min_input_size name = (spec name).min_input_size

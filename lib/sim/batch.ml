@@ -134,14 +134,13 @@ let run ?parallelism hw (program : Isa.t) ~batches =
    window ISSUE contract of "pipeline_depth + slack resident at once". *)
 let default_window (program : Isa.t) = program.Isa.pipeline_depth + 4
 
-let run_stream ?parallelism ?window ?detect ?confirm hw (program : Isa.t)
-    ~batches =
+let run_stream ?parallelism ?window ?detect hw (program : Isa.t) ~batches =
   let window =
     match window with Some w -> w | None -> default_window program
   in
   let arena = Engine.arena ?parallelism hw program in
   let single = Engine.exec arena in
-  let batched, stats = Engine.stream ~window ?detect ?confirm arena ~batches in
+  let batched, stats = Engine.stream ~window ?detect arena ~batches in
   (result_of ~batches ~single batched, stats)
 
 let pp ppf r =

@@ -35,7 +35,6 @@ val run_stream :
   ?parallelism:int ->
   ?window:int ->
   ?detect:bool ->
-  ?confirm:int ->
   Pimhw.Config.t ->
   Pimcomp.Isa.t ->
   batches:int ->

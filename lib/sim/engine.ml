@@ -1061,7 +1061,7 @@ let exec ?on_schedule a =
 let run ?parallelism ?on_schedule (hw : Pimhw.Config.t) (program : Isa.t) =
   exec ?on_schedule (arena ?parallelism hw program)
 
-let stream ?(window = 0) ?(detect = true) ?confirm a ~batches =
+let stream ?(window = 0) ?(detect = true) a ~batches =
   if batches <= 0 then invalid_arg "Engine.stream: batches <= 0";
   if window < 0 then invalid_arg "Engine.stream: window < 0";
   if a.n > 0 && batches > (max_int - a.num_resources) / a.n then
@@ -1073,7 +1073,5 @@ let stream ?(window = 0) ?(detect = true) ?confirm a ~batches =
   (* Longer than any dt-plateau a window-period limit cycle can emit:
      such cycles repeat every [window] retirements, so equal-gap runs
      inside them are shorter than the window. *)
-  let confirm =
-    match confirm with Some c -> c | None -> max 8 (window + 4)
-  in
-  simulate ~window ~detect ~confirm ~measure:true a ~batches
+  simulate ~window ~detect ~confirm:(max 8 (window + 4)) ~measure:true a
+    ~batches

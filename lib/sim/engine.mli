@@ -81,7 +81,6 @@ type stream_stats = {
 val stream :
   ?window:int ->
   ?detect:bool ->
-  ?confirm:int ->
   t ->
   batches:int ->
   Metrics.t * stream_stats
@@ -107,9 +106,9 @@ val stream :
 
     With detection on (the default) and a bounded window, the
     steady-state period detector watches the per-instance retirement
-    cadence: once the retirement interval repeats bitwise for [confirm]
-    consecutive retirements (default [max 8 (window + 4)], longer than
-    any equal-gap plateau a window-period limit cycle can emit) with a
+    cadence: once the retirement interval repeats bitwise for
+    [max 8 (window + 4)] consecutive retirements (longer than any
+    equal-gap plateau a window-period limit cycle can emit) with a
     stable in-flight population, admission stops and the
     never-admitted instances are closed analytically — the in-flight
     window still drains by event simulation, and by steady-state shift

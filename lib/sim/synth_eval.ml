@@ -4,7 +4,7 @@
    determinism contract; infeasibility is data, everything else is a
    Job_error. *)
 
-let eval_one ?(batches = 1) ~cache ~networks slot (job : Pimcomp.Synth.job) =
+let eval_one ~cache ~networks slot (job : Pimcomp.Synth.job) =
   let name, graph = networks.(job.Pimcomp.Synth.network) in
   try
     let served =
@@ -14,41 +14,21 @@ let eval_one ?(batches = 1) ~cache ~networks slot (job : Pimcomp.Synth.job) =
     let parallelism =
       job.Pimcomp.Synth.options.Pimcomp.Compile.parallelism
     in
-    if batches > 1 then begin
-      (* steady-state objectives: stream [batches] pipelined inferences
-         (the detector closes the tail when the cadence locks) and
-         amortise both objectives per inference *)
-      let r, _ =
-        Batch.run_stream ~parallelism job.Pimcomp.Synth.config
-          served.Pimcomp.Compile.program ~batches
-      in
-      let metrics = r.Batch.metrics in
-      if metrics.Metrics.deadlocked then
-        Pimcomp.Synth.Eval_infeasible "simulation deadlocked"
-      else
-        let per = float_of_int batches in
-        Pimcomp.Synth.Eval_ok
-          {
-            time_ns = r.Batch.total_ns /. per;
-            energy_pj = Metrics.total_pj metrics.Metrics.energy /. per;
-          }
-    end
+    let metrics =
+      Engine.run ~parallelism job.Pimcomp.Synth.config
+        served.Pimcomp.Compile.program
+    in
+    if metrics.Metrics.deadlocked then
+      Pimcomp.Synth.Eval_infeasible "simulation deadlocked"
     else
-      let metrics =
-        Engine.run ~parallelism job.Pimcomp.Synth.config
-          served.Pimcomp.Compile.program
+      let time_ns =
+        match job.Pimcomp.Synth.options.Pimcomp.Compile.mode with
+        | Pimcomp.Mode.Low_latency -> metrics.Metrics.latency_ns
+        | Pimcomp.Mode.High_throughput ->
+            1e9 /. metrics.Metrics.throughput_ips
       in
-      if metrics.Metrics.deadlocked then
-        Pimcomp.Synth.Eval_infeasible "simulation deadlocked"
-      else
-        let time_ns =
-          match job.Pimcomp.Synth.options.Pimcomp.Compile.mode with
-          | Pimcomp.Mode.Low_latency -> metrics.Metrics.latency_ns
-          | Pimcomp.Mode.High_throughput ->
-              1e9 /. metrics.Metrics.throughput_ips
-        in
-        Pimcomp.Synth.Eval_ok
-          { time_ns; energy_pj = Metrics.total_pj metrics.Metrics.energy }
+      Pimcomp.Synth.Eval_ok
+        { time_ns; energy_pj = Metrics.total_pj metrics.Metrics.energy }
   with
   | Pimcomp.Chromosome.Infeasible reason ->
       Pimcomp.Synth.Eval_infeasible reason
@@ -63,12 +43,9 @@ let eval_one ?(batches = 1) ~cache ~networks slot (job : Pimcomp.Synth.job) =
         (Pimcomp.Compile.Job_error { index = slot; graph = name; exn })
         bt
 
-let eval_jobs ?pool ?cache ?batches ~networks jobs =
+let evaluator ?pool ?cache ~networks () jobs =
   let indexed = Array.mapi (fun slot job -> (slot, job)) jobs in
-  let f (slot, job) = eval_one ?batches ~cache ~networks slot job in
+  let f (slot, job) = eval_one ~cache ~networks slot job in
   match pool with
   | Some pool -> Pimutil.Domain_pool.Persistent.run pool f indexed
   | None -> Array.map f indexed
-
-let evaluator ?pool ?cache ?batches ~networks () jobs =
-  eval_jobs ?pool ?cache ?batches ~networks jobs

@@ -7,26 +7,21 @@
     when one is given; results are slot-ordered either way, so the
     synthesiser's frontier is bit-identical for any domain count. *)
 
-val eval_jobs :
+val evaluator :
   ?pool:Pimutil.Domain_pool.Persistent.t ->
   ?cache:Pimcomp.Cache.t ->
-  ?batches:int ->
   networks:(string * Nnir.Graph.t) array ->
+  unit ->
   Pimcomp.Synth.job array ->
   Pimcomp.Synth.evaluation array
-(** Evaluate one batch.  Each job compiles its network for the
-    candidate hardware (through the artifact [cache] when given, so
-    identical candidates across generations — or across searches — hit
-    stored programs) and simulates the program; the time objective is
-    end-to-end latency in LL mode and the inverse throughput period in
-    HT mode, the energy objective is {!Metrics.total_pj}.
-
-    With [batches > 1] (default 1) the simulation instead streams that
-    many pipelined inferences ({!Batch.run_stream}, period detection
-    on) and both objectives are amortised per inference — the
-    steady-state cost a deployed accelerator would see rather than the
-    cold-start one.  [batches = 1] is byte-identical to the plain
-    single-inference path.
+(** [evaluator ?pool ?cache ~networks ()] is the [eval] callback of
+    {!Pimcomp.Synth.run}: it evaluates one batch of jobs.  Each job
+    compiles its network for the candidate hardware (through the
+    artifact [cache] when given, so identical candidates across
+    generations — or across searches — hit stored programs) and
+    simulates the program; the time objective is end-to-end latency in
+    LL mode and the inverse throughput period in HT mode, the energy
+    objective is {!Metrics.total_pj}.
 
     A compile rejected as infeasible ({!Pimcomp.Chromosome.Infeasible}
     or a constraint [Invalid_argument]) and a simulation that deadlocks
@@ -34,15 +29,3 @@ val eval_jobs :
     on.  Any other exception is re-raised as
     {!Pimcomp.Compile.Job_error} naming the job's slot and network, as
     in [Compile.batch]. *)
-
-val evaluator :
-  ?pool:Pimutil.Domain_pool.Persistent.t ->
-  ?cache:Pimcomp.Cache.t ->
-  ?batches:int ->
-  networks:(string * Nnir.Graph.t) array ->
-  unit ->
-  Pimcomp.Synth.job array ->
-  Pimcomp.Synth.evaluation array
-(** [evaluator ?pool ?cache ?batches ~networks ()] is [eval_jobs]
-    partially applied — the shape {!Pimcomp.Synth.run} expects for
-    [eval]. *)

@@ -116,7 +116,8 @@ let pp ppf t =
 (* SVG Gantt chart: one swim lane per core, one rectangle per
    instruction, coloured by instruction class.  Self-contained file for
    a browser; zero-duration events (SEND/RECV) render as ticks. *)
-let to_svg ?(width = 1200) ?(lane_height = 18) t =
+let to_svg t =
+  let width = 1200 and lane_height = 18 in
   let makespan =
     Array.fold_left (fun acc e -> Float.max acc e.finish_ns) 1.0 t.events
   in

@@ -37,8 +37,8 @@ val profile : t -> core_profile list
 val pp_event : event Fmt.t
 val to_csv : t -> string
 
-val to_svg : ?width:int -> ?lane_height:int -> t -> string
-(** Self-contained Gantt chart: one lane per core, rectangles coloured
-    by instruction class. *)
+val to_svg : t -> string
+(** Self-contained Gantt chart, 1200 pixels wide: one lane per core,
+    rectangles coloured by instruction class. *)
 
 val pp : t Fmt.t

@@ -1,9 +1,13 @@
 (* Generic domain pool: fan independent (pure, deterministic) closures
-   out across OCaml 5 domains with a shared atomic work counter, writing
-   each result into its input slot.  Both the compiler (island-model GA)
-   and the simulator's callers (evaluation sweeps, synthesis) use it
-   without depending on each other; this library is a leaf — it must
-   stay free of pimcomp/pimsim dependencies.
+   out across OCaml 5 domains, writing each result into its input slot.
+   Both the compiler (island-model GA) and the simulator's callers
+   (evaluation sweeps, synthesis) use it without depending on each
+   other; this library is a leaf — it must stay free of pimcomp/pimsim
+   dependencies.
+
+   One implementation: long-lived worker domains fed through a
+   mutex/condition job queue ([Persistent]).  The one-shot [map] is a
+   pool created for the call, run once and shut down.
 
    Guarantees:
 
@@ -13,7 +17,7 @@
      wall-clock dependence), hence a parallel run returns bit-identical
      results to a sequential one;
    - an exception in any worker is re-raised (with its backtrace) in the
-     caller after all domains have been joined, never swallowed;
+     caller after the whole batch has drained, never swallowed;
    - a failure while *spawning* (e.g. resource exhaustion) still joins
      every domain spawned so far before re-raising — no worker is left
      running against state the caller has abandoned.
@@ -25,65 +29,11 @@ let default_domains () = max 1 (Domain.recommended_domain_count ())
 
 type 'b cell = Empty | Value of 'b | Raised of exn * Printexc.raw_backtrace
 
-let map ?domains ?spawn f items =
-  let n = Array.length items in
-  let requested = match domains with Some d -> d | None -> default_domains () in
-  let d = max 1 (min requested n) in
-  let spawn = match spawn with Some s -> s | None -> Domain.spawn in
-  if n = 0 then [||]
-  else if d = 1 then Array.map f items
-  else begin
-    let results = Array.make n Empty in
-    let next = Atomic.make 0 in
-    let worker () =
-      let continue = ref true in
-      while !continue do
-        let i = Atomic.fetch_and_add next 1 in
-        if i >= n then continue := false
-        else
-          results.(i) <-
-            (match f items.(i) with
-            | v -> Value v
-            | exception e -> Raised (e, Printexc.get_raw_backtrace ()))
-      done
-    in
-    (* Spawn incrementally: if Domain.spawn raises partway (the runtime
-       caps live domains, and the OS can refuse a thread), the domains
-       already running must not be leaked against [results]/[next] that
-       this frame is about to abandon.  Parking [next] past [n] tells
-       the survivors to stop claiming work; joining them makes the
-       failure synchronous before the re-raise. *)
-    let spawned = ref [] in
-    (try
-       for _ = 2 to d do
-         spawned := spawn worker :: !spawned
-       done
-     with e ->
-       let bt = Printexc.get_raw_backtrace () in
-       Atomic.set next n;
-       List.iter Domain.join !spawned;
-       Printexc.raise_with_backtrace e bt);
-    worker ();
-    List.iter Domain.join !spawned;
-    Array.map
-      (function
-        | Value v -> v
-        | Raised (e, bt) -> Printexc.raise_with_backtrace e bt
-        | Empty -> assert false)
-      results
-  end
-
-(* --- persistent pool ------------------------------------------------------ *)
-
-(* Long-lived worker domains fed through a mutex/condition job queue:
-   the serve daemon answers many small request batches, and respawning
-   domains per batch would dominate the work (spawn alone costs more
-   than a warm cache hit).  Workers run [init] once at spawn — the
-   daemon uses it to pre-grow each domain's minor heap — and then stay
-   warm across batches.  [run] keeps the one-shot [map] contract:
-   slot-ordered results, exceptions re-raised in the caller after the
-   whole batch has drained. *)
-
+(* Long-lived worker domains: the serve daemon answers many small
+   request batches, and respawning domains per batch would dominate the
+   work (spawn alone costs more than a warm cache hit).  Workers run
+   [init] once at spawn — the daemon uses it to pre-grow each domain's
+   minor heap — and then stay warm across batches. *)
 module Persistent = struct
   type t = {
     mutex : Mutex.t;
@@ -113,10 +63,19 @@ module Persistent = struct
     in
     loop ()
 
-  let create ?domains ?(init = fun () -> ()) () =
-    let d =
-      max 1 (match domains with Some d -> d | None -> default_domains ())
-    in
+  let shutdown t =
+    Mutex.lock t.mutex;
+    if not t.stopping then begin
+      t.stopping <- true;
+      Condition.broadcast t.work;
+      Mutex.unlock t.mutex;
+      List.iter Domain.join t.workers;
+      t.workers <- []
+    end
+    else Mutex.unlock t.mutex
+
+  (* [spawn] is [Domain.spawn] except under [map]'s test hook. *)
+  let make ~spawn ~domains ~init =
     let t =
       {
         mutex = Mutex.create ();
@@ -127,21 +86,23 @@ module Persistent = struct
         workers = [];
       }
     in
-    (* Same incremental-spawn discipline as [map]: on a partial spawn
-       failure, stop and join the survivors before re-raising. *)
+    (* Spawn incrementally: if a spawn raises partway (the runtime caps
+       live domains, and the OS can refuse a thread), stop and join the
+       survivors before re-raising. *)
     (try
-       for _ = 1 to d do
-         t.workers <- Domain.spawn (worker t init) :: t.workers
+       for _ = 1 to max 1 domains do
+         t.workers <- spawn (worker t init) :: t.workers
        done
      with e ->
        let bt = Printexc.get_raw_backtrace () in
-       Mutex.lock t.mutex;
-       t.stopping <- true;
-       Condition.broadcast t.work;
-       Mutex.unlock t.mutex;
-       List.iter Domain.join t.workers;
+       shutdown t;
        Printexc.raise_with_backtrace e bt);
     t
+
+  let create ?domains ?(init = fun () -> ()) () =
+    make ~spawn:Domain.spawn
+      ~domains:(Option.value domains ~default:(default_domains ()))
+      ~init
 
   let domain_count t = List.length t.workers
 
@@ -183,15 +144,14 @@ module Persistent = struct
           | Empty -> assert false)
         results
     end
-
-  let shutdown t =
-    Mutex.lock t.mutex;
-    if not t.stopping then begin
-      t.stopping <- true;
-      Condition.broadcast t.work;
-      Mutex.unlock t.mutex;
-      List.iter Domain.join t.workers;
-      t.workers <- []
-    end
-    else Mutex.unlock t.mutex
 end
+
+let map ?domains ?(spawn = Domain.spawn) f items =
+  let requested = Option.value domains ~default:(default_domains ()) in
+  let d = min requested (Array.length items) in
+  if d <= 1 then Array.map f items
+  else
+    let pool = Persistent.make ~spawn ~domains:d ~init:(fun () -> ()) in
+    Fun.protect
+      ~finally:(fun () -> Persistent.shutdown pool)
+      (fun () -> Persistent.run pool f items)

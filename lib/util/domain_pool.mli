@@ -22,12 +22,13 @@ val map :
   ('a -> 'b) ->
   'a array ->
   'b array
-(** [map ~domains f items] evaluates [f] over [items] on up to [domains]
-    domains (default {!default_domains}; clamped to the item count).
+(** [map ~domains f items] evaluates [f] over [items] on a one-shot
+    {!Persistent} pool of [domains] workers (default {!default_domains};
+    clamped to the item count), shut down before [map] returns.
     [domains <= 1] degrades to a plain sequential [Array.map].  [spawn]
     is a test hook substituting for [Domain.spawn] (e.g. a wrapper that
-    fails after k spawns, to exercise the partial-spawn cleanup path);
-    production callers never pass it. *)
+    fails after k spawns, to exercise the pool's partial-spawn cleanup
+    path); production callers never pass it. *)
 
 (** Long-lived worker domains behind a job queue, for callers that issue
     many small batches (the serve daemon): domains spawn once, run
@@ -45,10 +46,10 @@ module Persistent : sig
   val domain_count : t -> int
 
   val run : t -> ('a -> 'b) -> 'a array -> 'b array
-  (** Same contract as {!map} (slot-ordered, deterministic results;
-      worker exceptions re-raised after the batch drains), executed on
-      the pool's warm domains.  Safe to call from multiple domains.
-      Raises [Invalid_argument] after {!shutdown}. *)
+  (** Slot-ordered, deterministic results; a worker exception is
+      re-raised after the whole batch has drained.  Executed on the
+      pool's warm domains.  Safe to call from multiple domains.  Raises
+      [Invalid_argument] after {!shutdown}. *)
 
   val shutdown : t -> unit
   (** Stops the workers after the queue drains and joins them.

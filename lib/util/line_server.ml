@@ -33,7 +33,9 @@ let write_all fd s =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
 
-let serve ?(max_batch = 64) ~input ~output ~handle () =
+let max_batch = 64
+
+let serve ~input ~output ~handle =
   let chunk = Bytes.create 65536 in
   let pending = Buffer.create 4096 in
   let eof = ref false in

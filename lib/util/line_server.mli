@@ -1,7 +1,7 @@
 (** Request loop for line protocols (the serve daemon): blocks for the
     first complete line, opportunistically drains further lines that
-    are already readable (so pipelined clients form concurrent batches,
-    bounded by [max_batch]), and hands each non-empty batch to [handle].
+    are already readable (so pipelined clients form concurrent batches
+    of at most 64 lines), and hands each non-empty batch to [handle].
     Responses are written back in order, one line each, and flushed
     before the next read.  The loop ends on EOF, or when [handle]
     returns {!Stop} (its responses are still written first).  A client
@@ -12,9 +12,7 @@
 type verdict = Continue | Stop
 
 val serve :
-  ?max_batch:int ->
   input:Unix.file_descr ->
   output:Unix.file_descr ->
   handle:(string list -> string list * verdict) ->
-  unit ->
   unit

@@ -1,19 +1,30 @@
-(* A socket client that hangs up before its answer must end only its own
-   conversation.  Starts `pimcomp serve --socket S --jobs 1` (the binary
-   is argv.(1)), sends one compile and closes without reading, then
-   reconnects and expects `ping` and `shutdown` to be answered and the
-   daemon to exit 0.  Exits 1 with a reason otherwise.
+(* Two requests that must end only their own conversation, never the
+   daemon.  Starts `pimcomp serve --socket S --jobs 1` (the binary is
+   argv.(1)), then:
+
+   - a client sends one compile and closes without reading;
+   - the next client asks to compile a directory named `*.nnt` and then
+     pings, and expects an error answer followed by the ping's;
+   - it then expects `ping` and `shutdown` to be answered and the daemon
+     to exit 0.
+
+   Exits 1 with a reason otherwise.
 
      serve_hangup.exe PATH/TO/pimcomp_cli.exe *)
 
 let deadline = Unix.gettimeofday () +. 60.0
 let socket_path = Printf.sprintf "serve-hangup-%d.sock" (Unix.getpid ())
+let dir_nnt = Printf.sprintf "serve-hangup-%d.nnt" (Unix.getpid ())
+
+let clean_up () =
+  (try Sys.remove socket_path with Sys_error _ -> ());
+  try Sys.rmdir dir_nnt with Sys_error _ -> ()
 
 let fail daemon fmt =
   Printf.ksprintf
     (fun msg ->
       (try Unix.kill daemon Sys.sigkill with Unix.Unix_error _ -> ());
-      (try Sys.remove socket_path with Sys_error _ -> ());
+      clean_up ();
       prerr_endline ("serve_hangup: " ^ msg);
       exit 1)
     fmt
@@ -78,7 +89,18 @@ let () =
   let hang_up = connect daemon in
   send hang_up "{\"op\":\"compile\",\"network\":\"tiny\",\"fast\":true}\n";
   Unix.close hang_up;
+  Sys.mkdir dir_nnt 0o755;
   let client = connect daemon in
+  send client
+    ("{\"op\":\"compile\",\"network\":\"" ^ dir_nnt
+   ^ "\"}\n{\"op\":\"ping\"}\n");
+  (match read_lines daemon client 2 with
+  | [ error; "{\"ok\":true}" ]
+    when String.starts_with ~prefix:"{\"ok\":false" error ->
+      ()
+  | answers ->
+      fail daemon "directory compile and ping got %d answer(s): [%s]"
+        (List.length answers) (String.concat "; " answers));
   send client "{\"op\":\"ping\"}\n{\"op\":\"shutdown\"}\n";
   (match read_lines daemon client 2 with
   | [ "{\"ok\":true}"; "{\"ok\":true}" ] -> ()
@@ -93,7 +115,7 @@ let () =
           fail daemon "daemon did not exit after shutdown";
         Unix.sleepf 0.05;
         wait_exit ()
-    | _, Unix.WEXITED 0 -> ()
+    | _, Unix.WEXITED 0 -> clean_up ()
     | _, status -> fail daemon "daemon ended with %s" (status_name status)
   in
   wait_exit ()

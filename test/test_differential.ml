@@ -7,16 +7,26 @@
 
 let hw = Pimhw.Config.puma_like
 
+let table_of name size =
+  let table =
+    Pimcomp.Partition.of_graph hw (Nnir.Zoo.build ~input_size:size name)
+  in
+  (table, Pimcomp.Partition.fit_core_count table)
+
 let layout_of ?(seed = 1) name size =
-  let g = Nnir.Zoo.build ~input_size:size name in
-  let table = Pimcomp.Partition.of_graph hw g in
-  let core_count = Pimcomp.Partition.fit_core_count table in
+  let table, core_count = table_of name size in
   let rng = Pimcomp.Rng.create ~seed in
   let chrom =
     Pimcomp.Chromosome.random_initial rng table ~core_count
       ~max_node_num_in_core:16 ~extra_replica_attempts:4 ()
   in
   Pimcomp.Layout.of_chromosome chrom
+
+(* The PUMA-like baseline's replication and first-fit mapping. *)
+let puma_layout_of name size =
+  let table, core_count = table_of name size in
+  Pimcomp.Layout.of_chromosome
+    (Pimcomp.Puma_baseline.build table ~core_count ~max_node_num_in_core:16)
 
 let strategies =
   [ Pimcomp.Memalloc.Naive; Pimcomp.Memalloc.Add_reuse;
@@ -62,17 +72,19 @@ let ht_pair ~strategy layout =
 
 let test_network name =
   let size = Nnir.Zoo.min_input_size name in
-  let layout = layout_of name size in
   List.iter
-    (fun strategy ->
-      let tag mode =
-        Fmt.str "%s %s %s" name mode (strategy_name strategy)
-      in
-      let ll, ll_ref = ll_pair ~strategy layout in
-      check_identical (tag "LL") ll ll_ref;
-      let ht, ht_ref = ht_pair ~strategy layout in
-      check_identical (tag "HT") ht ht_ref)
-    strategies
+    (fun (mapping, layout) ->
+      List.iter
+        (fun strategy ->
+          let tag mode =
+            Fmt.str "%s %s %s %s" name mapping mode (strategy_name strategy)
+          in
+          let ll, ll_ref = ll_pair ~strategy layout in
+          check_identical (tag "LL") ll ll_ref;
+          let ht, ht_ref = ht_pair ~strategy layout in
+          check_identical (tag "HT") ht ht_ref)
+        strategies)
+    [ ("random", layout_of name size); ("puma", puma_layout_of name size) ]
 
 let zoo_cases =
   List.map

@@ -367,6 +367,9 @@ let collect_events run_fn =
      observable contract, so compare order-insensitively *)
   (m, List.sort compare !events)
 
+(* Also checks that a reused arena resets: [Engine.exec] on an arena
+   that has already run an [exec], and then a [stream], returns the
+   metrics of a fresh [Engine.run]. *)
 let engines_agree ?(parallelisms = [ 1; 7; 20 ]) program =
   List.for_all
     (fun parallelism ->
@@ -378,7 +381,13 @@ let engines_agree ?(parallelisms = [ 1; 7; 20 ]) program =
         collect_events (fun ~on_schedule ->
             Pimsim.Engine_ref.run ~parallelism ~on_schedule hw program)
       in
-      m_new = m_ref && ev_new = ev_ref)
+      let arena = Pimsim.Engine.arena ~parallelism hw program in
+      ignore (Pimsim.Engine.exec arena);
+      let after_exec = Pimsim.Engine.exec arena in
+      ignore (Pimsim.Engine.stream arena ~batches:2);
+      let after_stream = Pimsim.Engine.exec arena in
+      m_new = m_ref && ev_new = ev_ref && after_exec = m_new
+      && after_stream = m_new)
     parallelisms
 
 let test_differential_zoo () =
