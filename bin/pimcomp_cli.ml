@@ -1033,11 +1033,17 @@ let synth_cmd =
   in
   let search_generations_arg =
     let doc = "Evolution generations after the grid-seed round." in
-    Arg.(value & opt int 8 & info [ "search-generations" ] ~docv:"N" ~doc)
+    Arg.(
+      value
+      & opt int Pimcomp.Synth.default_params.generations
+      & info [ "search-generations" ] ~docv:"N" ~doc)
   in
   let children_arg =
     let doc = "Candidates bred per evolution generation." in
-    Arg.(value & opt int 12 & info [ "children" ] ~docv:"N" ~doc)
+    Arg.(
+      value
+      & opt int Pimcomp.Synth.default_params.children
+      & info [ "children" ] ~docv:"N" ~doc)
   in
   let area_budget_arg =
     let doc = "Reject candidates whose chip area exceeds this many mm2." in

@@ -63,7 +63,10 @@ let split_line text from =
   | Some i -> (String.sub text from (i - from), i + 1)
   | None -> corrupt "truncated header"
 
-let of_string text =
+(* The container check — magic, version, key, graph and payload lines,
+   payload length and MD5 — without the unmarshal: the key, the graph
+   name and the payload bytes. *)
+let open_container text =
   let header, pos = split_line text 0 in
   (match String.split_on_char ' ' header with
   | [ m; v ] when m = magic ->
@@ -98,6 +101,10 @@ let of_string text =
   let actual = Digest.to_hex (Digest.string payload) in
   if actual <> md5 then
     corrupt "payload checksum mismatch (%s, expected %s)" actual md5;
+  (key, graph_name, payload)
+
+let of_string text =
+  let key, graph_name, payload = open_container text in
   let program : Isa.t =
     (* The checksum passed, so these are exactly the bytes [to_string]
        marshalled; unmarshalling is now safe. *)
@@ -111,9 +118,12 @@ let of_string text =
 
 let to_file path t = Pimutil.Atomic_io.write_text path (to_string t)
 
-let of_file path =
-  let text =
-    try In_channel.with_open_bin path In_channel.input_all
-    with Sys_error m -> corrupt "unreadable artifact: %s" m
-  in
-  of_string text
+let read path =
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error m -> corrupt "unreadable artifact: %s" m
+
+let of_file path = of_string (read path)
+
+let graph_name_of_file path =
+  let _, graph_name, _ = open_container (read path) in
+  graph_name

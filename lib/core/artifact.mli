@@ -30,3 +30,8 @@ val to_file : string -> t -> unit
 
 val of_file : string -> t
 (** Raises {!Corrupt} on unreadable or invalid files. *)
+
+val graph_name_of_file : string -> string
+(** The graph name in a container's header, after every check {!of_file}
+    makes before the payload reaches [Marshal]: the payload is never
+    unmarshalled.  Raises {!Corrupt} on unreadable or invalid files. *)

@@ -216,8 +216,7 @@ let list t =
   |> List.map (fun (path, mtime, size) ->
          let key = Filename.chop_suffix (Filename.basename path) entry_suffix in
          let graph =
-           match Artifact.of_file path with
-           | a -> a.Artifact.program.Isa.graph_name
-           | exception Artifact.Corrupt _ -> "<corrupt>"
+           try Artifact.graph_name_of_file path
+           with Artifact.Corrupt _ -> "<corrupt>"
          in
          (key, graph, size, mtime))

@@ -66,4 +66,7 @@ val clear : t -> int
 (** Deletes every entry; returns how many were removed. *)
 
 val list : t -> (string * string * int * float) list
-(** [(key, graph_name, bytes, mtime)] for every entry, newest first. *)
+(** [(key, graph_name, bytes, mtime)] for every entry, newest first.
+    The graph name is read from the container header by
+    {!Artifact.graph_name_of_file}, so no payload is unmarshalled; an
+    entry that fails the container check is named ["<corrupt>"]. *)

@@ -66,8 +66,6 @@ val replication_by_node_id : t -> Nnir.Node.id -> int
 (** Same, by graph node id; 1 for non-weighted nodes. *)
 
 val add_ags : t -> core:int -> node_index:int -> count:int -> unit
-val remove_ags : t -> core:int -> node_index:int -> count:int -> bool
-val scatter_ags : Rng.t -> t -> node_index:int -> count:int -> bool
 
 (** {1 Validation} *)
 
@@ -89,23 +87,18 @@ val pp_violation : violation Fmt.t
 
 type mutation = Add_replica | Remove_replica | Spread_gene | Merge_gene
 
-val all_mutations : mutation array
-
 type touched = { t_nodes : int list; t_cores : int list }
 (** What a mutation moved: weighted nodes whose replication or placement
     changed, and cores whose gene lists changed (either may contain
     duplicates).  Drives the incremental fitness evaluator. *)
-
-val mutate_touched : Rng.t -> t -> mutation -> touched option
-(** Applies the mutation in place; [None] means it was inapplicable and
-    the chromosome is unchanged. *)
 
 val mutate_random_touched : Rng.t -> t -> touched option
 (** A uniformly random mutation, reporting what it touched.  Consumes
     the same RNG stream as {!mutate_random}. *)
 
 val mutate : Rng.t -> t -> mutation -> bool
-(** [mutate_touched] without the report. *)
+(** Applies the mutation in place; [false] means it was inapplicable
+    and the chromosome is unchanged. *)
 
 val mutate_random : Rng.t -> t -> bool
 

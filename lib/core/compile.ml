@@ -202,10 +202,9 @@ let compile ?(options = default_options) (config : Pimhw.Config.t)
 
 (* Canonical digest of everything that determines the compiled program.
    The graph contributes the MD5 of its .nnt text (Text_format
-   round-trips exactly, so the text is a faithful canonical form, and
-   hashing it first lets callers that key many configs against one
-   graph precompute it); options and hardware config contribute every
-   semantically relevant field, floats rendered with %h (exact hex).
+   round-trips exactly, so the text is a faithful canonical form);
+   options and hardware config contribute every semantically relevant
+   field, floats rendered with %h (exact hex).
    Deliberately excluded, with the reasoning on record:
 
    - options.verify — verification never changes the emitted program,
@@ -215,11 +214,7 @@ let compile ?(options = default_options) (config : Pimhw.Config.t)
 
    The rendering itself is made order-independent and injective by
    Cache.digest_fields. *)
-let graph_digest graph =
-  Digest.to_hex (Digest.string (Nnir.Text_format.to_string graph))
-
-let cache_key ?(options = default_options) ?graph_digest:precomputed
-    (config : Pimhw.Config.t) graph =
+let cache_key ?(options = default_options) (config : Pimhw.Config.t) graph =
   let strategy_fields =
     let params_fields prefix (p : Genetic.params) =
       [
@@ -296,7 +291,7 @@ let cache_key ?(options = default_options) ?graph_digest:precomputed
     ([
        ("format", "pimcomp-cache-key-v3");
        ( "graph.md5",
-         match precomputed with Some d -> d | None -> graph_digest graph );
+         Digest.to_hex (Digest.string (Nnir.Text_format.to_string graph)) );
        ("mode", Mode.to_string options.mode);
        ("parallelism", string_of_int options.parallelism);
        ( "core_count",

@@ -65,28 +65,15 @@ val compile : ?options:options -> Pimhw.Config.t -> Nnir.Graph.t -> t
     output programs and {!Chromosome.Infeasible} when the network cannot
     fit the machine. *)
 
-val graph_digest : Nnir.Graph.t -> string
-(** MD5 (32 hex chars) of the graph's canonical [.nnt] text — the
-    graph's contribution to {!cache_key}.  Callers keying one graph
-    against many configs (e.g. design-space search) compute it once and
-    pass it back via [?graph_digest]. *)
-
-val cache_key :
-  ?options:options ->
-  ?graph_digest:string ->
-  Pimhw.Config.t ->
-  Nnir.Graph.t ->
-  string
+val cache_key : ?options:options -> Pimhw.Config.t -> Nnir.Graph.t -> string
 (** Canonical content digest (32 hex chars) of everything that
-    determines the compiled program: {!graph_digest} of the graph plus
-    every semantically relevant option and hardware field, rendered
-    canonically and hashed by {!Cache.digest_fields}.  Fields that
-    cannot change the program are excluded: [options.verify] and the
-    island GA's [domains] (island results are domain-count-invariant).
-    Equal keys mean bit-identical programs; any change to a hashed field
-    changes the key.  [graph_digest], when given, must be
-    {!graph_digest}[ graph] precomputed by the caller; it never changes
-    the key. *)
+    determines the compiled program: the MD5 of the graph's canonical
+    [.nnt] text plus every semantically relevant option and hardware
+    field, rendered canonically and hashed by {!Cache.digest_fields}.
+    Fields that cannot change the program are excluded:
+    [options.verify] and the island GA's [domains] (island results are
+    domain-count-invariant).  Equal keys mean bit-identical programs;
+    any change to a hashed field changes the key. *)
 
 type outcome = Cache_off | Cache_miss | Cache_hit
 

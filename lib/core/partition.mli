@@ -41,5 +41,4 @@ val fit_core_count : table -> int
 (** Default core-count policy: smallest count fitting the network at
     replication 1 times 1.5 (headroom for replication). *)
 
-val pp_info : info Fmt.t
 val pp : table Fmt.t

@@ -3,21 +3,10 @@
     mapping.  Produces a {!Chromosome.t} so the same scheduler and
     simulator run downstream. *)
 
-val puma_replication :
-  Partition.table -> core_count:int -> budget_fraction:float -> int array
-(** PUMA's heuristic: rate-matching replication allocated front to back
-    (early layers first) until the crossbar budget is exhausted. *)
-
 val balanced_replication :
   Partition.table -> core_count:int -> budget_fraction:float -> int array
-(** Stronger bottleneck-aware variant, kept as an ablation. *)
-
-val sequential_mapping :
-  Partition.table ->
-  int array ->
-  core_count:int ->
-  max_node_num_in_core:int ->
-  Chromosome.t
+(** A stronger, bottleneck-aware variant of PUMA's rate-matching
+    replication, kept as an ablation. *)
 
 val build :
   Partition.table ->

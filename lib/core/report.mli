@@ -1,6 +1,4 @@
 (** Human-readable compilation reports. *)
 
-val pp_stage_seconds : Compile.stage_seconds Fmt.t
 val pp_replication : Compile.t Fmt.t
-val pp_memory : Isa.memory_report Fmt.t
 val pp_summary : Compile.t Fmt.t

@@ -1,6 +1,6 @@
 (* Multi-objective hardware design-space search (PIMSYN-style): grid
    seed + mutation-based evolution over Design_space axes, analytic
-   pre-filters, digest-memoised batched evaluations, and an
+   pre-filters, point-memoised batched evaluations, and an
    incremental non-dominated archive.  All randomness flows from the
    seed through split streams and results are folded in slot order, so
    the frontier is bit-identical for any evaluator domain count. *)
@@ -78,25 +78,6 @@ let candidate_options (options : Compile.options) (p : Ds.point) :
     Compile.options =
   { options with core_count = Some p.Ds.core_count }
 
-(* [graph_digests.(i)] is [Compile.graph_digest] of network [i],
-   computed once per run — the graphs are search invariants, so
-   re-hashing their full text for every candidate would dominate the
-   memo's own cost on small networks. *)
-let candidate_key ?graph_digests ~options ~config ~networks () =
-  let fields =
-    ("synth.eval.format", "pimcomp-synth-eval-v1")
-    :: Array.to_list
-         (Array.mapi
-            (fun i (name, graph) ->
-              let graph_digest =
-                Option.map (fun digests -> digests.(i)) graph_digests
-              in
-              ( Printf.sprintf "net.%d.%s" i name,
-                Compile.cache_key ~options ?graph_digest config graph ))
-            networks)
-  in
-  Cache.digest_fields fields
-
 (* Per-candidate evaluation outcome, after aggregation over the
    network set. *)
 type outcome =
@@ -159,21 +140,19 @@ let random_point rng axes =
 
 let search ~params ~options ~axes ~networks ~eval =
   let n_nets = Array.length networks in
-  let graph_digests =
-    if params.memoise then
-      Array.map (fun (_, g) -> Compile.graph_digest g) networks
-    else [||]
-  in
   (* Counters *)
   let considered = ref 0 and evaluated = ref 0 and eval_jobs = ref 0 in
   let memo_hits = ref 0 and pruned_capacity = ref 0 and pruned_area = ref 0 in
   let infeasible = ref 0 and dominated = ref 0 in
   let eval_seconds = ref 0.0 in
   let infeasible_log = ref [] and pruned_log = ref [] in
-  (* Evaluation memo, keyed by the candidate's digest (lookups only —
-     never iterated, so the table's internal order cannot leak into
-     the result). *)
-  let memo : (string, outcome) Hashtbl.t = Hashtbl.create 256 in
+  (* Evaluation memo, keyed by the design point (lookups only — never
+     iterated, so the table's internal order cannot leak into the
+     result).  Within one run the point is the whole of what an
+     evaluation depends on: [Ds.to_config] sets one config field per
+     axis, so distinct points give distinct configs, [candidate_options]
+     derives the options from the point, and the network set is fixed. *)
+  let memo : (Ds.point, outcome) Hashtbl.t = Hashtbl.create 256 in
   (* Replication-1 footprints per (network, xbar geometry); the
      partition table depends only on the crossbar dimensions, so one
      entry serves every candidate sharing an xbar size. *)
@@ -258,46 +237,26 @@ let search ~params ~options ~axes ~networks ~eval =
   (* One generation: decide each candidate's fate in order, run the
      evaluator once over the queued jobs, then fold outcomes back in
      the same candidate order. *)
-  (* Within one run the memo key is a pure function of the design
-     point (config and options both derive from it, the network set is
-     fixed), so the digest is computed once per distinct point —
-     duplicate candidates, the memo's whole clientele, pay a table
-     lookup instead of two cache_key renderings. *)
-  let key_cache : (Ds.point, string) Hashtbl.t = Hashtbl.create 64 in
-  let point_key (p : Ds.point) ~config ~options =
-    match Hashtbl.find_opt key_cache p with
-    | Some k -> k
-    | None ->
-        let k = candidate_key ~graph_digests ~options ~config ~networks () in
-        Hashtbl.add key_cache p k;
-        k
-  in
   let run_generation candidates =
     (* First pass, in submission order: memo lookup, pre-filters, and
        within-generation duplicate detection (a duplicate of a queued
        twin is pointed at it instead of re-queued).  Job slots are
        assigned here so the evaluator sees one flat batch. *)
     let jobs = ref [] and n_jobs = ref 0 in
-    let batch_slot : (string, int) Hashtbl.t = Hashtbl.create 16 in
+    let batch_slot : (Ds.point, int) Hashtbl.t = Hashtbl.create 16 in
     let decisions =
       List.mapi
         (fun i (p : Ds.point) ->
           incr considered;
           let config = Ds.to_config p in
           let options = candidate_options options p in
-          let key =
-            if params.memoise then Some (point_key p ~config ~options)
-            else None
-          in
           let memoised =
-            match key with
-            | Some k -> Hashtbl.find_opt memo k
-            | None -> None
+            if params.memoise then Hashtbl.find_opt memo p else None
           in
           match memoised with
           | Some outcome ->
               incr memo_hits;
-              (p, config, key, Memoised outcome)
+              (p, config, Memoised outcome)
           | None -> (
               let pruned =
                 if params.prune then prefilter p ~config else None
@@ -308,15 +267,14 @@ let search ~params ~options ~axes ~networks ~eval =
                   | `Capacity -> incr pruned_capacity
                   | `Area -> incr pruned_area);
                   pruned_log := (p, reason) :: !pruned_log;
-                  (p, config, key, Pruned (reason, kind))
+                  (p, config, Pruned (reason, kind))
               | None -> (
                   let twin =
-                    match key with
-                    | Some k -> Hashtbl.find_opt batch_slot k
-                    | None -> None
+                    if params.memoise then Hashtbl.find_opt batch_slot p
+                    else None
                   in
                   match twin with
-                  | Some j -> (p, config, key, Same_as j)
+                  | Some j -> (p, config, Same_as j)
                   | None ->
                       let base_slot = !n_jobs in
                       for net = 0 to n_nets - 1 do
@@ -326,10 +284,8 @@ let search ~params ~options ~axes ~networks ~eval =
                         incr n_jobs
                       done;
                       incr evaluated;
-                      (match key with
-                      | Some k -> Hashtbl.add batch_slot k i
-                      | None -> ());
-                      (p, config, key, Queued base_slot))))
+                      if params.memoise then Hashtbl.add batch_slot p i;
+                      (p, config, Queued base_slot))))
         candidates
     in
     let job_array = Array.of_list (List.rev !jobs) in
@@ -350,7 +306,7 @@ let search ~params ~options ~axes ~networks ~eval =
     (* Fold outcomes back in candidate order. *)
     let outcomes = Array.make (List.length decisions) None in
     List.iteri
-      (fun i (p, config, key, d) ->
+      (fun i (p, config, d) ->
         let outcome =
           match d with
           | Memoised o -> Some o
@@ -385,8 +341,8 @@ let search ~params ~options ~axes ~networks ~eval =
               collect 0 []
         in
         outcomes.(i) <- outcome;
-        (match (key, d, outcome) with
-        | Some k, Queued _, Some o -> Hashtbl.replace memo k o
+        (match (d, outcome) with
+        | Queued _, Some o when params.memoise -> Hashtbl.replace memo p o
         | _ -> ());
         match outcome with
         | None -> ()

@@ -12,8 +12,11 @@
       through a caller-supplied evaluator (compile + simulate — see
       {!Pimsim.Synth_eval}), so the evaluator can fan jobs over warm
       worker domains;
-    - evaluations are memoised by {!Compile.cache_key} digests, so a
-      candidate revisited in a later generation costs a table lookup;
+    - evaluations are memoised by design point, so a candidate
+      revisited in a later generation costs a table lookup.  Within one
+      run the point fixes everything an evaluation depends on: its
+      config ({!Pimhw.Design_space.to_config} sets one field per axis)
+      and its options ({!candidate_options}), over a fixed network set;
     - the Pareto frontier is kept as an incremental non-dominated
       archive: each insertion drops dominated members in one pass, with
       no per-generation re-sort.
@@ -37,7 +40,7 @@ type params = {
   area_budget_mm2 : float option;
       (** Reject candidates whose chip area exceeds the budget. *)
   prune : bool;  (** analytic pre-filters (off = naive baseline) *)
-  memoise : bool;  (** digest-keyed evaluation memo (off = naive) *)
+  memoise : bool;  (** point-keyed evaluation memo (off = naive) *)
 }
 
 val default_params : params
@@ -101,20 +104,6 @@ val candidate_options :
   Compile.options -> Pimhw.Design_space.point -> Compile.options
 (** The per-candidate compile options: [core_count] pinned to the
     point's, everything else from the base options. *)
-
-val candidate_key :
-  ?graph_digests:string array ->
-  options:Compile.options ->
-  config:Pimhw.Config.t ->
-  networks:(string * Nnir.Graph.t) array ->
-  unit ->
-  string
-(** Memo key for one candidate over the whole network set: a
-    {!Cache.digest_fields} digest of the per-network
-    {!Compile.cache_key} values, so it covers exactly what determines
-    the evaluation.  [graph_digests] optionally supplies each network's
-    precomputed {!Compile.graph_digest} so callers keying many
-    candidates hash each graph once; it never changes the key. *)
 
 val run :
   ?params:params ->

@@ -31,5 +31,4 @@ val route_to_global_memory : t -> core:int -> link list
 (** Route to core 0 followed by the port link; its length equals
     [hops_to_global_memory t ~core]. *)
 
-val average_hops : t -> float
 val pp : t Fmt.t

@@ -8,9 +8,6 @@
 
 type padding = { top : int; bottom : int; left : int; right : int }
 
-val pad_none : padding
-val pad_same : int -> padding
-
 type conv_params = {
   out_channels : int;
   kernel_h : int;

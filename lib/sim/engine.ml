@@ -23,10 +23,10 @@
    / parked-RECV tables, per-instruction precomputed durations and
    energy charges, and an int-packed event heap.  One event loop
    ([simulate]) runs every simulation: [exec] is its one-instance case,
-   [stream] pipelines many instances through recycled window slots.
-   Slot 0 and the heap live in the arena and are reset — not
-   reallocated — between runs, so parallelism sweeps and repeated
-   captures pay the build cost once.
+   [stream] pipelines many instances through window slots indexed by
+   instance number.  A one-slot run's tables and the heap live in the
+   arena and are reset — not reallocated — between runs, so
+   parallelism sweeps and repeated captures pay the build cost once.
 
    Determinism and bit-identity with {!Engine_ref}: events are popped in
    (time, code) order where the code ranks unit releases before
@@ -416,11 +416,12 @@ let make_metrics a ~core_first ~core_last ~e_mvm ~e_vec ~e_local ~e_global
 
    [simulate] runs [batches] back-to-back inference instances of the
    arena's program WITHOUT materialising the replicated program:
-   instances flow through a pool of window slots (per-slot missing
-   counters, ready times, queue links, tag tables) that are recycled as
-   instances retire, so memory is O(in-flight instances x n) regardless
-   of [batches].  Slot 0 is the arena's own tables, so a one-instance
-   run ([exec]) allocates nothing per call.
+   instance k runs in window slot k mod w (per-slot missing counters,
+   ready times, queue links, tag tables), where w is the window, so
+   memory is O(window x n) regardless of [batches].  An unbounded run
+   takes w = batches, one slot per instance.  A one-slot run ([exec],
+   or window 1) uses the arena's own tables and allocates nothing per
+   instruction.
 
    Bit-identity with simulating the materialised program
    [Batch.replicate program ~batches] as one instance rests on three
@@ -450,7 +451,7 @@ let make_metrics a ~core_first ~core_last ~e_mvm ~e_vec ~e_local ~e_global
      that exact order, after the same parked-RECV check.
 
    Instance admission is lazy and invisible: instance k+1's slot is
-   allocated at the first completion event of instance k (before any
+   initialised at the first completion event of instance k (before any
    wake can target it), and admission itself schedules nothing — in the
    materialised program instance k+1's instructions all hold an
    unsatisfied pipeline dependency at that moment too.
@@ -470,7 +471,7 @@ type stream_stats = {
   extrapolated_instances : int;
   fired_at : int option;        (* retired-instance index at detector fire *)
   steady_interval_ns : float option;
-  peak_slots : int;             (* window slots ever allocated *)
+  peak_slots : int;             (* window slots: the window, or batches *)
   state_words : int;            (* heap words reachable from slot state *)
 }
 
@@ -489,87 +490,35 @@ let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
   let qhead = a.qhead and qtail = a.qtail in
   let res_state = a.res_state and free_at = a.free_at in
   let heap = a.heap in
-  (* --- window-slot pool, grown by doubling; slots beyond 0 live for
-     this run only --- *)
-  let cap = ref 1 in
-  let s_missing = ref a.missing and s_ready = ref a.ready in
-  let s_qnext = ref a.qnext in
-  let s_arrival = ref a.arrival and s_parked = ref a.parked in
-  let s_instance = ref [| -1 |] and s_completed = ref [| 0 |] in
+  (* --- window slots: instance [k] holds slot [k mod w] for its whole
+     life, where [w] is the window, or [batches] when unbounded.  A
+     bounded window admits [k >= w] only once [k - w], the slot's
+     previous holder, has retired; an unbounded run gives every
+     instance a slot of its own.  A one-slot run uses the arena's own
+     tables, so [exec] allocates no per-instruction state. --- *)
+  let w = if window > 0 then window else batches in
+  let s_missing, s_ready, s_qnext, s_arrival, s_parked =
+    if w = 1 then (a.missing, a.ready, a.qnext, a.arrival, a.parked)
+    else
+      ( Array.make (w * n) 0,
+        Array.make (w * n) 0.0,
+        Array.make (w * n) (-1),
+        Array.make (w * nt) Float.nan,
+        Array.make (w * nt) (-1) )
+  in
+  (* the instance each slot holds; -1 once it retires *)
+  let s_instance = Array.make w (-1) and s_completed = Array.make w 0 in
   (* per-slot dynamic-energy partials (mvm, vec, local, global, noc):
      only the detector's closure reads them *)
   let track = detect && window > 0 in
-  let s_energy = ref (Array.make 5 0.0) in
-  let free_slots = ref [ 0 ] in
-  let grow_pool nc =
-    let oc = !cap in
-    let gi mk old width =
-      let fresh = mk (nc * width) in
-      Array.blit old 0 fresh 0 (oc * width);
-      fresh
-    in
-    s_missing := gi (fun l -> Array.make l 0) !s_missing n;
-    s_ready := gi (fun l -> Array.make l 0.0) !s_ready n;
-    s_qnext := gi (fun l -> Array.make l (-1)) !s_qnext n;
-    s_arrival := gi (fun l -> Array.make l Float.nan) !s_arrival nt;
-    s_parked := gi (fun l -> Array.make l (-1)) !s_parked nt;
-    s_instance := gi (fun l -> Array.make l (-1)) !s_instance 1;
-    s_completed := gi (fun l -> Array.make l 0) !s_completed 1;
-    s_energy := gi (fun l -> Array.make l 0.0) !s_energy 5;
-    free_slots := !free_slots @ List.init (nc - oc) (fun i -> oc + i);
-    cap := nc
-  in
-  if window > 1 then grow_pool window;
-  (* pool position [slot * n + g] -> slot; slot 0, the whole of a
+  let s_energy = Array.make (5 * w) 0.0 in
+  (* table position [slot * n + g] -> slot; slot 0, the whole of a
      one-instance run, needs no division *)
   let slot_of p = if p < n then 0 else p / n in
   let charge slot part pe g =
-    let e = !s_energy and i = (5 * slot) + part in
-    Array.unsafe_set e i (Array.unsafe_get e i +. Array.unsafe_get pe g)
-  in
-  (* live instance -> slot: open-addressed ring keyed by k mod size.
-     In-flight instances are a short contiguous-ish run, so collisions
-     mean the ring is too small for the current window — double it. *)
-  let isize = ref 64 in
-  let imap = ref (Array.make !isize (-1)) in
-  let ikey = ref (Array.make !isize (-1)) in
-  let imap_insert k slot =
-    let rec go () =
-      let i = k land (!isize - 1) in
-      if !imap.(i) >= 0 && !ikey.(i) <> k then begin
-        (* collision with a different live instance: double and rehash *)
-        let ns = 2 * !isize in
-        let nm = Array.make ns (-1) and nk = Array.make ns (-1) in
-        for s = 0 to !cap - 1 do
-          let inst = !s_instance.(s) in
-          if inst >= 0 then begin
-            let j = inst land (ns - 1) in
-            nm.(j) <- s;
-            nk.(j) <- inst
-          end
-        done;
-        isize := ns;
-        imap := nm;
-        ikey := nk;
-        go ()
-      end
-      else begin
-        !imap.(i) <- slot;
-        !ikey.(i) <- k
-      end
-    in
-    go ()
-  in
-  let imap_find k =
-    let i = k land (!isize - 1) in
-    if !ikey.(i) = k then !imap.(i) else -1
-  in
-  let imap_remove k =
-    let i = k land (!isize - 1) in
-    if !ikey.(i) = k then begin
-      !imap.(i) <- -1;
-      !ikey.(i) <- -1
-    end
+    let i = (5 * slot) + part in
+    Array.unsafe_set s_energy i
+      (Array.unsafe_get s_energy i +. Array.unsafe_get pe g)
   in
   let admitted = ref (-1) in
   (* Bounded-window admission (window > 0): instance k is admitted only
@@ -580,50 +529,19 @@ let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
      buffered here and folded in at admission. *)
   let pl_inst = if window > 0 then Array.make n (-1) else [||] in
   let pl_finish = if window > 0 then Array.make n 0.0 else [||] in
-  (* contiguous retired prefix — retirement order can locally invert on
-     equal-time ties, so track flags in a small reusable ring *)
-  let rsize = ref 64 in
-  let rflag = ref (Bytes.make !rsize '\000') in
-  let rprefix = ref 0 in
-  let mark_retired k =
-    if k - !rprefix >= !rsize then begin
-      let ns = ref (2 * !rsize) in
-      while k - !rprefix >= !ns do
-        ns := 2 * !ns
-      done;
-      let nb = Bytes.make !ns '\000' in
-      for j = !rprefix to !rprefix + !rsize - 1 do
-        if Bytes.get !rflag (j mod !rsize) = '\001' then
-          Bytes.set nb (j mod !ns) '\001'
-      done;
-      rsize := !ns;
-      rflag := nb
-    end;
-    Bytes.set !rflag (k mod !rsize) '\001';
-    while
-      !rprefix < batches && Bytes.get !rflag (!rprefix mod !rsize) = '\001'
-    do
-      Bytes.set !rflag (!rprefix mod !rsize) '\000';
-      incr rprefix
-    done
-  in
   let admit k =
-    if !free_slots = [] then grow_pool (2 * !cap);
-    let slot = List.hd !free_slots in
-    free_slots := List.tl !free_slots;
-    let sm = !s_missing and sr = !s_ready in
+    let slot = k mod w in
     let off = slot * n in
     let extra = if k = 0 then 0 else 1 in
     for j = 0 to n - 1 do
-      sm.(off + j) <- dep_count.(j) + extra;
-      sr.(off + j) <- 0.0
+      s_missing.(off + j) <- dep_count.(j) + extra;
+      s_ready.(off + j) <- 0.0
     done;
-    Array.fill !s_arrival (slot * nt) nt Float.nan;
-    Array.fill !s_parked (slot * nt) nt (-1);
-    Array.fill !s_energy (5 * slot) 5 0.0;
-    !s_completed.(slot) <- 0;
-    !s_instance.(slot) <- k;
-    imap_insert k slot;
+    Array.fill s_arrival (slot * nt) nt Float.nan;
+    Array.fill s_parked (slot * nt) nt (-1);
+    Array.fill s_energy (5 * slot) 5 0.0;
+    s_completed.(slot) <- 0;
+    s_instance.(slot) <- k;
     admitted := k;
     slot
   in
@@ -631,7 +549,7 @@ let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
      unit-release time (nan for unit-less SEND/RECV). *)
   let do_schedule slot g ~now =
     let core = Array.unsafe_get a.core_of g in
-    let ready = Float.max now (Array.unsafe_get !s_ready ((slot * n) + g)) in
+    let ready = Float.max now (Array.unsafe_get s_ready ((slot * n) + g)) in
     let start = ref ready and finish = ref ready and release = ref Float.nan in
     let k = Array.unsafe_get kind g in
     if k = k_mvm then begin
@@ -683,11 +601,11 @@ let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
          mesh and becomes available to the matching RECV *)
       let tag = Array.unsafe_get tag_of g in
       let st = (slot * nt) + tag in
-      if not (Float.is_nan (Array.unsafe_get !s_arrival st)) then
+      if not (Float.is_nan (Array.unsafe_get s_arrival st)) then
         invalid_arg
           (Fmt.str "Engine: duplicate SEND on tag %d (silent overwrite \
                     would drop a rendezvous)" tag);
-      Array.unsafe_set !s_arrival st (ready +. Array.unsafe_get dur g);
+      Array.unsafe_set s_arrival st (ready +. Array.unsafe_get dur g);
       a.messages <- a.messages + 1;
       a.flit_hops <- a.flit_hops + Array.unsafe_get a.flithops_d g;
       a.e_noc <- a.e_noc +. Array.unsafe_get a.pe_noc g;
@@ -696,7 +614,7 @@ let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
     else begin
       (* k_recv *)
       let arr =
-        Array.unsafe_get !s_arrival ((slot * nt) + Array.unsafe_get tag_of g)
+        Array.unsafe_get s_arrival ((slot * nt) + Array.unsafe_get tag_of g)
       in
       if Float.is_nan arr then
         invalid_arg "Engine: recv scheduled before arrival";
@@ -715,7 +633,7 @@ let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
     | None -> ());
     let vid =
       (batches * (g - idx)) + idx
-      + (Array.unsafe_get !s_instance slot * Array.unsafe_get a.core_len core)
+      + (Array.unsafe_get s_instance slot * Array.unsafe_get a.core_len core)
     in
     Heap.Packed_payload.push heap finish (num_resources + vid)
       ((slot * n) + g);
@@ -754,10 +672,10 @@ let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
           Heap.Packed_payload.push heap (Array.unsafe_get free_at r) r (-1)
         end;
         let p = (slot * n) + g in
-        Array.unsafe_set !s_qnext p (-1);
+        Array.unsafe_set s_qnext p (-1);
         let t = Array.unsafe_get qtail r in
         if t < 0 then Array.unsafe_set qhead r p
-        else Array.unsafe_set !s_qnext t p;
+        else Array.unsafe_set s_qnext t p;
         Array.unsafe_set qtail r p
       end
     end
@@ -766,7 +684,7 @@ let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
     let p = Array.unsafe_get qhead r in
     if p < 0 then Array.unsafe_set res_state r 0
     else begin
-      let nx = Array.unsafe_get !s_qnext p in
+      let nx = Array.unsafe_get s_qnext p in
       Array.unsafe_set qhead r nx;
       if nx < 0 then Array.unsafe_set qtail r (-1);
       let slot = slot_of p in
@@ -779,10 +697,10 @@ let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
     if
       Array.unsafe_get kind g = k_recv
       && Float.is_nan
-           (Array.unsafe_get !s_arrival
+           (Array.unsafe_get s_arrival
               ((slot * nt) + Array.unsafe_get tag_of g))
     then
-      Array.unsafe_set !s_parked ((slot * nt) + Array.unsafe_get tag_of g)
+      Array.unsafe_set s_parked ((slot * nt) + Array.unsafe_get tag_of g)
         ((slot * n) + g)
     else acquire slot g ~tnow
   in
@@ -795,14 +713,14 @@ let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
   let admit_deferred k ~tnow =
     let slot = admit k in
     let off = slot * n in
-    let sm = !s_missing and sr = !s_ready in
     for g = 0 to n - 1 do
-      sr.(off + g) <- tnow;
+      s_ready.(off + g) <- tnow;
       if pl_inst.(g) = k - 1 then begin
-        sm.(off + g) <- sm.(off + g) - 1;
-        if pl_finish.(g) > sr.(off + g) then sr.(off + g) <- pl_finish.(g)
+        s_missing.(off + g) <- s_missing.(off + g) - 1;
+        if pl_finish.(g) > s_ready.(off + g) then
+          s_ready.(off + g) <- pl_finish.(g)
       end;
-      if sm.(off + g) = 0 then try_schedule slot g ~tnow
+      if s_missing.(off + g) = 0 then try_schedule slot g ~tnow
     done
   in
   (* --- period-detector state --- *)
@@ -858,7 +776,7 @@ let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
           (* steady per-instance dynamic-energy quantum: instruction mix
              is identical across instances, so the retiree's partials
              stand in for every skipped instance *)
-          Array.blit !s_energy (5 * slot) fire_s 0 5
+          Array.blit s_energy (5 * slot) fire_s 0 5
         end
       end
       else begin
@@ -869,21 +787,20 @@ let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
       det_prev_t := tnow;
       det_prev_inst := k
     end;
-    imap_remove k;
-    !s_instance.(slot) <- -1;
-    free_slots := slot :: !free_slots;
-    if window > 0 && not !fired then begin
-      mark_retired k;
-      (* the lazy rule below covers instances 0..window-1; instance k'
-         >= window waits for the retired prefix to reach k' - window *)
+    s_instance.(slot) <- -1;
+    if window > 0 && not !fired then
+      (* The lazy rule below covers instances 0..window-1; instance k'
+         >= window waits for the retired prefix to reach k' - window.
+         Instances before k' - window retired before k' - 1 was
+         admitted, and k' - window still holds slot k' mod window until
+         it retires, so that slot alone says whether k' may enter. *)
       while
         !admitted + 1 < batches
         && !admitted + 1 >= window
-        && !rprefix >= !admitted + 2 - window
+        && s_instance.((!admitted + 1) mod w) <> !admitted + 1 - window
       do
         admit_deferred (!admitted + 1) ~tnow
       done
-    end
   in
   (* seed instance 0: its zero-dep instructions, in (core, index) order —
      the materialised seed order restricted to instance 0, which is the
@@ -903,7 +820,7 @@ let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
       let p = Heap.Packed_payload.last_pay heap in
       let slot = slot_of p in
       let g = p - (slot * n) in
-      let inst = Array.unsafe_get !s_instance slot in
+      let inst = Array.unsafe_get s_instance slot in
       a.executed <- a.executed + 1;
       (* lazy admission: the frontier instance's first completion admits
          its successor, before any wake could target it (throttled mode
@@ -916,9 +833,9 @@ let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
       (* wake the matching parked RECV if this was a SEND *)
       (if Array.unsafe_get kind g = k_send then begin
          let st = (slot * nt) + Array.unsafe_get tag_of g in
-         let pk = Array.unsafe_get !s_parked st in
-         if pk >= 0 && Array.unsafe_get !s_missing pk = 0 then begin
-           Array.unsafe_set !s_parked st (-1);
+         let pk = Array.unsafe_get s_parked st in
+         if pk >= 0 && Array.unsafe_get s_missing pk = 0 then begin
+           Array.unsafe_set s_parked st (-1);
            let ps = slot_of pk in
            acquire ps (pk - (ps * n)) ~tnow
          end
@@ -930,19 +847,21 @@ let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
       (* pipeline dependent (inst+1, g) first: it holds the highest
          materialised id among this instruction's dependents *)
       (if inst + 1 < batches then begin
-         let ds = imap_find (inst + 1) in
-         (* Unbounded: the successor is always admitted and live here —
+         (* slot (inst+1) mod w holds inst+1 exactly while it is live.
+            Unbounded: the successor is always admitted and live here —
             admission precedes any wake, and (inst+1, g) depends on this
             very completion so it cannot have retired.  Throttled: it
             may not be admitted yet; [pl_finish] carries this completion
             to its deferred admission. *)
-         if window = 0 then assert (ds >= 0);
-         if ds >= 0 then begin
+         let ds = if slot + 1 = w then 0 else slot + 1 in
+         let live = Array.unsafe_get s_instance ds = inst + 1 in
+         assert (live || window > 0);
+         if live then begin
            let dp = (ds * n) + g in
-           if tnow > Array.unsafe_get !s_ready dp then
-             Array.unsafe_set !s_ready dp tnow;
-           let m = Array.unsafe_get !s_missing dp - 1 in
-           Array.unsafe_set !s_missing dp m;
+           if tnow > Array.unsafe_get s_ready dp then
+             Array.unsafe_set s_ready dp tnow;
+           let m = Array.unsafe_get s_missing dp - 1 in
+           Array.unsafe_set s_missing dp m;
            if m = 0 then try_schedule ds g ~tnow
          end
        end);
@@ -953,14 +872,14 @@ let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
       do
         let d = Array.unsafe_get dept_arr e in
         let dp = (slot * n) + d in
-        if tnow > Array.unsafe_get !s_ready dp then
-          Array.unsafe_set !s_ready dp tnow;
-        let m = Array.unsafe_get !s_missing dp - 1 in
-        Array.unsafe_set !s_missing dp m;
+        if tnow > Array.unsafe_get s_ready dp then
+          Array.unsafe_set s_ready dp tnow;
+        let m = Array.unsafe_get s_missing dp - 1 in
+        Array.unsafe_set s_missing dp m;
         if m = 0 then try_schedule slot d ~tnow
       done;
-      let c = Array.unsafe_get !s_completed slot + 1 in
-      Array.unsafe_set !s_completed slot c;
+      let c = Array.unsafe_get s_completed slot + 1 in
+      Array.unsafe_set s_completed slot c;
       if c = n then on_retire slot inst tnow
     end
   done;
@@ -1026,9 +945,9 @@ let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
     else
       Obj.reachable_words
         (Obj.repr
-           ( !s_missing, !s_ready, !s_qnext, !s_arrival, !s_parked,
-             !s_instance, !s_completed, !s_energy,
-             !imap, !ikey, heap, (pl_inst, pl_finish, !rflag) ))
+           ( s_missing, s_ready, s_qnext, s_arrival, s_parked,
+             s_instance, s_completed, s_energy,
+             heap, (pl_inst, pl_finish) ))
   in
   let stats =
     {
@@ -1037,7 +956,7 @@ let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
       extrapolated_instances = (if !fired then !fire_skip else 0);
       fired_at = (if !fired then Some !fire_at else None);
       steady_interval_ns = (if !fired then Some !fire_interval else None);
-      peak_slots = !cap;
+      peak_slots = w;
       state_words;
     }
   in

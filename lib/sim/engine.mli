@@ -10,9 +10,9 @@
     tables, precomputed per-instruction durations and energy charges,
     an int-packed event heap) and the arena can be re-run by resetting
     state instead of reallocating it.  One event loop serves every
-    simulation: {!exec} is the one-instance case of {!stream}, whose
-    first window slot lives in the arena.  Results are bit-identical to
-    the reference interpreter {!Engine_ref}.
+    simulation: {!exec} is the one-instance case of {!stream}, and a
+    one-slot run uses the arena's own tables.  Results are bit-identical
+    to the reference interpreter {!Engine_ref}.
 
     Execution is dataflow (dependency-driven): well-formed programs
     always terminate, and unmatched rendezvous surface as
@@ -71,7 +71,9 @@ type stream_stats = {
       (** retired-instance index at which the detector fired, if it did *)
   steady_interval_ns : float option;
       (** the detected exact per-instance retirement interval *)
-  peak_slots : int;  (** window slots ever allocated (peak in-flight) *)
+  peak_slots : int;
+      (** window slots allocated: the window, or [batches] when
+          unbounded; instance [k] holds slot [k mod peak_slots] *)
   state_words : int;
       (** heap words reachable from the streaming slot state — the
           O(window x n) part that replaces the O(batches x n)
@@ -85,20 +87,21 @@ val stream :
   batches:int ->
   Metrics.t * stream_stats
 (** [stream a ~batches] simulates [batches] back-to-back pipelined
-    instances of the arena's program in O(in-flight x n) memory,
-    recycling window slots as instances retire.
+    instances of the arena's program in O(window x n) memory: instance
+    [k] holds window slot [k mod window].
 
     [window = 0] (the default) places no bound on the number of
     in-flight instances: the schedule is then exactly the materialised
     one, and with [detect:false] the metrics are bit-identical to
     [exec (arena hw (Batch.replicate (program a) ~batches))].  Fast
     front-end cores may race arbitrarily far ahead of the bottleneck in
-    that schedule, so the slot pool grows with the natural instance
-    spread (up to [batches] in the worst case).
+    that schedule, so every instance gets a slot of its own: O(batches
+    x n) memory, like the materialised program's run state.
 
     [window = w > 0] is bounded-buffer pipelining: instance [k] is
     admitted only once instance [k - w] has fully retired, so at most
-    [w] instances (hence O(w x n) state) are ever live.  This is a
+    [w] instances are ever live, and instance [k] takes over the slot
+    of [k - w].  This is a
     deliberately different — and physically honest — schedule; it
     coincides with the unbounded one whenever [w >= batches] or [w]
     exceeds the natural spread, and leaves steady-state throughput

@@ -43,8 +43,4 @@ type t = {
           instances the metrics cover (1 + 0 for a plain single run) *)
 }
 
-val active_cores : t -> int
-val avg_local_peak_bytes : t -> float
-val max_local_peak_bytes : t -> int
-val max_local_resident_peak_bytes : t -> int
 val pp : t Fmt.t

@@ -34,7 +34,6 @@ type core_profile = {
 val profile : t -> core_profile list
 (** Busy nanoseconds per core by instruction class. *)
 
-val pp_event : event Fmt.t
 val to_csv : t -> string
 
 val to_svg : t -> string
