@@ -668,14 +668,20 @@ let ga_throughput () =
 
 (* Measures the content-addressed artifact cache end to end:
 
-     cold   Compile.compile_program on an empty cache (full pipeline,
-            then atomic store) with the serving default options — the
-            paper-parameter GA
-     hit    the same request again (container load + checksum + full
-            Verify.run), best of 3
+     cold     Compile.compile_program on an empty cache (full pipeline,
+              then atomic store) with the serving default options — the
+              paper-parameter GA
+     hit      the same request on a freshly opened handle, whose first
+              load of the entry runs every check (container load +
+              checksum + unmarshal + full Verify.run); best of 3, a new
+              handle each time
+     recalled the request again on a handle that has verified the entry,
+              answered from its record; best of 3
 
-   The loaded program must be bit-identical to the freshly compiled
-   one; the bar of a hit >= 10x faster than cold for every zoo network
+   Each hit is timed together with the Lazy.force of its program, so
+   a recalled hit pays its deferred decode inside the timer.  Every
+   loaded program must be bit-identical to the freshly compiled one;
+   the bar of a first hit >= 10x faster than cold for every zoo network
    is reported, not enforced, since wall-clock ratios near the bar
    swing with host noise.  A second table checks bit-identity of
    store/load round-trips across zoo x {HT, LL} x all allocators
@@ -736,10 +742,12 @@ let cache_bench () =
   @@ fun () ->
   let cache = Pimcomp.Cache.open_dir (Filename.concat root "main") in
   Fmt.pr
-    "Content-addressed compile cache: cold compile+store vs verified hit@.\
-     (default serving options, best-of-3 hits, bar: >= 10x per network).@.@.";
-  Fmt.pr "%-14s | %10s %10s | %8s | %9s | %s@." "network" "cold s" "hit s"
-    "speedup" "bytes" "identical";
+    "Content-addressed compile cache: cold compile+store vs first (verified) \
+     and recalled hits@.\
+     (default serving options, best of 3 each, bar: first hit >= 10x per \
+     network).@.@.";
+  Fmt.pr "%-14s | %10s %10s %10s | %8s | %9s | %s@." "network" "cold s"
+    "hit s" "recall s" "speedup" "bytes" "identical";
   let rows =
     List.map
       (fun net ->
@@ -748,19 +756,30 @@ let cache_bench () =
           Pimcomp.Compile.compile_program ~options ~cache hw g
         in
         assert (cold.Pimcomp.Compile.outcome = Pimcomp.Compile.Cache_miss);
-        let hit = ref None and hit_s = ref infinity in
-        for _ = 1 to 3 do
+        (* What a caller gets: the served program, forced. *)
+        let hit cache =
           let served = Pimcomp.Compile.compile_program ~options ~cache hw g in
           assert (served.Pimcomp.Compile.outcome = Pimcomp.Compile.Cache_hit);
-          if served.Pimcomp.Compile.seconds < !hit_s then
-            hit_s := served.Pimcomp.Compile.seconds;
-          hit := Some served.Pimcomp.Compile.program
-        done;
+          Lazy.force served.Pimcomp.Compile.program
+        in
+        let first, hit_s =
+          best_of ~reps:3 (fun () ->
+              hit (Pimcomp.Cache.open_dir (Pimcomp.Cache.dir cache)))
+        in
+        let recalled () = (Pimcomp.Cache.stats cache).Pimcomp.Cache.recalled in
+        let before = recalled () in
+        ignore (hit cache);
+        let recalled_program, recall_s =
+          best_of ~reps:3 (fun () -> hit cache)
+        in
+        if recalled () - before <> 3 then
+          Fmt.failwith "cache: %s: expected 3 recalled hits" (fst net);
         (* Bit-identity over the whole Isa.t: instructions, deps, tags,
            memory accounting and mem_trace — structural equality covers
            every field. *)
+        let cold_program = Lazy.force cold.Pimcomp.Compile.program in
         let identical =
-          Option.get !hit = cold.Pimcomp.Compile.program
+          first = cold_program && recalled_program = cold_program
         in
         let entry_bytes =
           let key = Option.get cold.Pimcomp.Compile.key in
@@ -773,17 +792,19 @@ let cache_bench () =
           | None -> 0
         in
         let cold_s = cold.Pimcomp.Compile.seconds in
-        Fmt.pr "%-14s | %10.3f %10.4f | %7.1fx | %9d | %b@." (fst net) cold_s
-          !hit_s (cold_s /. !hit_s) entry_bytes identical;
+        Fmt.pr "%-14s | %10.3f %10.4f %10.4f | %7.1fx | %9d | %b@." (fst net)
+          cold_s hit_s recall_s (cold_s /. hit_s) entry_bytes identical;
         if not identical then
           Fmt.failwith "cache: %s hit differs from the fresh compile" (fst net);
-        (net, cold_s, !hit_s, entry_bytes, identical))
+        (net, cold_s, hit_s, recall_s, entry_bytes, identical))
       nets
   in
   let all_over_10x =
-    List.for_all (fun (_, cold_s, hit_s, _, _) -> cold_s /. hit_s >= 10.0) rows
+    List.for_all
+      (fun (_, cold_s, hit_s, _, _, _) -> cold_s /. hit_s >= 10.0)
+      rows
   in
-  let all_identical = List.for_all (fun (_, _, _, _, i) -> i) rows in
+  let all_identical = List.for_all (fun (_, _, _, _, _, i) -> i) rows in
   Fmt.pr "@.every network >= 10x: %b   every hit bit-identical: %b@."
     all_over_10x all_identical;
   (* Identity sweep: store/load round-trips across zoo x mode x
@@ -872,12 +893,12 @@ let cache_bench () =
   write_json "BENCH_CACHE.json" @@ fun json ->
   Format.fprintf json "{@.  \"tiny\": %b,@.  \"networks\": [@." tiny;
   List.iteri
-    (fun i (net, cold_s, hit_s, entry_bytes, identical) ->
+    (fun i (net, cold_s, hit_s, recall_s, entry_bytes, identical) ->
       Format.fprintf json
         "    { \"network\": %S, \"cold_seconds\": %.6f, \"hit_seconds\": \
-         %.6f,@.      \"speedup\": %.1f, \"entry_bytes\": %d, \
-         \"bit_identical\": %b }%s@."
-        (fst net) cold_s hit_s (cold_s /. hit_s) entry_bytes identical
+         %.6f,@.      \"recalled_seconds\": %.6f, \"speedup\": %.1f, \
+         \"entry_bytes\": %d, \"bit_identical\": %b }%s@."
+        (fst net) cold_s hit_s recall_s (cold_s /. hit_s) entry_bytes identical
         (if i = List.length rows - 1 then "" else ","))
     rows;
   Format.fprintf json
@@ -893,9 +914,11 @@ let cache_bench () =
     (List.length evict_nets) evict_stats.Pimcomp.Cache.evictions
     evict_stats.Pimcomp.Cache.entries survivor_served;
   Format.fprintf json
-    "  \"stats\": { \"hits\": %d, \"misses\": %d, \"rejected\": %d, \
-     \"evictions\": %d, \"entries\": %d, \"bytes\": %d }@.}@."
-    stats.Pimcomp.Cache.hits stats.Pimcomp.Cache.misses
+    "  \"stats\": { \"hits\": %d, \"recalled\": %d, \"misses\": %d, \
+     \"rejected\": %d, \"evictions\": %d, \"entries\": %d, \"bytes\": %d \
+     }@.}@."
+    stats.Pimcomp.Cache.hits stats.Pimcomp.Cache.recalled
+    stats.Pimcomp.Cache.misses
     stats.Pimcomp.Cache.rejected stats.Pimcomp.Cache.evictions
     stats.Pimcomp.Cache.entries stats.Pimcomp.Cache.bytes
 

@@ -296,9 +296,9 @@ let wrap f = try Ok (f ()) with exn -> Error (`Msg (error_message exn))
 let cache_dir_arg =
   let doc =
     "Content-addressed compile cache directory.  Programs are looked up \
-     by a digest of (graph, options, hardware) before compiling; hits \
-     are re-verified on load, so they are indistinguishable from fresh \
-     compiles."
+     by a digest of (graph, options, hardware) before compiling; an \
+     entry is verified on its first load by each process, so hits are \
+     indistinguishable from fresh compiles."
   in
   Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc)
 
@@ -319,9 +319,10 @@ let open_cache dir max_mb =
 
 let pp_cache_stats ppf (s : Pimcomp.Cache.stats) =
   Fmt.pf ppf
-    "entries %d  bytes %d  hits %d  misses %d  rejected %d  evictions %d"
+    "entries %d  bytes %d  hits %d  recalled %d  misses %d  rejected %d  \
+     evictions %d"
     s.Pimcomp.Cache.entries s.Pimcomp.Cache.bytes s.Pimcomp.Cache.hits
-    s.Pimcomp.Cache.misses s.Pimcomp.Cache.rejected
+    s.Pimcomp.Cache.recalled s.Pimcomp.Cache.misses s.Pimcomp.Cache.rejected
     s.Pimcomp.Cache.evictions
 
 (* --- commands -------------------------------------------------------------- *)
@@ -380,7 +381,7 @@ let compile_term simulate =
         let hw = Pimhw.Config.puma_like in
         let cache = open_cache cache_dir cache_max_mb in
         let served = Pimcomp.Compile.compile_program ~options ?cache hw graph in
-        let program = served.Pimcomp.Compile.program in
+        let program () = Lazy.force served.Pimcomp.Compile.program in
         (match served.Pimcomp.Compile.result with
         | Some result ->
             Fmt.pr "%a@." Pimcomp.Report.pp_summary result;
@@ -392,10 +393,11 @@ let compile_term simulate =
             end
         | None ->
             (* Cache hit: the full compile record was never built — the
-               program itself came off disk, already re-verified. *)
+               program itself came off disk, already verified. *)
+            let s = served.Pimcomp.Compile.summary in
             Fmt.pr "%s: %d cores, %d instructions (cache hit)@."
-              program.Pimcomp.Isa.graph_name program.Pimcomp.Isa.core_count
-              (Pimcomp.Isa.num_instrs program));
+              s.Pimcomp.Cache.graph_name s.Pimcomp.Cache.cores
+              s.Pimcomp.Cache.instructions);
         (match (cache, served.Pimcomp.Compile.key) with
         | Some cache, Some key ->
             Fmt.pr "cache %s: key %s in %.3f s  (%a)@."
@@ -405,12 +407,14 @@ let compile_term simulate =
         | _ -> ());
         (match emit_isa with
         | Some path ->
-            Pimcomp.Isa_text.to_file path program;
+            Pimcomp.Isa_text.to_file path (program ());
             Fmt.pr "wrote instruction stream to %s@." path
         | None -> ());
         (match emit_trace with
         | Some path ->
-            let metrics, trace = Pimsim.Trace.run ~parallelism hw program in
+            let metrics, trace =
+              Pimsim.Trace.run ~parallelism hw (program ())
+            in
             let payload =
               if Filename.check_suffix path ".svg" then
                 Pimsim.Trace.to_svg trace
@@ -420,7 +424,9 @@ let compile_term simulate =
             Fmt.pr "wrote %d trace events to %s@.@.%a@."
               (Pimsim.Trace.length trace) path Pimsim.Metrics.pp metrics
         | None when simulate -> (
-            match simulate_program ~parallelism ~batches hw program with
+            match
+              simulate_program ~parallelism ~batches hw (program ())
+            with
             | `Single metrics -> Fmt.pr "@.%a@." Pimsim.Metrics.pp metrics
             | `Stream (r, _stats) ->
                 Fmt.pr "@.%a@.@.%a@." Pimsim.Batch.pp r Pimsim.Metrics.pp
@@ -639,11 +645,13 @@ module Serve = struct
 
   let error msg = J.Obj [ ("ok", J.Bool false); ("error", J.String msg) ]
 
+  (* From the summary alone: a recalled hit's program is decoded only
+     for the ops that run it. *)
   let program_fields (served : Pimcomp.Compile.served) =
-    let program = served.Pimcomp.Compile.program in
+    let s = served.Pimcomp.Compile.summary in
     [
       ("ok", J.Bool true);
-      ("graph", J.String program.Pimcomp.Isa.graph_name);
+      ("graph", J.String s.Pimcomp.Cache.graph_name);
       ( "outcome",
         J.String
           (Pimcomp.Compile.outcome_name served.Pimcomp.Compile.outcome) );
@@ -652,8 +660,8 @@ module Serve = struct
         | Some k -> J.String k
         | None -> J.Null );
       ("seconds", J.Float served.Pimcomp.Compile.seconds);
-      ("cores", J.Int program.Pimcomp.Isa.core_count);
-      ("instructions", J.Int (Pimcomp.Isa.num_instrs program));
+      ("cores", J.Int s.Pimcomp.Cache.cores);
+      ("instructions", J.Int s.Pimcomp.Cache.instructions);
     ]
 
   (* Heavy ops run on pool domains; everything here must only touch the
@@ -700,7 +708,7 @@ module Serve = struct
           match
             simulate_program ~parallelism:options.Pimcomp.Compile.parallelism
               ~batches:(J.int_field ~default:1 "batches" req)
-              hw served.Pimcomp.Compile.program
+              hw (Lazy.force served.Pimcomp.Compile.program)
           with
           | `Single m ->
               [
@@ -736,6 +744,7 @@ module Serve = struct
             ("cache", J.Bool true);
             ("dir", J.String (Pimcomp.Cache.dir cache));
             ("hits", J.Int s.Pimcomp.Cache.hits);
+            ("recalled", J.Int s.Pimcomp.Cache.recalled);
             ("misses", J.Int s.Pimcomp.Cache.misses);
             ("rejected", J.Int s.Pimcomp.Cache.rejected);
             ("evictions", J.Int s.Pimcomp.Cache.evictions);
@@ -744,7 +753,9 @@ module Serve = struct
           ]
 
   (* A batch of request lines -> response lines (same order) + verdict.
-     Light ops answer inline; heavy ops fan out over the pool.  Every
+     Light ops answer inline; heavy ops fan out over the pool, in
+     segments that end at each [stats] line, so a stats answer counts
+     every request before it in its batch and none after it.  Every
      failure is attributed to its own request line — one bad request
      never poisons its batchmates or the daemon.  An exception that
      [error_message] does not know is a bug: it is answered as an
@@ -758,49 +769,48 @@ module Serve = struct
           | req -> (
               match J.string_field ~default:"" "op" req with
               | "ping" -> `Done (J.Obj [ ("ok", J.Bool true) ])
-              | "stats" -> `Done (stats_response cache)
+              | "stats" -> `Stats
               | "shutdown" -> `Stop (J.Obj [ ("ok", J.Bool true) ])
               | ("compile" | "verify" | "simulate") as op -> `Heavy (op, req)
               | "" -> `Done (error "missing op")
               | op -> `Done (error (Fmt.str "unknown op %S" op))))
         lines
     in
-    let heavy =
-      Array.of_list
-        (List.filter_map
-           (function `Heavy (op, req) -> Some (op, req) | _ -> None)
-           classified)
+    let responses = Array.make (List.length classified) J.Null in
+    (* (line index, op, request) of the heavy requests not yet run,
+       newest first *)
+    let segment = ref [] in
+    let run_segment () =
+      let heavy = Array.of_list (List.rev !segment) in
+      segment := [];
+      let results =
+        Pimutil.Domain_pool.Persistent.run pool
+          (fun (_, op, req) ->
+            try run_heavy ~hw ~cache op req
+            with exn ->
+              error
+                (try error_message exn
+                 with exn -> "internal error: " ^ Printexc.to_string exn))
+          heavy
+      in
+      Array.iteri (fun k (i, _, _) -> responses.(i) <- results.(k)) heavy
     in
-    let heavy_results =
-      Pimutil.Domain_pool.Persistent.run pool
-        (fun (op, req) ->
-          try run_heavy ~hw ~cache op req
-          with exn ->
-            error
-              (try error_message exn
-               with exn -> "internal error: " ^ Printexc.to_string exn))
-        heavy
-    in
-    let next = ref 0 in
     let stop = ref false in
-    let responses =
-      List.map
-        (fun c ->
-          let json =
-            match c with
-            | `Done json -> json
-            | `Stop json ->
-                stop := true;
-                json
-            | `Heavy _ ->
-                let r = heavy_results.(!next) in
-                incr next;
-                r
-          in
-          J.to_string json)
-        classified
-    in
-    (responses, if !stop then Pimutil.Line_server.Stop else
+    List.iteri
+      (fun i c ->
+        match c with
+        | `Done json -> responses.(i) <- json
+        | `Stop json ->
+            stop := true;
+            responses.(i) <- json
+        | `Heavy (op, req) -> segment := (i, op, req) :: !segment
+        | `Stats ->
+            run_segment ();
+            responses.(i) <- stats_response cache)
+      classified;
+    run_segment ();
+    (Array.to_list (Array.map J.to_string responses),
+     if !stop then Pimutil.Line_server.Stop else
        Pimutil.Line_server.Continue)
 
   let run_stdio ~hw ~cache ~pool =
@@ -865,7 +875,8 @@ let serve_cmd =
           concurrently on a warm domain pool.  Ops: ping, stats, \
           shutdown, compile, verify, simulate.  With --cache, programs \
           are served from the content-addressed artifact cache when \
-          possible (every hit is re-verified on load).")
+          possible (the daemon verifies each entry on its first load \
+          and recalls those exact bytes by a keyed MAC after that).")
     Term.(
       term_result
         (const run $ cache_dir_arg $ cache_max_mb_arg $ socket_arg $ jobs_arg))

@@ -5,8 +5,12 @@
     and an MD5 checksum over the marshalled payload, validated {e
     before} the bytes reach the unmarshaller: torn or bit-flipped
     entries raise {!Corrupt} instead of undefined behaviour.  Semantic
-    validity of the program itself is re-established by {!Verify} at
-    every cache load (see {!Cache}). *)
+    validity of the program itself is established by {!Verify} when a
+    {!Cache} handle first loads the entry (see {!Cache}).
+
+    One header parser serves every reader.  The payload is checksummed
+    and unmarshalled where it lies in the bytes read from disk, never
+    copied out of them. *)
 
 exception Corrupt of string
 (** The container failed structural validation (bad magic, truncated
@@ -35,3 +39,32 @@ val graph_name_of_file : string -> string
 (** The graph name in a container's header, after every check {!of_file}
     makes before the payload reaches [Marshal]: the payload is never
     unmarshalled.  Raises {!Corrupt} on unreadable or invalid files. *)
+
+(** {2 Staged loading}
+
+    {!Cache}'s hit path: read a file once, check its header, and decide
+    from the bytes alone whether the payload still needs its checks. *)
+
+type opened
+(** A container read into memory with its header checked (magic,
+    version, key, graph and payload lines, payload length); the payload
+    is neither checksummed nor decoded yet. *)
+
+val open_file : pad:string -> string -> opened
+(** [open_file ~pad path] reads [path] into one buffer that begins with
+    [pad] and checks the header that follows it.  Raises {!Corrupt} on
+    unreadable files and malformed headers. *)
+
+val key : opened -> string
+(** The key line's key. *)
+
+val bytes : opened -> string
+(** The whole buffer: [pad], then the file's bytes as read. *)
+
+val load : opened -> Isa.t
+(** Every remaining check {!of_file} makes: the payload's MD5, then the
+    unmarshal and the graph-name match.  Raises {!Corrupt}. *)
+
+val decode : opened -> Isa.t
+(** The unmarshal and graph-name match alone, without the checksum.
+    Sound only on bytes equal to bytes that {!load} accepted. *)

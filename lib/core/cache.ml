@@ -17,11 +17,16 @@
      via {!Pimutil.Atomic_io}), so a crashed or concurrent writer can
      never leave a torn entry; concurrent stores of the same key both
      produce complete files and the later rename wins;
-   - every hit is distrusted until proven: container checksum
-     ({!Artifact.of_string}), key match against the request, and a full
-     {!Verify.run} against the request's graph and hardware config.
-     Any failure deletes the entry and reports a miss — the caller
-     recompiles, and the cache heals itself;
+   - an entry is distrusted until proven, once per handle: its first
+     load runs the container checksum ({!Artifact.load}), the key match
+     against the request and a full {!Verify.run} against the request's
+     graph and hardware config.  Any failure deletes the entry and
+     reports a miss — the caller recompiles, and the cache heals
+     itself.  A passing entry is recorded with an HMAC-MD5 of its file
+     bytes under a secret drawn when the handle opened; a later hit
+     whose bytes carry the same MAC under the same key is recalled:
+     the checksum, the unmarshal and the verifier are skipped, and the
+     program is decoded only when the caller forces it;
    - eviction is LRU by file mtime (hits touch their entry), triggered
      on store when [max_bytes] is set; the newest entry always
      survives.
@@ -29,14 +34,29 @@
    The handle is domain-safe: counters and the eviction scan are under
    a mutex, file content is protected by the atomic-rename discipline. *)
 
+type summary = { graph_name : string; cores : int; instructions : int }
+
+let summary (program : Isa.t) =
+  {
+    graph_name = program.Isa.graph_name;
+    cores = program.Isa.core_count;
+    instructions = Isa.num_instrs program;
+  }
+
 type t = {
   dir : string;
   max_bytes : int option;
   mutex : Mutex.t;
+  ipad : string;
+  opad : string;
+  (* key -> MAC of the bytes this handle verified under it, and their
+     program's summary *)
+  verified : (string, Digest.t * summary) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
   mutable rejected : int;
+  mutable recalled : int;
 }
 
 type stats = {
@@ -44,6 +64,7 @@ type stats = {
   misses : int;
   evictions : int;
   rejected : int;
+  recalled : int;
   entries : int;
   bytes : int;
 }
@@ -64,6 +85,31 @@ let digest_fields fields =
   in
   Digest.to_hex (Digest.string canonical)
 
+(* --- keyed MAC --------------------------------------------------------------- *)
+
+(* HMAC-MD5 (RFC 2104): MD5 (K xor opad, MD5 (K xor ipad, message)),
+   with K zero-padded to MD5's 64-byte block (hashed first when
+   longer).  The hit path reads each entry into a buffer that already
+   begins with the inner pad, so MACing a file never copies it. *)
+let block = 64
+
+let pads key =
+  let key = if String.length key > block then Digest.string key else key in
+  let pad c =
+    String.init block (fun i ->
+        if i < String.length key then
+          Char.chr (Char.code key.[i] lxor Char.code c)
+        else c)
+  in
+  (pad '\x36', pad '\x5c')
+
+(* [padded] is the inner pad followed by the message. *)
+let mac ~opad padded = Digest.string (opad ^ Digest.string padded)
+
+let hmac_md5 ~key message =
+  let ipad, opad = pads key in
+  Digest.to_hex (mac ~opad (ipad ^ message))
+
 (* --- store ----------------------------------------------------------------- *)
 
 let entry_suffix = ".pimart"
@@ -77,14 +123,25 @@ let open_dir ?max_bytes dir =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
   else if not (Sys.is_directory dir) then
     invalid_arg (Fmt.str "Cache.open_dir: %s is not a directory" dir);
+  (* OS entropy, not the GA's seeded Rng; the secret never leaves the
+     handle, so an equal MAC means equal bytes. *)
+  let secret =
+    let st = Random.State.make_self_init () in
+    String.init 16 (fun _ -> Char.chr (Random.State.int st 256))
+  in
+  let ipad, opad = pads secret in
   {
     dir;
     max_bytes;
     mutex = Mutex.create ();
+    ipad;
+    opad;
+    verified = Hashtbl.create 16;
     hits = 0;
     misses = 0;
     evictions = 0;
     rejected = 0;
+    recalled = 0;
   }
 
 let dir t = t.dir
@@ -122,29 +179,44 @@ let touch path =
   let now = Unix.gettimeofday () in
   try Unix.utimes path now now with Unix.Unix_error _ -> ()
 
-(* Load + validate one entry; [None] when it cannot be trusted.  No
-   counters here — [find] owns the bookkeeping. *)
-let load_entry ~key ~graph ~config path =
-  match Artifact.of_file path with
+(* Load + validate one entry: [Some (hit, recalled)], or [None] when it
+   cannot be trusted.  A first load by this handle runs every check and
+   records the bytes' MAC; bytes that match the record are recalled.
+   No counters here — [lookup] owns the bookkeeping. *)
+let load_entry t ~key ~graph ~config path =
+  match Artifact.open_file ~pad:t.ipad path with
   | exception Artifact.Corrupt _ -> None
-  | artifact ->
-      let program = artifact.Artifact.program in
-      if artifact.Artifact.key = key && Verify.run ~graph ~config program = []
-      then Some program
-      else None
+  | entry when Artifact.key entry <> key -> None
+  | entry -> (
+      let mac = mac ~opad:t.opad (Artifact.bytes entry) in
+      match locked t (fun () -> Hashtbl.find_opt t.verified key) with
+      | Some (m, s) when Digest.equal m mac ->
+          (* Bytes this handle verified under this key: decode them
+             when, and only if, the caller uses the program. *)
+          Some ((s, lazy (Artifact.decode entry)), true)
+      | _ -> (
+          match Artifact.load entry with
+          | exception Artifact.Corrupt _ -> None
+          | program when Verify.run ~graph ~config program = [] ->
+              let s = summary program in
+              locked t (fun () -> Hashtbl.replace t.verified key (mac, s));
+              Some ((s, Lazy.from_val program), false)
+          | _ -> None))
 
-let find t ~key ~graph ~config () =
+let lookup t ~key ~graph ~config () =
   let path = path_of t key in
   if not (Sys.file_exists path) then begin
     locked t (fun () -> t.misses <- t.misses + 1);
     None
   end
   else
-    match load_entry ~key ~graph ~config path with
-    | Some program ->
+    match load_entry t ~key ~graph ~config path with
+    | Some (hit, recalled) ->
         touch path;
-        locked t (fun () -> t.hits <- t.hits + 1);
-        Some program
+        locked t (fun () ->
+            t.hits <- t.hits + 1;
+            if recalled then t.recalled <- t.recalled + 1);
+        Some hit
     | None ->
         (* Poisoned entry: drop it and recompile — never serve it. *)
         remove_quietly path;
@@ -152,6 +224,11 @@ let find t ~key ~graph ~config () =
             t.rejected <- t.rejected + 1;
             t.misses <- t.misses + 1);
         None
+
+let find t ~key ~graph ~config () =
+  Option.map
+    (fun (_, program) -> Lazy.force program)
+    (lookup t ~key ~graph ~config ())
 
 let enforce_budget t =
   match t.max_bytes with
@@ -200,6 +277,7 @@ let stats t =
         misses = t.misses;
         evictions = t.evictions;
         rejected = t.rejected;
+        recalled = t.recalled;
         entries = List.length entries;
         bytes;
       })

@@ -4,14 +4,23 @@
     docs/formats.md for the container format.
 
     Invariant ("a cache hit is indistinguishable from a fresh
-    compile"): {!find} only returns a program that passed the container
-    checksum, matched the requested key, and re-verified cleanly under
-    {!Verify.run} against the request's graph and hardware config.  Any
-    failed entry is deleted and counted as a rejected miss, so the
-    caller recompiles and the cache heals.  Entries are published
-    atomically (temp + rename), so crashed or concurrent writers cannot
-    leave torn files.  Eviction is LRU by file mtime (hits touch their
-    entry), enforced on {!store} when [max_bytes] is set.
+    compile"): {!find} only returns a program whose bytes passed, in
+    this handle, the container checksum, the match with the requested
+    key, and a clean {!Verify.run} against the request's graph and
+    hardware config.  Each handle runs those checks on its first load
+    of an entry and records an HMAC-MD5 of the entry's file bytes under
+    a secret drawn from OS entropy when the handle opened.  A later hit
+    whose bytes carry the recorded MAC under the same key is
+    {e recalled}: the verdict depends only on (program, graph, config),
+    the bytes fix the program and the key fixes the graph and config,
+    so the checks are not repeated and the program is decoded only when
+    the caller forces it.  Changed bytes never match a record and are
+    checked again.  Any failed entry is deleted and counted as a
+    rejected miss, so the caller recompiles and the cache heals.
+    Entries are published atomically (temp + rename), so crashed or
+    concurrent writers cannot leave torn files.  Eviction is LRU by file
+    mtime (hits touch their entry), enforced on {!store} when
+    [max_bytes] is set.
 
     Handles are domain-safe and cheap to open; the serve daemon keeps
     one for its lifetime so the counters aggregate across requests. *)
@@ -23,9 +32,16 @@ type stats = {
   misses : int;
   evictions : int;
   rejected : int;  (** corrupt / mismatched / verify-failed entries dropped *)
+  recalled : int;  (** hits answered from the handle's verified record *)
   entries : int;   (** currently on disk *)
   bytes : int;     (** total size currently on disk *)
 }
+
+type summary = { graph_name : string; cores : int; instructions : int }
+(** What the serve daemon's [compile] and [verify] answers report about
+    a program: its graph name, core count and instruction count. *)
+
+val summary : Isa.t -> summary
 
 val digest_fields : (string * string) list -> string
 (** Canonical digest of a (name, value) field list: fields are sorted
@@ -35,11 +51,33 @@ val digest_fields : (string * string) list -> string
     deliberately a real content digest, not [Hashtbl.hash], whose
     truncated traversal collides distinct structures. *)
 
+val hmac_md5 : key:string -> string -> string
+(** [hmac_md5 ~key message] in hex: the RFC 2104 MAC that records a
+    verified entry's bytes (there under the handle's secret). *)
+
 val open_dir : ?max_bytes:int -> string -> t
-(** Creates the directory if needed.  [max_bytes] bounds the on-disk
+(** Creates the directory if needed and draws the handle's MAC secret;
+    the verified record starts empty.  [max_bytes] bounds the on-disk
     size via LRU eviction on store ([None] = unbounded). *)
 
 val dir : t -> string
+
+val lookup :
+  t ->
+  key:string ->
+  graph:Nnir.Graph.t ->
+  config:Pimhw.Config.t ->
+  unit ->
+  (summary * Isa.t Lazy.t) option
+(** Verified lookup.  [key] must be {!Compile.cache_key} of [graph] and
+    [config]: the record trusts the key to fix them.  [Some (s, p)] is a
+    hit whose bytes this handle has seen pass the checksum, the key
+    match and [Verify.run] against [graph]/[config]; [s] summarises
+    [Lazy.force p].  On the handle's first load of those bytes, [p] is
+    already decoded; on a recalled hit it is unmarshalled in place on
+    the first [Lazy.force], which must happen on one domain at a time.
+    [None] is a miss — including poisoned entries, which are deleted
+    and counted in [rejected]. *)
 
 val find :
   t ->
@@ -48,10 +86,7 @@ val find :
   config:Pimhw.Config.t ->
   unit ->
   Isa.t option
-(** Verify-on-load lookup.  [Some program] is a hit: checksummed, key-
-    matched, and [Verify.run]-clean against [graph]/[config].  [None]
-    is a miss — including poisoned entries, which are deleted and
-    counted in [rejected]. *)
+(** {!lookup}, with the program forced. *)
 
 val store : t -> key:string -> Isa.t -> unit
 (** Atomic publication, then LRU budget enforcement.  The newest entry

@@ -208,7 +208,8 @@ let compile ?(options = default_options) (config : Pimhw.Config.t)
    Deliberately excluded, with the reasoning on record:
 
    - options.verify — verification never changes the emitted program,
-     and every cache hit re-verifies on load regardless;
+     and every cache handle verifies an entry on its first load
+     regardless;
    - ga_islands.domains — the island GA is bit-identical for any domain
      count (PR 3 contract), so the worker count is not content.
 
@@ -321,7 +322,8 @@ let outcome_name = function
   | Cache_hit -> "hit"
 
 type served = {
-  program : Isa.t;
+  summary : Cache.summary;
+  program : Isa.t Lazy.t;
   outcome : outcome;
   key : string option;
   seconds : float;
@@ -330,22 +332,23 @@ type served = {
 
 let compile_program ?(options = default_options) ?cache
     (config : Pimhw.Config.t) graph =
-  let (program, outcome, key, result), seconds =
+  let compiled (r : t) = (Cache.summary r.program, Lazy.from_val r.program) in
+  let ((summary, program), outcome, key, result), seconds =
     Pimutil.Clock.timed (fun () ->
         match cache with
         | None ->
             let r = compile ~options config graph in
-            (r.program, Cache_off, None, Some r)
+            (compiled r, Cache_off, None, Some r)
         | Some cache -> (
             let key = cache_key ~options config graph in
-            match Cache.find cache ~key ~graph ~config () with
-            | Some program -> (program, Cache_hit, Some key, None)
+            match Cache.lookup cache ~key ~graph ~config () with
+            | Some hit -> (hit, Cache_hit, Some key, None)
             | None ->
                 let r = compile ~options config graph in
                 Cache.store cache ~key r.program;
-                (r.program, Cache_miss, Some key, Some r)))
+                (compiled r, Cache_miss, Some key, Some r)))
   in
-  { program; outcome; key; seconds; result }
+  { summary; program; outcome; key; seconds; result }
 
 (* --- batch ------------------------------------------------------------------- *)
 

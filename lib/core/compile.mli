@@ -81,10 +81,17 @@ val outcome_name : outcome -> string
 (** ["off"], ["miss"], ["hit"]. *)
 
 type served = {
-  program : Isa.t;
+  summary : Cache.summary;  (** graph name, cores and instructions *)
+  program : Isa.t Lazy.t;
+      (** Already evaluated on a miss, with the cache off, and on a
+          handle's first load of an entry.  A recalled hit
+          ({!Cache.lookup}) unmarshals it on the first [Lazy.force], so
+          a caller that needs only [summary] never pays the decode. *)
   outcome : outcome;
   key : string option;  (** [None] iff [Cache_off] *)
-  seconds : float;  (** wall-clock for the whole request *)
+  seconds : float;
+      (** wall-clock for the whole request, less a recalled hit's
+          deferred decode *)
   result : t option;
       (** Full compile record on [Cache_off]/[Cache_miss]; [None] on a
           hit — only the program is stored in the cache. *)
@@ -94,11 +101,11 @@ val compile_program :
   ?options:options -> ?cache:Cache.t -> Pimhw.Config.t -> Nnir.Graph.t ->
   served
 (** Cache-aware front door used by the CLI and the serve daemon.  With a
-    cache, looks the program up by {!cache_key} — a hit has already
-    passed the container checksum and a fresh {!Verify.run} (see
-    {!Cache.find}), making it indistinguishable from a fresh compile —
-    and stores the program after a miss.  Without one, equivalent to
-    {!compile}. *)
+    cache, looks the program up by {!cache_key} — a hit's bytes have
+    passed, in this cache handle, the container checksum and a
+    {!Verify.run} (see {!Cache.lookup}), making it indistinguishable
+    from a fresh compile — and stores the program after a miss.
+    Without one, equivalent to {!compile}. *)
 
 exception Job_error of { index : int; graph : string; exn : exn }
 (** A {!batch} job failed: [index] is its position in the work list,

@@ -16,7 +16,7 @@ let eval_one ~cache ~networks slot (job : Pimcomp.Synth.job) =
     in
     let metrics =
       Engine.run ~parallelism job.Pimcomp.Synth.config
-        served.Pimcomp.Compile.program
+        (Lazy.force served.Pimcomp.Compile.program)
     in
     if metrics.Metrics.deadlocked then
       Pimcomp.Synth.Eval_infeasible "simulation deadlocked"

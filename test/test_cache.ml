@@ -2,8 +2,9 @@
    layers: the pimart artifact container (exact round-trips, checksum
    rejection of poisoned bytes), the canonical field digest (order
    independence, injective rendering), cache-key sensitivity, the
-   verify-on-load hit path, LRU eviction, and the crash-safety of the
-   shared atomic writer. *)
+   verified hit path and its per-handle record (HMAC-MD5 against the
+   RFC 2202 vectors, recalled hits, changed bytes checked again), LRU
+   eviction, and the crash-safety of the shared atomic writer. *)
 
 let hw = Pimhw.Config.puma_like
 
@@ -179,6 +180,39 @@ let test_cache_key_sensitivity () =
        g
     <> k0)
 
+(* The MAC that records a verified entry: HMAC-MD5 (RFC 2104), checked
+   against the seven HMAC-MD5 cases of RFC 2202, which cover short and
+   block-sized keys, binary data and keys longer than a block. *)
+let test_hmac_md5_rfc2202 () =
+  List.iteri
+    (fun i (key, data, expected) ->
+      Alcotest.(check string)
+        (Fmt.str "RFC 2202 case %d" (i + 1))
+        expected
+        (Pimcomp.Cache.hmac_md5 ~key data))
+    [
+      (String.make 16 '\x0b', "Hi There", "9294727a3638bb1c13f48ef8158bfc9d");
+      ( "Jefe",
+        "what do ya want for nothing?",
+        "750c783e6ab0b503eaa86e310a5db738" );
+      ( String.make 16 '\xaa',
+        String.make 50 '\xdd',
+        "56be34521d144c88dbb8c733f0e8b3f6" );
+      ( String.init 25 (fun i -> Char.chr (i + 1)),
+        String.make 50 '\xcd',
+        "697eaf0aca3a3aea3a75164746ffaa79" );
+      ( String.make 16 '\x0c',
+        "Test With Truncation",
+        "56461ef2342edc00f9bab995690efd4c" );
+      ( String.make 80 '\xaa',
+        "Test Using Larger Than Block-Size Key - Hash Key First",
+        "6b1ab7fe4bd7bf8f0b62e6ce61b9d0cd" );
+      ( String.make 80 '\xaa',
+        "Test Using Larger Than Block-Size Key and Larger Than One \
+         Block-Size Data",
+        "6f630fad67cda0ee1fb1f562db3aa53e" );
+    ]
+
 (* --- cache behaviour -------------------------------------------------------- *)
 
 let test_cold_warm_evict () =
@@ -203,9 +237,28 @@ let test_cold_warm_evict () =
     (Pimcomp.Compile.outcome_name warm.Pimcomp.Compile.outcome);
   Alcotest.(check bool) "hit program bit-identical to the fresh compile"
     true
-    (warm.Pimcomp.Compile.program = cold.Pimcomp.Compile.program);
+    (Lazy.force warm.Pimcomp.Compile.program
+    = Lazy.force cold.Pimcomp.Compile.program);
   Alcotest.(check bool) "hit and miss agree on the key" true
     (warm.Pimcomp.Compile.key = cold.Pimcomp.Compile.key);
+  (* Recalled: one shared handle verifies the entry on its first request
+     and answers the second from its record, decoding on demand. *)
+  let shared = Pimcomp.Cache.open_dir dir in
+  let request () =
+    Pimcomp.Compile.compile_program ~options:opts ~cache:shared hw g
+  in
+  ignore (request ());
+  let recalled = request () in
+  Alcotest.(check string) "recalled request hits" "hit"
+    (Pimcomp.Compile.outcome_name recalled.Pimcomp.Compile.outcome);
+  Alcotest.(check int) "answered from the record" 1
+    (Pimcomp.Cache.stats shared).Pimcomp.Cache.recalled;
+  let program = Lazy.force recalled.Pimcomp.Compile.program in
+  Alcotest.(check bool) "recalled summary matches the forced program" true
+    (recalled.Pimcomp.Compile.summary = Pimcomp.Cache.summary program);
+  Alcotest.(check bool) "recalled program bit-identical to the fresh compile"
+    true
+    (program = Lazy.force cold.Pimcomp.Compile.program);
   (* Eviction: a 1-byte budget keeps only the newest entry. *)
   let cache = Pimcomp.Cache.open_dir ~max_bytes:1 dir in
   let mlp = compile "mlp" in
@@ -223,16 +276,24 @@ let test_cold_warm_evict () =
   Alcotest.(check int) "clear removes the survivor" 1
     (Pimcomp.Cache.clear cache)
 
-let test_poisoned_entry_rejected () =
+(* [found_first]: the handle has found (verified and recorded) the entry
+   before the bit flip, so the flipped bytes must fail the record's MAC
+   and be checked again. *)
+let poisoned_entry_rejected ~found_first =
   let dir = scratch () in
   let cache = Pimcomp.Cache.open_dir dir in
   let g = graph "tiny" in
   let opts = options () in
   let key = Pimcomp.Compile.cache_key ~options:opts hw g in
   let program = compile "tiny" in
+  let label = Fmt.str "%s (found first: %b)" in
   Pimcomp.Cache.store cache ~key program;
   let path = Filename.concat dir (key ^ ".pimart") in
-  Alcotest.(check bool) "entry on disk" true (Sys.file_exists path);
+  Alcotest.(check bool) (label "entry on disk" found_first) true
+    (Sys.file_exists path);
+  if found_first then
+    Alcotest.(check bool) (label "clean entry served" found_first) true
+      (Pimcomp.Cache.find cache ~key ~graph:g ~config:hw () = Some program);
   (* Poison the stored artifact with a single bit flip near the end of
      the marshalled payload. *)
   let text = In_channel.with_open_bin path In_channel.input_all in
@@ -245,17 +306,88 @@ let test_poisoned_entry_rejected () =
   | Some _ -> Alcotest.fail "poisoned entry must never be served"
   | None -> ());
   let stats = Pimcomp.Cache.stats cache in
-  Alcotest.(check int) "rejection counted" 1 stats.Pimcomp.Cache.rejected;
-  Alcotest.(check int) "rejection is a miss" 1 stats.Pimcomp.Cache.misses;
-  Alcotest.(check bool) "poisoned file deleted (self-healing)" false
-    (Sys.file_exists path);
+  Alcotest.(check int) (label "rejection counted" found_first) 1
+    stats.Pimcomp.Cache.rejected;
+  Alcotest.(check int) (label "rejection is a miss" found_first) 1
+    stats.Pimcomp.Cache.misses;
+  Alcotest.(check bool)
+    (label "poisoned file deleted (self-healing)" found_first)
+    false (Sys.file_exists path);
   (* The cache heals: a recompile stores a clean entry, served again. *)
   Pimcomp.Cache.store cache ~key program;
   (match Pimcomp.Cache.find cache ~key ~graph:g ~config:hw () with
   | Some loaded ->
-      Alcotest.(check bool) "healed entry bit-identical" true
-        (loaded = program)
+      Alcotest.(check bool) (label "healed entry bit-identical" found_first)
+        true (loaded = program)
   | None -> Alcotest.fail "healed entry must serve");
+  ignore (Pimcomp.Cache.clear cache)
+
+let test_poisoned_entry_rejected () =
+  poisoned_entry_rejected ~found_first:false;
+  poisoned_entry_rejected ~found_first:true
+
+let test_verified_once_per_handle () =
+  let dir = scratch () in
+  let cache = Pimcomp.Cache.open_dir dir in
+  let g = graph "tiny" in
+  let key = Pimcomp.Compile.cache_key ~options:(options ()) hw g in
+  let program = compile "tiny" in
+  Pimcomp.Cache.store cache ~key program;
+  let find cache i =
+    match Pimcomp.Cache.find cache ~key ~graph:g ~config:hw () with
+    | Some loaded ->
+        Alcotest.(check bool)
+          (Fmt.str "find %d returns the stored program" i)
+          true (loaded = program)
+    | None -> Alcotest.failf "find %d missed" i
+  in
+  List.iter (find cache) [ 1; 2; 3 ];
+  let stats = Pimcomp.Cache.stats cache in
+  Alcotest.(check int) "three hits" 3 stats.Pimcomp.Cache.hits;
+  Alcotest.(check int) "the first verifies, the other two are recalled" 2
+    stats.Pimcomp.Cache.recalled;
+  (* The record belongs to the handle: a second one verifies again. *)
+  let other = Pimcomp.Cache.open_dir dir in
+  find other 4;
+  let stats = Pimcomp.Cache.stats other in
+  Alcotest.(check int) "second handle hits" 1 stats.Pimcomp.Cache.hits;
+  Alcotest.(check int) "second handle's first find is not recalled" 0
+    stats.Pimcomp.Cache.recalled;
+  ignore (Pimcomp.Cache.clear cache)
+
+(* A valid container under a recorded key, with different bytes: the
+   record must not vouch for it.  A memory report one byte off is a
+   memory-drift violation, so the entry fails the verifier. *)
+let test_changed_bytes_verified_again () =
+  let dir = scratch () in
+  let cache = Pimcomp.Cache.open_dir dir in
+  let g = graph "tiny" in
+  let key = Pimcomp.Compile.cache_key ~options:(options ()) hw g in
+  let program = compile "tiny" in
+  Pimcomp.Cache.store cache ~key program;
+  Alcotest.(check bool) "clean entry served and recorded" true
+    (Pimcomp.Cache.find cache ~key ~graph:g ~config:hw () = Some program);
+  let memory = program.Pimcomp.Isa.memory in
+  let drifted =
+    {
+      program with
+      Pimcomp.Isa.memory =
+        {
+          memory with
+          Pimcomp.Isa.global_load_bytes =
+            memory.Pimcomp.Isa.global_load_bytes + 1;
+        };
+    }
+  in
+  Pimcomp.Cache.store cache ~key drifted;
+  (match Pimcomp.Cache.find cache ~key ~graph:g ~config:hw () with
+  | Some _ -> Alcotest.fail "changed bytes must be verified, not recalled"
+  | None -> ());
+  let stats = Pimcomp.Cache.stats cache in
+  Alcotest.(check int) "rejection counted" 1 stats.Pimcomp.Cache.rejected;
+  Alcotest.(check int) "nothing recalled" 0 stats.Pimcomp.Cache.recalled;
+  Alcotest.(check bool) "rejected file deleted" false
+    (Sys.file_exists (Filename.concat dir (key ^ ".pimart")));
   ignore (Pimcomp.Cache.clear cache)
 
 let test_wrong_key_rejected () =
@@ -323,6 +455,8 @@ let () =
             test_digest_injective_rendering;
           Alcotest.test_case "cache-key sensitivity" `Quick
             test_cache_key_sensitivity;
+          Alcotest.test_case "HMAC-MD5 matches RFC 2202" `Quick
+            test_hmac_md5_rfc2202;
         ] );
       ( "cache",
         [
@@ -331,6 +465,10 @@ let () =
             test_poisoned_entry_rejected;
           Alcotest.test_case "wrong key rejected" `Quick
             test_wrong_key_rejected;
+          Alcotest.test_case "verified once per handle" `Quick
+            test_verified_once_per_handle;
+          Alcotest.test_case "changed bytes are verified again" `Quick
+            test_changed_bytes_verified_again;
         ] );
       ( "atomic-io",
         [
