@@ -222,8 +222,6 @@ let cache_key ?(options = default_options) (config : Pimhw.Config.t) graph =
         (prefix ^ ".population", string_of_int p.Genetic.population);
         (prefix ^ ".iterations", string_of_int p.Genetic.iterations);
         (prefix ^ ".elite", string_of_int p.Genetic.elite);
-        ( prefix ^ ".mutations_per_child",
-          string_of_int p.Genetic.mutations_per_child );
         ( prefix ^ ".extra_replica_attempts",
           string_of_int p.Genetic.extra_replica_attempts );
         ( prefix ^ ".patience",
@@ -290,7 +288,7 @@ let cache_key ?(options = default_options) (config : Pimhw.Config.t) graph =
   in
   Cache.digest_fields
     ([
-       ("format", "pimcomp-cache-key-v3");
+       ("format", "pimcomp-cache-key-v4");
        ( "graph.md5",
          Digest.to_hex (Digest.string (Nnir.Text_format.to_string graph)) );
        ("mode", Mode.to_string options.mode);

@@ -33,40 +33,6 @@ let objective_name = function
   | Minimize_time -> "time"
   | Minimize_energy_delay -> "energy-delay"
 
-(* --- communication penalty ----------------------------------------------- *)
-
-(* Replicas whose AGs span multiple cores pay an inter-core accumulation
-   round per window (Section IV-B: "data accumulation across cores is
-   required").  The deterministic placement turns whole multiples of
-   [ags_per_replica] within one gene into unsplit replicas, so the number
-   of split replicas of a node is R minus the whole replicas its genes
-   can seat. *)
-let split_replicas (chrom : Chromosome.t) node_index =
-  let table = Chromosome.table chrom in
-  let info = Partition.entry table node_index in
-  let apr = info.Partition.ags_per_replica in
-  let whole = ref 0 in
-  for core = 0 to Chromosome.core_count chrom - 1 do
-    List.iter
-      (fun (g : Chromosome.gene) ->
-        if g.node_index = node_index then whole := !whole + (g.ag_count / apr))
-      (Chromosome.genes chrom core)
-  done;
-  max 0 (Chromosome.replication chrom node_index - !whole)
-
-(* Average extra nanoseconds one window of the node costs due to split
-   replicas: a partial-result transfer plus the receiving add, amortised
-   over the replicas. *)
-let per_window_comm_ns timing (info : Partition.info) ~splits ~replication =
-  if splits <= 0 then 0.0
-  else
-    let bytes = info.Partition.out_channels * Nnir.Tensor.bytes_per_element in
-    let transfer =
-      Pimhw.Timing.noc_ns timing ~hops:3 ~bytes
-      +. Pimhw.Timing.vec_ns timing ~elements:info.Partition.out_channels
-    in
-    float_of_int splits /. float_of_int (max 1 replication) *. transfer
-
 (* --- per-core segment time (Fig. 5) -------------------------------------- *)
 
 (* Estimated busy time of one core given (ag_count, cycles) pairs. *)
@@ -253,6 +219,9 @@ let context ?(objective = Minimize_time) (mode : Mode.t)
     per_window_bytes.(w) <-
       Sched_common.fresh_input_bytes_per_window graph info
       + info.Partition.output_bytes_per_window;
+    (* a replica whose AGs span several cores pays one inter-core
+       accumulation per window (Section IV-B): a partial-result transfer
+       plus the receiving add *)
     let bytes = info.Partition.out_channels * Nnir.Tensor.bytes_per_element in
     transfer_ns.(w) <-
       Pimhw.Timing.noc_ns timing ~hops:3 ~bytes
@@ -350,7 +319,10 @@ let rec clear_flags (arr : bool array) = function
 
 (* One pass over the cores re-derives everything the fitness needs about
    a weighted node: replication, split replicas, operation cycles, the
-   per-window accumulation penalty and the holder set. *)
+   per-window accumulation penalty and the holder set.  The deterministic
+   placement seats whole multiples of [ags_per_replica] within one gene
+   as unsplit replicas, so R minus those whole replicas are split, and
+   the penalty is their accumulation transfer amortised over R. *)
 let refresh_node ?(only_dirty = false) st w =
   let ctx = st.ctx in
   let info = ctx.infos.(w) in

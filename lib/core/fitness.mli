@@ -26,12 +26,6 @@ val ht : Pimhw.Timing.t -> Chromosome.t -> float
 val ll : Pimhw.Timing.t -> Chromosome.t -> float
 (** F_LL: waiting-fraction chain over the topology (Fig. 6). *)
 
-val split_replicas : Chromosome.t -> int -> int
-(** Replicas of a weighted node whose AGs span several cores. *)
-
-val per_window_comm_ns :
-  Pimhw.Timing.t -> Partition.info -> splits:int -> replication:int -> float
-
 val standalone_ns :
   Pimhw.Timing.t ->
   Partition.table ->

@@ -6,7 +6,7 @@
 
    Children are evaluated incrementally by default: each individual
    carries a [Fitness.Inc.t] cache, a child copies its parent's cache and
-   refreshes only the nodes/cores its mutations touched.  [Full] re-runs
+   refreshes only the nodes/cores its one mutation touched.  [Full] re-runs
    [Fitness.evaluate] from scratch for every child — same fitness values
    bit-for-bit (the incremental evaluator shares its arithmetic with the
    full path), so the search trajectory is identical; it exists as the
@@ -30,7 +30,6 @@ type params = {
   population : int;
   iterations : int;
   elite : int;                   (* individuals copied unchanged *)
-  mutations_per_child : int;
   extra_replica_attempts : int;  (* initial-population diversity *)
   patience : int option;         (* stop after this many stale iterations *)
 }
@@ -40,7 +39,6 @@ let default_params =
     population = 100;
     iterations = 200;
     elite = 10;
-    mutations_per_child = 1;
     extra_replica_attempts = 4;
     patience = None;
   }
@@ -51,7 +49,6 @@ let fast_params =
     population = 24;
     iterations = 60;
     elite = 4;
-    mutations_per_child = 1;
     extra_replica_attempts = 2;
     patience = Some 25;
   }
@@ -152,7 +149,7 @@ let make_eval ?objective ~evaluation ~mode ~timing ctx =
         { chrom; fitness = Fitness.Inc.fitness inc; inc = Some inc }
   in
   (* Child evaluation: reuse the parent's caches and refresh only what
-     the mutations touched.  Falls back to a full build when the parent
+     the mutation touched.  Falls back to a full build when the parent
      carries no cache (Full evaluation, or a seed evaluated before). *)
   let eval_child pool parent child (touched : Chromosome.touched) =
     pool.p_evaluations <- pool.p_evaluations + 1;
@@ -212,29 +209,19 @@ let init_pool ~params ~population ~elite ~eval ~seeds ~rng table ~core_count
   pool
 
 (* One generation: children replace the non-elite tail, parents come
-   from the elite half (truncation selection). *)
-let run_generation ~eval_child ~mutations_per_child pool =
+   from the elite half (truncation selection).  Each child is its parent
+   plus one mutation, the unit the incremental evaluator refreshes. *)
+let run_generation ~eval_child pool =
   let pop = pool.p_pop in
   for i = pool.p_elite to Array.length pop - 1 do
     let rec attempt retries =
       let parent = pop.(Rng.int pool.p_rng pool.p_parent_pool) in
       let child = Chromosome.copy parent.chrom in
-      let t_nodes = ref [] and t_cores = ref [] in
-      let changed = ref false in
-      for _ = 1 to mutations_per_child do
-        match Chromosome.mutate_random_touched pool.p_rng child with
-        | Some touched ->
-            changed := true;
-            t_nodes := touched.Chromosome.t_nodes @ !t_nodes;
-            t_cores := touched.Chromosome.t_cores @ !t_cores
-        | None -> ()
-      done;
-      if !changed then
-        pop.(i) <-
-          eval_child pool parent child
-            { Chromosome.t_nodes = !t_nodes; t_cores = !t_cores }
-      else if retries < max_parent_retries then attempt (retries + 1)
-      else pool.p_failed <- pool.p_failed + 1
+      match Chromosome.mutate_random_touched pool.p_rng child with
+      | Some touched -> pop.(i) <- eval_child pool parent child touched
+      | None ->
+          if retries < max_parent_retries then attempt (retries + 1)
+          else pool.p_failed <- pool.p_failed + 1
     in
     attempt 0
   done;
@@ -267,8 +254,7 @@ let optimize ?(params = default_params) ?(seeds = []) ?objective
   while not (should_stop ()) do
     incr generation;
     let previous_best = pool.p_pop.(0).fitness in
-    run_generation ~eval_child ~mutations_per_child:params.mutations_per_child
-      pool;
+    run_generation ~eval_child pool;
     if improved ~previous:previous_best pool.p_pop.(0).fitness then stale := 0
     else incr stale;
     match progress with
@@ -394,8 +380,7 @@ let optimize_islands ?(params = default_params)
       (Pimutil.Domain_pool.map ?domains:island.domains
          (fun pool ->
            for _ = 1 to g do
-             run_generation ~eval_child
-               ~mutations_per_child:params.mutations_per_child pool
+             run_generation ~eval_child pool
            done)
          pools);
     generation := !generation + g;

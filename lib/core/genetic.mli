@@ -7,7 +7,6 @@ type params = {
   population : int;
   iterations : int;
   elite : int;
-  mutations_per_child : int;
   extra_replica_attempts : int;
   patience : int option;
 }

@@ -135,12 +135,3 @@ let ags_by_core (r : replica) =
     r.ag_cores;
   Hashtbl.fold (fun core ags acc -> (core, List.rev ags) :: acc) tbl []
   |> List.sort compare
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>layout: %d AGs over %d cores@," t.num_ags t.core_count;
-  Array.iter
-    (fun nl ->
-      Fmt.pf ppf "%s: R=%d (%d AGs/replica)@," nl.info.Partition.name
-        nl.replication nl.info.Partition.ags_per_replica)
-    t.by_node_index;
-  Fmt.pf ppf "@]"

@@ -36,4 +36,3 @@ val node_layout : t -> int -> node_layout
 val node_layout_by_id : t -> Nnir.Node.id -> node_layout option
 val replication_by_id : t -> Nnir.Node.id -> int
 val ags_by_core : replica -> (int * int list) list
-val pp : t Fmt.t

@@ -16,8 +16,7 @@
    - live ranges: every logical buffer's first definition and last use,
      per core, recovered from the alloc/free event stream;
    - placement: best-fit with coalescing over the free-interval list of
-     each core's address space, optionally refined by an exact
-     branch-and-bound for cores with few buffers;
+     each core's address space;
    - spills: when a core is genuinely oversubscribed (placement peak
      above the scratchpad), deliberate victim buffers are evicted —
      their allocations become planned STORE/LOAD round trips to global
@@ -148,8 +147,6 @@ let buffers_of_trace ~core_count (trace : Isa.mem_event array) =
   (* [buffers] was built in reverse birth order *)
   all
 
-let overlaps a b = a.birth < b.death && b.birth < a.death
-
 (* --- placement ------------------------------------------------------------ *)
 
 (* Best-fit with coalescing.  The address space of a core is modelled by
@@ -159,7 +156,7 @@ let overlaps a b = a.birth < b.death && b.birth < a.death
    interval that fits (ties to the lowest address), or opens new space
    at the top.  Returns the peak top-of-placement and the ordinal of the
    alloc event at which it was reached. *)
-let best_fit (buffers : buffer array) =
+let place (buffers : buffer array) =
   (* events: (ordinal, is_birth, buffer), deaths before births *)
   let evs =
     Array.to_list buffers
@@ -202,83 +199,6 @@ let best_fit (buffers : buffer array) =
       end)
     evs;
   (!peak, !peak_at)
-
-(* Exact placement for cores with few buffers: branch-and-bound over
-   candidate offsets (0 and the tops of already-placed overlapping
-   buffers — an optimal placement always exists on these points).
-   Bounded by a node budget so the worst case stays deterministic and
-   cheap; returns the best peak found, never worse than [init]. *)
-let exact_limit = 8
-let exact_node_budget = 50_000
-
-let exact_fit (buffers : buffer array) ~init =
-  let n = Array.length buffers in
-  let order = Array.copy buffers in
-  Array.sort (fun a b -> compare (a.birth, a.id) (b.birth, b.id)) order;
-  let offs = Array.make n 0 in
-  let best = ref init in
-  let nodes = ref 0 in
-  let rec go i cur =
-    if cur >= !best || !nodes > exact_node_budget then ()
-    else if i = n then best := cur
-    else begin
-      incr nodes;
-      let b = order.(i) in
-      let cands = ref [ 0 ] in
-      for j = 0 to i - 1 do
-        if overlaps order.(j) b then
-          cands := (offs.(j) + order.(j).bytes) :: !cands
-      done;
-      List.iter
-        (fun off ->
-          let ok = ref true in
-          for j = 0 to i - 1 do
-            if
-              overlaps order.(j) b
-              && off < offs.(j) + order.(j).bytes
-              && offs.(j) < off + b.bytes
-            then ok := false
-          done;
-          if !ok then begin
-            offs.(i) <- off;
-            go (i + 1) (max cur (off + b.bytes))
-          end)
-        (List.sort_uniq compare !cands)
-    end
-  in
-  go 0 0;
-  !best
-
-(* Lower bound on any placement: the heaviest set of simultaneously-live
-   buffers (each at its lifetime-max size). *)
-let clique_bound (buffers : buffer array) =
-  let deltas =
-    Array.to_list buffers
-    |> List.concat_map (fun b -> [ (b.birth, 1, b.bytes); (b.death, 0, b.bytes) ])
-    |> List.sort compare
-  in
-  let cur = ref 0 and peak = ref 0 in
-  List.iter
-    (fun (_, is_birth, bytes) ->
-      if is_birth = 1 then begin
-        cur := !cur + bytes;
-        if !cur > !peak then peak := !cur
-      end
-      else cur := !cur - bytes)
-    deltas;
-  !peak
-
-let place (buffers : buffer array) =
-  if Array.length buffers = 0 then (0, -1)
-  else begin
-    let bf_peak, bf_at = best_fit buffers in
-    if Array.length buffers <= exact_limit then begin
-      let lower = clique_bound buffers in
-      if bf_peak <= lower then (bf_peak, bf_at)
-      else (exact_fit buffers ~init:bf_peak, bf_at)
-    end
-    else (bf_peak, bf_at)
-  end
 
 (* --- demand replay -------------------------------------------------------- *)
 

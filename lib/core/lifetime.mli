@@ -3,9 +3,8 @@
 
     Recovers every logical buffer's live range (first def -> last use,
     per core) from a scheduled program's [mem_trace], solves placement
-    with best-fit-with-coalescing over each core's free-interval list
-    (plus an exact branch-and-bound for cores with few buffers), and —
-    when a core is genuinely oversubscribed — plans deliberate
+    with best-fit-with-coalescing over each core's free-interval list,
+    and — when a core is genuinely oversubscribed — plans deliberate
     STORE/LOAD spill round trips to global memory instead of failing.
 
     The whole pass is a deterministic function of (trace, capacity):

@@ -167,15 +167,3 @@ let min_xbars t =
 let fit_core_count t =
   let xbars = int_of_float (ceil (float_of_int (min_xbars t) *. 1.5)) in
   max 2 (ceil_div xbars t.config.xbars_per_core)
-
-let pp_info ppf i =
-  Fmt.pf ppf
-    "%s: weights %dx%d -> %d AG/replica x %d xbars/AG, %d windows (%dx%d)"
-    i.name i.weight_rows i.weight_cols i.ags_per_replica i.xbars_per_ag
-    i.windows i.out_height i.out_width
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>partition of %s: %d weighted nodes, >= %d crossbars@,%a@]"
-    (Nnir.Graph.name t.graph) (num_weighted t) (min_xbars t)
-    Fmt.(array ~sep:cut pp_info)
-    t.entries

@@ -40,5 +40,3 @@ val min_xbars : table -> int
 val fit_core_count : table -> int
 (** Default core-count policy: smallest count fitting the network at
     replication 1 times 1.5 (headroom for replication). *)
-
-val pp : table Fmt.t

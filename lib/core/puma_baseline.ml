@@ -14,9 +14,7 @@
 
    Both produce a {!Chromosome.t}, so the identical scheduler, memory
    allocator and simulator run downstream — only the replication/mapping
-   policy differs, exactly as in the paper's comparison.
-   [balanced_replication] (bottleneck-aware) is kept as a stronger
-   ablation variant. *)
+   policy differs, exactly as in the paper's comparison. *)
 
 (* PUMA's rate-matching replication, allocated greedily in topological
    order.  FC layers (1 window) are never replicated. *)
@@ -60,75 +58,16 @@ let puma_replication table ~core_count ~budget_fraction =
   end;
   replication
 
-(* Pipeline-balancing replication: give the next replica to the weighted
-   node with the largest per-replica cycle count, while total crossbars
-   stay within [budget_fraction] of the machine. *)
-let balanced_replication table ~core_count ~budget_fraction =
-  let config = Partition.table_config table in
-  let entries = Partition.entries table in
-  let n = Array.length entries in
-  let replication = Array.make n 1 in
-  let budget =
-    int_of_float
-      (float_of_int (core_count * config.Pimhw.Config.xbars_per_core)
-      *. budget_fraction)
-  in
-  let used = ref (Partition.min_xbars table) in
-  if !used > budget then replication
-  else begin
-    let cycles i =
-      float_of_int entries.(i).Partition.windows /. float_of_int replication.(i)
-    in
-    let continue = ref true in
-    while !continue do
-      (* Heaviest node first, as PUMA replicates early (large) layers. *)
-      let best = ref (-1) in
-      for i = 0 to n - 1 do
-        let cost = Partition.xbars_per_replica entries.(i) in
-        if
-          !used + cost <= budget
-          && (!best < 0 || cycles i > cycles !best)
-          && entries.(i).Partition.windows > 1
-        then best := i
-      done;
-      match !best with
-      | -1 -> continue := false
-      | i ->
-          (* Stop once the pipeline is flat: replicating further cannot
-             reduce the bottleneck below the second-heaviest layer. *)
-          let bottleneck = cycles i in
-          let second =
-            Array.to_list (Array.init n (fun j -> j))
-            |> List.filter (fun j -> j <> i)
-            |> List.fold_left (fun acc j -> Float.max acc (cycles j)) 1.0
-          in
-          if bottleneck <= second *. 1.05 && bottleneck <= 1.0 then
-            continue := false
-          else begin
-            replication.(i) <- replication.(i) + 1;
-            used := !used + Partition.xbars_per_replica entries.(i)
-          end
-    done;
-    replication
-  end
-
 (* Sequential first-fit mapping of the chosen replication. *)
 let sequential_mapping table replication ~core_count ~max_node_num_in_core =
-  let config = Partition.table_config table in
   let chrom =
     Chromosome.create_empty table ~core_count ~max_node_num_in_core
   in
-  let entries = Partition.entries table in
-  (* Topological order over weighted nodes = ascending node id (node ids
-     are assigned in construction order, which the builders keep
-     topological). *)
-  let order =
-    Array.init (Array.length entries) (fun i -> i)
-  in
   let core = ref 0 in
-  let place node_index count =
-    let info = entries.(node_index) in
-    let remaining = ref count in
+  let place node_index (info : Partition.info) =
+    let remaining =
+      ref (replication.(node_index) * info.Partition.ags_per_replica)
+    in
     while !remaining > 0 do
       if !core >= core_count then
         raise
@@ -151,13 +90,10 @@ let sequential_mapping table replication ~core_count ~max_node_num_in_core =
       else incr core
     done
   in
-  Array.iter
-    (fun node_index ->
-      let info = entries.(node_index) in
-      place node_index
-        (replication.(node_index) * info.Partition.ags_per_replica))
-    order;
-  ignore config;
+  (* Topological order over weighted nodes = ascending node index (node
+     ids are assigned in construction order, which the builders keep
+     topological). *)
+  Array.iteri place (Partition.entries table);
   chrom
 
 let build table ~core_count ~max_node_num_in_core =

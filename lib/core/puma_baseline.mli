@@ -1,12 +1,7 @@
 (** PUMA-like baseline replication and mapping (Section V-A2):
-    pipeline-balancing replication plus sequential first-fit core
-    mapping.  Produces a {!Chromosome.t} so the same scheduler and
-    simulator run downstream. *)
-
-val balanced_replication :
-  Partition.table -> core_count:int -> budget_fraction:float -> int array
-(** A stronger, bottleneck-aware variant of PUMA's rate-matching
-    replication, kept as an ablation. *)
+    rate-matching replication allocated front to back, plus sequential
+    first-fit core mapping.  Produces a {!Chromosome.t} so the same
+    scheduler and simulator run downstream. *)
 
 val build :
   Partition.table ->

@@ -162,9 +162,3 @@ let with_axis p axis v =
 let point_name p =
   Printf.sprintf "x%d-b%d-c%d-m%dk-v%d" p.xbar_size p.xbars_per_core
     p.core_count p.local_memory_kb p.vfus_per_core
-
-let pp ppf p =
-  Fmt.pf ppf
-    "%dx%d crossbars, %d/core, %d cores, %d kB local memory, %d VFUs"
-    p.xbar_size p.xbar_size p.xbars_per_core p.core_count p.local_memory_kb
-    p.vfus_per_core

@@ -69,4 +69,3 @@ val axis_values : axes -> int -> int list
 val axis_value : point -> int -> int
 val with_axis : point -> int -> int -> point
 val point_name : point -> string
-val pp : point Fmt.t

@@ -91,22 +91,3 @@ let global_memory_port = -1
 let route_to_global_memory t ~core =
   route t ~src:core ~dst:0
   @ [ { from_core = 0; to_core = global_memory_port } ]
-
-let average_hops t =
-  if t.core_count = 1 then 0.0
-  else begin
-    let total = ref 0 and pairs = ref 0 in
-    for src = 0 to t.core_count - 1 do
-      for dst = 0 to t.core_count - 1 do
-        if src <> dst then begin
-          total := !total + hops t ~src ~dst;
-          incr pairs
-        end
-      done
-    done;
-    float_of_int !total /. float_of_int !pairs
-  end
-
-let pp ppf t =
-  Fmt.pf ppf "mesh %dx%d (%d cores, avg %.2f hops)" t.cols t.rows t.core_count
-    (average_hops t)

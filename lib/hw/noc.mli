@@ -30,5 +30,3 @@ val global_memory_port : int
 val route_to_global_memory : t -> core:int -> link list
 (** Route to core 0 followed by the port link; its length equals
     [hops_to_global_memory t ~core]. *)
-
-val pp : t Fmt.t

@@ -49,7 +49,3 @@ let noc_ns t ~hops ~bytes =
   let flits = max flits 1 in
   (float_of_int hops *. t.config.t_hop_ns)
   +. (float_of_int flits *. t.config.t_core_cycle_ns)
-
-let pp ppf t =
-  Fmt.pf ppf "T_MVM=%.1f ns, T_interval=%.2f ns (parallelism %d)" t.t_mvm_ns
-    t.t_interval_ns t.parallelism

@@ -25,5 +25,3 @@ val operation_cycle_ns : t -> ags_in_core:int -> float
 
 val vec_ns : t -> elements:int -> float
 val noc_ns : t -> hops:int -> bytes:int -> float
-
-val pp : t Fmt.t

@@ -155,11 +155,6 @@ let weighted_ancestors g id =
   List.iter go (Node.inputs g.nodes.(id));
   List.sort_uniq compare !acc
 
-let pp ppf g =
-  Fmt.pf ppf "@[<v>graph %S (%d nodes)@,%a@]" g.name (Array.length g.nodes)
-    Fmt.(array ~sep:cut Node.pp)
-    g.nodes
-
 (* Graphviz DOT export, handy for inspecting zoo topologies. *)
 let to_dot g =
   let buf = Buffer.create 4096 in

@@ -27,5 +27,4 @@ val weighted_ancestors : t -> Node.id -> Node.id list
 (** Nearest conv/FC ancestors of a node, looking through non-weighted
     nodes.  Used to co-locate auxiliary ops with their producer layers. *)
 
-val pp : t Fmt.t
 val to_dot : t -> string

@@ -31,12 +31,3 @@ let output_shape n =
 let set_output_shape n s = n.output_shape <- Some s
 
 let is_weighted n = Op.is_weighted n.op
-
-let pp ppf n =
-  Fmt.pf ppf "#%d %s: %a <- %a%a" n.id n.name Op.pp n.op
-    Fmt.(brackets (list ~sep:comma int))
-    n.inputs
-    (fun ppf -> function
-      | None -> ()
-      | Some s -> Fmt.pf ppf " : %a" Tensor.pp s)
-    n.output_shape

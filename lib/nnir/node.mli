@@ -24,5 +24,3 @@ val output_shape : t -> Tensor.shape
 val set_output_shape : t -> Tensor.shape -> unit
 
 val is_weighted : t -> bool
-
-val pp : t Fmt.t

@@ -108,11 +108,6 @@ let to_csv t =
     t.events;
   Buffer.contents buf
 
-let pp ppf t =
-  Fmt.pf ppf "@[<v>trace: %d events@,%a@]" (Array.length t.events)
-    Fmt.(array ~sep:cut pp_event)
-    t.events
-
 (* SVG Gantt chart: one swim lane per core, one rectangle per
    instruction, coloured by instruction class.  Self-contained file for
    a browser; zero-duration events (SEND/RECV) render as ticks. *)

@@ -39,5 +39,3 @@ val to_csv : t -> string
 val to_svg : t -> string
 (** Self-contained Gantt chart, 1200 pixels wide: one lane per core,
     rectangles coloured by instruction class. *)
-
-val pp : t Fmt.t

@@ -12,6 +12,10 @@
      simulate evaluator and an area budget, in all four prune/memoise
      combinations: the frontier, every count, and the infeasible and
      pruned points.
+   - the lifetime planner's memory report (per-core demand and resident
+     peaks, spill bytes) for every zoo network at its minimum input size
+     with the PUMA-like mapping, HT and LL, on the Table I scratchpad,
+     plus squeezenet HT on a 4 kB scratchpad, where the plan spills.
 
    Floats print as %h (exact hex).  After an intended change to one of
    these results, regenerate with [dune build @runtest] then
@@ -175,6 +179,38 @@ let synths () =
       point_list "pruned" r.Pimcomp.Synth.pruned_points)
     [ (true, true); (true, false); (false, true); (false, false) ]
 
+let lifetime_row ?(local_memory_bytes = hw.Pimhw.Config.local_memory_bytes)
+    name mode =
+  let config = { hw with Pimhw.Config.local_memory_bytes } in
+  let options =
+    {
+      Pimcomp.Compile.default_options with
+      strategy = Pimcomp.Compile.Puma_like;
+      allocator = Pimcomp.Memalloc.Lifetime;
+      mode;
+    }
+  in
+  let graph = Nnir.Zoo.build ~input_size:(Nnir.Zoo.min_input_size name) name in
+  let m =
+    (Pimcomp.Compile.compile ~options config graph).Pimcomp.Compile.program
+      .Pimcomp.Isa.memory
+  in
+  Printf.printf "lifetime %s %s local_memory=%d\n" name
+    (Pimcomp.Mode.to_string mode)
+    local_memory_bytes;
+  Printf.printf "  demand %s\n" (ints m.Pimcomp.Isa.local_peak_bytes);
+  Printf.printf "  resident %s\n"
+    (ints m.Pimcomp.Isa.local_resident_peak_bytes);
+  Printf.printf "  spill %d\n" m.Pimcomp.Isa.spill_bytes
+
+let lifetimes () =
+  List.iter
+    (fun name -> List.iter (lifetime_row name) Pimcomp.Mode.all)
+    Nnir.Zoo.names;
+  lifetime_row ~local_memory_bytes:4096 "squeezenet"
+    Pimcomp.Mode.High_throughput
+
 let () =
   streams ();
-  synths ()
+  synths ();
+  lifetimes ()

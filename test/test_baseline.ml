@@ -1,5 +1,5 @@
-(* Tests for the PUMA-like baseline (Section V-A2): pipeline-balancing
-   replication and sequential first-fit mapping. *)
+(* Tests for the PUMA-like baseline (Section V-A2): front-to-back
+   rate-matching replication and sequential first-fit mapping. *)
 
 let hw = Pimhw.Config.puma_like
 
@@ -23,45 +23,40 @@ let test_valid_chromosome () =
             Pimcomp.Chromosome.pp_violation v)
     [ ("tiny", 16); ("vgg16", 56); ("squeezenet", 56); ("resnet18", 56) ]
 
-let test_replication_balances_cycles () =
-  (* after balancing, per-replica cycle counts should be far less spread
-     than the raw window counts *)
-  let table, core_count = setup "vgg16" 56 in
-  let r =
-    Pimcomp.Puma_baseline.balanced_replication table ~core_count
-      ~budget_fraction:0.85
-  in
-  let entries = Pimcomp.Partition.entries table in
-  let cycles i =
-    float_of_int entries.(i).Pimcomp.Partition.windows /. float_of_int r.(i)
-  in
-  let windows i = float_of_int entries.(i).Pimcomp.Partition.windows in
-  let spread f =
-    let n = Array.length entries in
-    let values = List.init n f in
-    List.fold_left Float.max 1.0 values
-    /. Float.max 1.0 (List.fold_left Float.min infinity values)
-  in
-  Alcotest.(check bool) "cycle spread reduced" true
-    (spread cycles < spread windows);
-  Array.iter (fun v -> Alcotest.(check bool) "R >= 1" true (v >= 1)) r
-
-let test_budget_respected () =
-  let table, core_count = setup "vgg16" 56 in
-  let r =
-    Pimcomp.Puma_baseline.balanced_replication table ~core_count
-      ~budget_fraction:0.85
-  in
-  let entries = Pimcomp.Partition.entries table in
-  let used = ref 0 in
-  Array.iteri
-    (fun i info ->
-      used := !used + (r.(i) * Pimcomp.Partition.xbars_per_replica info))
-    entries;
-  let budget =
-    int_of_float (float_of_int (core_count * 64) *. 0.85)
-  in
-  Alcotest.(check bool) "within budget" true (!used <= budget)
+(* The mapping [build] emits keeps PUMA's replication rules: total
+   crossbars stay within 85% of the machine (or the replication-1 floor
+   when that is larger), and single-window nodes (FC layers) are never
+   replicated. *)
+let test_build_budget_and_fc () =
+  List.iter
+    (fun (name, size) ->
+      let table, core_count = setup name size in
+      let c =
+        Pimcomp.Puma_baseline.build table ~core_count ~max_node_num_in_core:16
+      in
+      let used =
+        List.fold_left ( + ) 0
+          (List.init core_count (Pimcomp.Chromosome.core_xbars c))
+      in
+      let budget =
+        max
+          (Pimcomp.Partition.min_xbars table)
+          (int_of_float
+             (0.85
+             *. float_of_int (core_count * hw.Pimhw.Config.xbars_per_core)))
+      in
+      if used > budget then
+        Alcotest.failf "%s: %d crossbars used, budget %d" name used budget;
+      Array.iteri
+        (fun i (info : Pimcomp.Partition.info) ->
+          if info.Pimcomp.Partition.windows = 1 then
+            Alcotest.(check int)
+              (Fmt.str "%s %s keeps one replica" name
+                 info.Pimcomp.Partition.name)
+              1
+              (Pimcomp.Chromosome.replication c i))
+        (Pimcomp.Partition.entries table))
+    [ ("tiny", 16); ("vgg16", 56); ("squeezenet", 56); ("resnet18", 56) ]
 
 let test_sequential_mapping_is_compact () =
   (* first-fit packing leaves no gaps: any core with free space must be
@@ -98,9 +93,8 @@ let () =
       ( "baseline",
         [
           Alcotest.test_case "valid chromosome" `Quick test_valid_chromosome;
-          Alcotest.test_case "balances cycles" `Quick
-            test_replication_balances_cycles;
-          Alcotest.test_case "budget respected" `Quick test_budget_respected;
+          Alcotest.test_case "budget and single-window nodes" `Quick
+            test_build_budget_and_fc;
           Alcotest.test_case "compact mapping" `Quick
             test_sequential_mapping_is_compact;
           Alcotest.test_case "infeasible raises" `Quick test_infeasible_raises;

@@ -102,25 +102,6 @@ let test_replication_reduces_ht () =
   done;
   Alcotest.(check bool) "cumulative replication helps" true (!best < before)
 
-let test_split_replicas_counting () =
-  let table, chrom = compile_pair "tiny" 16 in
-  for i = 0 to Pimcomp.Partition.num_weighted table - 1 do
-    let splits = Pimcomp.Fitness.split_replicas chrom i in
-    let r = Pimcomp.Chromosome.replication chrom i in
-    Alcotest.(check bool) "0 <= splits <= R" true (splits >= 0 && splits <= r)
-  done
-
-let test_comm_penalty_zero_when_unsplit () =
-  let table, _ = compile_pair "tiny" 16 in
-  let info = (Pimcomp.Partition.entries table).(0) in
-  Alcotest.(check (float 1e-9)) "no splits, no penalty" 0.0
-    (Pimcomp.Fitness.per_window_comm_ns (timing 4) info ~splits:0
-       ~replication:3);
-  Alcotest.(check bool) "splits cost" true
-    (Pimcomp.Fitness.per_window_comm_ns (timing 4) info ~splits:2
-       ~replication:4
-    > 0.0)
-
 let test_energy_estimate () =
   let _, chrom = compile_pair "squeezenet" 56 in
   let t = timing 20 in
@@ -241,10 +222,6 @@ let () =
             test_ht_decreases_with_parallelism;
           Alcotest.test_case "replication helps HT" `Quick
             test_replication_reduces_ht;
-          Alcotest.test_case "split counting" `Quick
-            test_split_replicas_counting;
-          Alcotest.test_case "comm penalty" `Quick
-            test_comm_penalty_zero_when_unsplit;
           Alcotest.test_case "LL lower bound" `Quick
             test_ll_ge_simple_chain_bound;
           Alcotest.test_case "energy estimate" `Quick test_energy_estimate;
