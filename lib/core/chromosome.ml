@@ -75,20 +75,6 @@ let total_ags t node_index = t.node_ags.(node_index)
 let replication t node_index =
   total_ags t node_index / t.entries.(node_index).Partition.ags_per_replica
 
-(* Cores holding at least one AG of a weighted node, ascending. *)
-let cores_of_node t node_index =
-  let acc = ref [] in
-  for core = t.core_count - 1 downto 0 do
-    if List.exists (fun g -> g.node_index = node_index) t.cores.(core) then
-      acc := core :: !acc
-  done;
-  !acc
-
-let replication_by_node_id t node_id =
-  match Partition.index_of_node t.table node_id with
-  | -1 -> 1
-  | i -> replication t i
-
 (* --- validation --------------------------------------------------------- *)
 
 type violation =
@@ -551,64 +537,6 @@ let mutate_random_touched rng t =
   mutate_touched rng t (Rng.pick rng all_mutations)
 
 let mutate_random rng t = mutate_random_touched rng t <> None
-
-(* --- concrete AG placement ---------------------------------------------- *)
-
-(* A placed Array Group: replica [replica] of node [node_index], AG index
-   [ag_in_replica] within the replica, living on [core].  [global_ag] is
-   unique across the whole program and is the simulator's structural-
-   conflict unit. *)
-type placement = {
-  p_node_index : int;
-  p_node_id : Nnir.Node.id;
-  p_replica : int;
-  p_ag_in_replica : int;
-  p_global_ag : int;
-  p_core : int;
-}
-
-(* Deterministic placement: for each node, visit cores by descending gene
-   size (so large genes receive whole replicas and splitting is rare),
-   assigning (replica, ag) slots lexicographically. *)
-let placements t =
-  let acc = ref [] in
-  let next_global = ref 0 in
-  Array.iteri
-    (fun node_index info ->
-      let holders = ref [] in
-      Array.iteri
-        (fun core gene_list ->
-          let ags = gene_ags gene_list node_index in
-          if ags <> 0 then holders := (core, ags) :: !holders)
-        t.cores;
-      let holders =
-        List.sort
-          (fun (c1, n1) (c2, n2) ->
-            if n1 <> n2 then compare n2 n1 else compare c1 c2)
-          !holders
-      in
-      let slot = ref 0 in
-      List.iter
-        (fun (core, count) ->
-          for _ = 1 to count do
-            let replica = !slot / info.Partition.ags_per_replica in
-            let ag_in_replica = !slot mod info.Partition.ags_per_replica in
-            acc :=
-              {
-                p_node_index = node_index;
-                p_node_id = info.Partition.node_id;
-                p_replica = replica;
-                p_ag_in_replica = ag_in_replica;
-                p_global_ag = !next_global;
-                p_core = core;
-              }
-              :: !acc;
-            incr next_global;
-            incr slot
-          done)
-        holders)
-    (Partition.entries t.table);
-  Array.of_list (List.rev !acc)
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>";

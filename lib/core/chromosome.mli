@@ -59,12 +59,6 @@ val total_ags : t -> int -> int
 val replication : t -> int -> int
 (** Replication number of a weighted node (by dense weighted index). *)
 
-val cores_of_node : t -> int -> int list
-(** Cores holding at least one AG of a weighted node, ascending. *)
-
-val replication_by_node_id : t -> Nnir.Node.id -> int
-(** Same, by graph node id; 1 for non-weighted nodes. *)
-
 val add_ags : t -> core:int -> node_index:int -> count:int -> unit
 
 (** {1 Validation} *)
@@ -101,21 +95,5 @@ val mutate : Rng.t -> t -> mutation -> bool
     and the chromosome is unchanged. *)
 
 val mutate_random : Rng.t -> t -> bool
-
-(** {1 Concrete placement} *)
-
-type placement = {
-  p_node_index : int;
-  p_node_id : Nnir.Node.id;
-  p_replica : int;
-  p_ag_in_replica : int;
-  p_global_ag : int;
-  p_core : int;
-}
-
-val placements : t -> placement array
-(** Deterministic AG-to-core assignment realising the gene counts; the
-    scheduling and simulation substrate.  [p_global_ag] values are dense
-    and unique. *)
 
 val pp : t Fmt.t

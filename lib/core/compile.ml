@@ -76,6 +76,15 @@ type t = {
   stage_seconds : stage_seconds;
 }
 
+(* The compiler's own output failed its checks: a bug, never a property
+   of the input or of the design point. *)
+exception Self_check_failed of string
+
+let () =
+  Printexc.register_printer (function
+    | Self_check_failed msg -> Some ("Compile.Self_check_failed: " ^ msg)
+    | _ -> None)
+
 let compile ?(options = default_options) (config : Pimhw.Config.t)
     (graph : Nnir.Graph.t) =
   Pimhw.Config.validate config;
@@ -133,9 +142,10 @@ let compile ?(options = default_options) (config : Pimhw.Config.t)
   (match Chromosome.violations chromosome with
   | [] -> ()
   | v :: _ ->
-      invalid_arg
-        (Fmt.str "Compile: mapping violates constraints: %a"
-           Chromosome.pp_violation v));
+      raise
+        (Self_check_failed
+           (Fmt.str "mapping violates constraints: %a"
+              Chromosome.pp_violation v)));
   let fitness = Fitness.evaluate options.mode timing chromosome in
   (* stage 3: dataflow scheduling *)
   let (layout, program), scheduling =
@@ -171,9 +181,10 @@ let compile ?(options = default_options) (config : Pimhw.Config.t)
           match Verify.run ~graph ~config program with
           | [] -> ()
           | vs ->
-              invalid_arg
-                (Fmt.str "Compile: %s: %a" (Nnir.Graph.name graph)
-                   Verify.report vs))
+              raise
+                (Self_check_failed
+                   (Fmt.str "%s: %a" (Nnir.Graph.name graph) Verify.report
+                      vs)))
   in
   {
     graph;

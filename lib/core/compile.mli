@@ -60,10 +60,16 @@ type t = {
   stage_seconds : stage_seconds;
 }
 
+exception Self_check_failed of string
+(** The compiler's own mapping violates the chromosome constraints, or
+    its program fails {!Verify.run}: a compiler bug, not bad input and
+    not an infeasible design. *)
+
 val compile : ?options:options -> Pimhw.Config.t -> Nnir.Graph.t -> t
-(** Raises [Invalid_argument] on constraint violations or malformed
-    output programs and {!Chromosome.Infeasible} when the network cannot
-    fit the machine. *)
+(** Raises {!Self_check_failed} when its own mapping or program fails a
+    check, {!Chromosome.Infeasible} when the network cannot fit the
+    machine, {!Memalloc.Doesnt_fit} when one buffer exceeds a core's
+    scratchpad, and [Invalid_argument] on bad options or hardware. *)
 
 val cache_key : ?options:options -> Pimhw.Config.t -> Nnir.Graph.t -> string
 (** Canonical content digest (32 hex chars) of everything that

@@ -1,5 +1,6 @@
 (* Concrete mapping layout derived from a chromosome: the per-replica
-   view both schedulers consume.
+   view both schedulers consume.  This is the one place that turns the
+   genes' AG counts into concrete AG placements.
 
    A replica ("replicated weight block" in the paper) is one full copy of
    a node's weight matrix: [ags_per_replica] AGs, possibly spread over
@@ -13,13 +14,11 @@
      (r - 1) mod R), which staggers replicas across the row pipeline. *)
 
 type replica = {
-  node_index : int;
-  node_id : Nnir.Node.id;
-  replica_index : int;
-  ag_ids : int array;          (* global AG ids, by ag_in_replica *)
+  ag_ids : int array;          (* global AG ids, by AG index in the replica *)
   ag_cores : int array;        (* core of each AG *)
   head_core : int;
-  distinct_cores : int list;   (* cores hosting this replica, ascending *)
+  groups : (int * int list) list;
+      (* (core, its AG ids in replica order), ascending core *)
   window_lo : int;             (* HT share: [window_lo, window_hi) *)
   window_hi : int;
 }
@@ -31,7 +30,6 @@ type node_layout = {
 }
 
 type t = {
-  chromosome : Chromosome.t;
   table : Partition.table;
   graph : Nnir.Graph.t;
   core_count : int;
@@ -41,73 +39,82 @@ type t = {
   by_node_index : node_layout array;
 }
 
+let core_groups ag_ids ag_cores =
+  List.sort_uniq compare (Array.to_list ag_cores)
+  |> List.map (fun core ->
+         ( core,
+           List.filteri (fun i _ -> ag_cores.(i) = core) (Array.to_list ag_ids)
+         ))
+
+(* Deterministic placement: each node's holders (the cores with a gene
+   of it) are visited by descending gene size, so large genes receive
+   whole replicas and splitting is rare; ties go to the lower core.
+   Slot s of the visit is AG (s mod ags_per_replica) of replica
+   (s / ags_per_replica), and global AG ids are dense in node-then-slot
+   order. *)
 let of_chromosome chrom =
   let table = Chromosome.table chrom in
-  let graph = Partition.table_graph table in
-  let placements = Chromosome.placements chrom in
-  let num_ags = Array.length placements in
-  let ag_core = Array.make num_ags 0 in
-  let ag_xbars = Array.make num_ags 0 in
-  Array.iter
-    (fun (p : Chromosome.placement) ->
-      ag_core.(p.p_global_ag) <- p.p_core;
-      let info = Partition.entry table p.p_node_index in
-      (* The last AG of a replica may drive fewer rows, but it still
-         occupies whole crossbars; every AG drives xbars_per_ag arrays. *)
-      ag_xbars.(p.p_global_ag) <- info.Partition.xbars_per_ag)
-    placements;
+  let core_count = Chromosome.core_count chrom in
   let n = Partition.num_weighted table in
+  let num_ags = ref 0 in
+  for node_index = 0 to n - 1 do
+    num_ags := !num_ags + Chromosome.total_ags chrom node_index
+  done;
+  let ag_core = Array.make !num_ags 0 in
+  (* The last AG of a replica may drive fewer rows, but it still
+     occupies whole crossbars; every AG drives xbars_per_ag arrays. *)
+  let ag_xbars = Array.make !num_ags 0 in
+  let next_ag = ref 0 in
   let by_node_index =
     Array.init n (fun node_index ->
         let info = Partition.entry table node_index in
+        let per_replica = info.Partition.ags_per_replica in
         let replication = Chromosome.replication chrom node_index in
-        let node_placements =
-          Array.to_list placements
-          |> List.filter (fun (p : Chromosome.placement) ->
-                 p.p_node_index = node_index)
+        let ag_ids = Array.init replication (fun _ -> Array.make per_replica 0)
+        and ag_cores =
+          Array.init replication (fun _ -> Array.make per_replica 0)
         in
+        (* [List.init] lists the cores ascending, and the stable sort
+           keeps that order among equal counts *)
+        let holders =
+          List.init core_count (fun core ->
+              let genes = Chromosome.genes chrom core in
+              (core, Chromosome.gene_ags genes node_index))
+          |> List.filter (fun (_, ags) -> ags > 0)
+          |> List.stable_sort (fun (_, a) (_, b) -> compare b a)
+        in
+        let slot = ref 0 in
+        List.iter
+          (fun (core, ags) ->
+            for _ = 1 to ags do
+              let r = !slot / per_replica and a = !slot mod per_replica in
+              ag_ids.(r).(a) <- !next_ag;
+              ag_cores.(r).(a) <- core;
+              ag_core.(!next_ag) <- core;
+              ag_xbars.(!next_ag) <- info.Partition.xbars_per_ag;
+              incr next_ag;
+              incr slot
+            done)
+          holders;
+        let windows = info.Partition.windows in
         let replicas =
-          Array.init replication (fun replica_index ->
-              let ags =
-                List.filter
-                  (fun (p : Chromosome.placement) ->
-                    p.p_replica = replica_index)
-                  node_placements
-                |> List.sort (fun (a : Chromosome.placement) b ->
-                       compare a.p_ag_in_replica b.p_ag_in_replica)
-              in
-              let ag_ids =
-                Array.of_list
-                  (List.map (fun (p : Chromosome.placement) -> p.p_global_ag) ags)
-              in
-              let ag_cores =
-                Array.of_list
-                  (List.map (fun (p : Chromosome.placement) -> p.p_core) ags)
-              in
-              let windows = info.Partition.windows in
-              let window_lo = replica_index * windows / replication in
-              let window_hi = (replica_index + 1) * windows / replication in
+          Array.init replication (fun r ->
               {
-                node_index;
-                node_id = info.Partition.node_id;
-                replica_index;
-                ag_ids;
-                ag_cores;
-                head_core = ag_cores.(0);
-                distinct_cores =
-                  Array.to_list ag_cores |> List.sort_uniq compare;
-                window_lo;
-                window_hi;
+                ag_ids = ag_ids.(r);
+                ag_cores = ag_cores.(r);
+                head_core = ag_cores.(r).(0);
+                groups = core_groups ag_ids.(r) ag_cores.(r);
+                window_lo = r * windows / replication;
+                window_hi = (r + 1) * windows / replication;
               })
         in
         { info; replication; replicas })
   in
   {
-    chromosome = chrom;
     table;
-    graph;
-    core_count = Chromosome.core_count chrom;
-    num_ags;
+    graph = Partition.table_graph table;
+    core_count;
+    num_ags = !num_ags;
     ag_core;
     ag_xbars;
     by_node_index;
@@ -124,14 +131,3 @@ let replication_by_id t node_id =
   match node_layout_by_id t node_id with
   | Some l -> l.replication
   | None -> 1
-
-(* AGs of a replica grouped by hosting core: (core, ag ids) ascending. *)
-let ags_by_core (r : replica) =
-  let tbl = Hashtbl.create 4 in
-  Array.iteri
-    (fun i core ->
-      let cur = try Hashtbl.find tbl core with Not_found -> [] in
-      Hashtbl.replace tbl core (r.ag_ids.(i) :: cur))
-    r.ag_cores;
-  Hashtbl.fold (fun core ags acc -> (core, List.rev ags) :: acc) tbl []
-  |> List.sort compare

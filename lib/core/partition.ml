@@ -18,8 +18,6 @@ type info = {
   out_height : int;
   out_width : int;
   out_channels : int;
-  input_rows : int;             (* input feature-map height (for LL deps) *)
-  input_bytes_per_window : int; (* weight_rows elements *)
   output_bytes_per_window : int;(* weight_cols elements (full precision) *)
 }
 
@@ -89,8 +87,6 @@ let of_node (config : Pimhw.Config.t) (g : Nnir.Graph.t) (node : Nnir.Node.t) =
         out_height;
         out_width;
         out_channels = c.out_channels;
-        input_rows = Nnir.Tensor.height s;
-        input_bytes_per_window = weight_rows * Nnir.Tensor.bytes_per_element;
         output_bytes_per_window =
           c.out_channels * Nnir.Tensor.bytes_per_element;
       }
@@ -108,9 +104,6 @@ let of_node (config : Pimhw.Config.t) (g : Nnir.Graph.t) (node : Nnir.Node.t) =
         out_height = 1;
         out_width = 1;
         out_channels = f.out_features;
-        input_rows =
-          (if Nnir.Tensor.is_chw s then Nnir.Tensor.height s else 1);
-        input_bytes_per_window = weight_rows * Nnir.Tensor.bytes_per_element;
         output_bytes_per_window =
           f.out_features * Nnir.Tensor.bytes_per_element;
       }

@@ -12,8 +12,6 @@ type info = {
   out_height : int;
   out_width : int;
   out_channels : int;
-  input_rows : int;
-  input_bytes_per_window : int;
   output_bytes_per_window : int;
 }
 

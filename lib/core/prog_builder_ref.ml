@@ -41,8 +41,6 @@ let create ~core_count ~strategy ~capacity =
     rev_trace = [];
   }
 
-let num_instrs t core = t.bufs.(core).count
-
 (* Append an instruction; returns its index within the core. *)
 let emit t ~core ?(deps = []) ?(node = -1) op =
   let buf = t.bufs.(core) in

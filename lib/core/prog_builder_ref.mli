@@ -9,8 +9,6 @@ type t
 val create :
   core_count:int -> strategy:Memalloc.strategy -> capacity:int option -> t
 
-val num_instrs : t -> int -> int
-
 val emit : t -> core:int -> ?deps:int list -> ?node:Nnir.Node.id -> Isa.op -> int
 (** Appends an instruction and returns its index within the core.
     Raises [Invalid_argument] if a dependency index is out of range. *)

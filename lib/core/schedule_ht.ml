@@ -59,7 +59,6 @@ let emit_pass ~options ~plan (layout : Layout.t) : Isa.t =
         (fun (r : Layout.replica) ->
           let windows = r.Layout.window_hi - r.Layout.window_lo in
           if windows > 0 then begin
-            let groups = Layout.ags_by_core r in
             let replica_acc_key =
               incr acc_key;
               !acc_key
@@ -146,7 +145,7 @@ let emit_pass ~options ~plan (layout : Layout.t) : Isa.t =
                     in
                     Prog_builder.free_buffer pb ~core ~bytes:in_bytes;
                     (core, last))
-                  groups
+                  r.Layout.groups
               in
               (* inter-core accumulation at the replica head (line 7) *)
               let head = r.Layout.head_core in
@@ -207,7 +206,7 @@ let emit_pass ~options ~plan (layout : Layout.t) : Isa.t =
                   List.iter
                     (fun ag -> Prog_builder.free_ag_slot pb ~core ~key:ag)
                     ags)
-                (Layout.ags_by_core r))
+                r.Layout.groups)
           nl.Layout.replicas)
     layout.Layout.by_node_index;
   (* ---- other operations, distributed across cores (line 10) ---- *)

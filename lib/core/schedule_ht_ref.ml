@@ -52,7 +52,6 @@ let schedule ?(options = default_options) (layout : Layout.t) : Isa.t =
         (fun (r : Layout.replica) ->
           let windows = r.Layout.window_hi - r.Layout.window_lo in
           if windows > 0 then begin
-            let groups = Layout.ags_by_core r in
             let replica_acc_key =
               incr acc_key;
               !acc_key
@@ -139,7 +138,7 @@ let schedule ?(options = default_options) (layout : Layout.t) : Isa.t =
                     in
                     Prog_builder_ref.free_buffer pb ~core ~bytes:in_bytes;
                     (core, last))
-                  groups
+                  r.Layout.groups
               in
               (* inter-core accumulation at the replica head (line 7) *)
               let head = r.Layout.head_core in

@@ -282,14 +282,8 @@ let emit_pass ~options ~plan (layout : Layout.t) : Isa.t =
         let info = nl.Layout.info in
         let provider = List.hd inputs in
         let edge = edge_slots.(id).(0) in
-        (* Per-replica AG grouping and per-window byte counts are loop
-           invariants: hoist them out of the piece loops (the reference
-           recomputes both per piece, Hashtbl and sort included). *)
-        let groups_of =
-          Array.map
-            (fun replica -> (replica, Layout.ags_by_core replica))
-            nl.Layout.replicas
-        in
+        (* The per-window byte count is a loop invariant: hoist it out
+           of the piece loops (the reference recomputes it per piece). *)
         let mvm_input_bytes =
           Sched_common.fresh_input_bytes_per_window g info
           / max 1 info.Partition.ags_per_replica
@@ -297,9 +291,9 @@ let emit_pass ~options ~plan (layout : Layout.t) : Isa.t =
         let out_channels = info.Partition.out_channels in
         for r = 1 to og.rows do
           for j = 0 to og.chunks - 1 do
-            let replica, groups =
-              groups_of.(owner_replica ~chunks:og.chunks
-                           ~replication:nl.Layout.replication j)
+            let replica =
+              nl.Layout.replicas.(owner_replica ~chunks:og.chunks
+                                    ~replication:nl.Layout.replication j)
             in
             let windows =
               (((j + 1) * og.cols) / og.chunks) - (j * og.cols / og.chunks)
@@ -351,7 +345,7 @@ let emit_pass ~options ~plan (layout : Layout.t) : Isa.t =
                       else List.hd mvm_idxs
                     in
                     (core, last))
-                  groups
+                  replica.Layout.groups
               in
               let head = replica.Layout.head_core in
               let head_deps = ref [] in

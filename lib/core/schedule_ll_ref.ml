@@ -214,7 +214,6 @@ let schedule ?(options = default_options) (layout : Layout.t) : Isa.t =
               nl.Layout.replicas.(owner_replica ~chunks:og.chunks
                                     ~replication:nl.Layout.replication j)
             in
-            let groups = Layout.ags_by_core replica in
             let windows =
               (((j + 1) * og.cols) / og.chunks) - (j * og.cols / og.chunks)
             in
@@ -283,7 +282,7 @@ let schedule ?(options = default_options) (layout : Layout.t) : Isa.t =
                       else List.hd mvm_idxs
                     in
                     (core, last))
-                  groups
+                  replica.Layout.groups
               in
               let head = replica.Layout.head_core in
               let head_deps = ref [] in

@@ -1,8 +1,8 @@
 (* Compile+simulate evaluation of synthesiser candidates.  Pure,
    deterministic per job (compile is seeded, the engine is
    deterministic), so fanning over domains preserves the synth
-   determinism contract; infeasibility is data, everything else is a
-   Job_error. *)
+   determinism contract; infeasibility is data, everything else
+   (a compiler self-check failure included) is a Job_error. *)
 
 let eval_one ~cache ~networks slot (job : Pimcomp.Synth.job) =
   let name, graph = networks.(job.Pimcomp.Synth.network) in
@@ -36,7 +36,6 @@ let eval_one ~cache ~networks slot (job : Pimcomp.Synth.job) =
       (* the design's scratchpad cannot hold a single request under the
          chosen discipline — a property of the point, not a bug *)
       Pimcomp.Synth.Eval_infeasible reason
-  | Invalid_argument reason -> Pimcomp.Synth.Eval_infeasible reason
   | exn ->
       let bt = Printexc.get_raw_backtrace () in
       Printexc.raise_with_backtrace

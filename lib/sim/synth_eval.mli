@@ -23,9 +23,10 @@ val evaluator :
     LL mode and the inverse throughput period in HT mode, the energy
     objective is {!Metrics.total_pj}.
 
-    A compile rejected as infeasible ({!Pimcomp.Chromosome.Infeasible}
-    or a constraint [Invalid_argument]) and a simulation that deadlocks
-    yield [Eval_infeasible] — the search records the point and moves
-    on.  Any other exception is re-raised as
-    {!Pimcomp.Compile.Job_error} naming the job's slot and network, as
-    in [Compile.batch]. *)
+    A compile rejected as infeasible ({!Pimcomp.Chromosome.Infeasible},
+    or {!Pimcomp.Memalloc.Doesnt_fit} when one buffer exceeds the
+    scratchpad) and a simulation that deadlocks yield [Eval_infeasible]
+    — the search records the point and moves on.  Any other exception,
+    {!Pimcomp.Compile.Self_check_failed} and [Invalid_argument]
+    included, is a bug: it is re-raised as {!Pimcomp.Compile.Job_error}
+    naming the job's slot and network, as in [Compile.batch]. *)

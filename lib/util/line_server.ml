@@ -4,7 +4,9 @@
    (bounded by [max_batch]).  A pipelining client therefore gets its
    requests answered as one concurrent batch, while an interactive
    client still sees single-request latency.  Responses are written in
-   request order, one line each.
+   request order, one line each.  A line longer than [max_line_bytes]
+   is cut there and the rest of it dropped, so one request never holds
+   more than that in memory.
 
    The loop owns nothing but the file descriptors; protocol parsing and
    request execution live in the [handle] callback. *)
@@ -34,61 +36,76 @@ let write_all fd s =
   done
 
 let max_batch = 64
+let max_line_bytes = 1 lsl 20
 
 let serve ~input ~output ~handle =
   let chunk = Bytes.create 65536 in
-  let pending = Buffer.create 4096 in
+  (* the current line's bytes so far, at most [max_line_bytes] *)
+  let line = Buffer.create 4096 in
+  (* the current line reached the cap: its first [max_line_bytes] bytes
+     are queued, and the rest is dropped up to its newline *)
+  let cut = ref false in
+  let queued = Queue.create () in
   let eof = ref false in
-  (* Split complete lines off the front of [pending]; a trailing
-     fragment stays buffered until its newline (or EOF) arrives. *)
-  let take_lines () =
-    let text = Buffer.contents pending in
-    let rec split start acc =
-      match String.index_from_opt text start '\n' with
-      | Some i -> split (i + 1) (String.sub text start (i - start) :: acc)
-      | None ->
-          Buffer.clear pending;
-          Buffer.add_substring pending text start (String.length text - start);
-          List.rev acc
-    in
-    split 0 []
+  let keep start stop =
+    if not !cut then begin
+      let room = max_line_bytes - Buffer.length line in
+      if stop - start > room then begin
+        Buffer.add_subbytes line chunk start room;
+        Queue.add (Buffer.contents line) queued;
+        Buffer.clear line;
+        cut := true
+      end
+      else Buffer.add_subbytes line chunk start (stop - start)
+    end
   in
+  let end_line () =
+    if !cut then cut := false
+    else begin
+      Queue.add (Buffer.contents line) queued;
+      Buffer.clear line
+    end
+  in
+  (* Scan only the bytes just read: each newline ends the current line,
+     and a trailing fragment stays in [line] until its newline (or EOF)
+     arrives. *)
   let fill_once () =
     let n = read_chunk input chunk in
     if n = 0 then eof := true
-    else if n > 0 then Buffer.add_subbytes pending chunk 0 n
+    else begin
+      let start = ref 0 in
+      while !start < n do
+        let stop = ref !start in
+        while !stop < n && Bytes.get chunk !stop <> '\n' do
+          incr stop
+        done;
+        keep !start !stop;
+        if !stop < n then end_line ();
+        start := !stop + 1
+      done
+    end
   in
-  let queued = ref [] in
+  let rec take k =
+    if k = 0 || Queue.is_empty queued then []
+    else
+      let l = Queue.pop queued in
+      l :: take (k - 1)
+  in
   let running = ref true in
   while !running do
     (* Block until at least one complete line is queued (or EOF). *)
-    while !queued = [] && not !eof do
-      fill_once ();
-      queued := take_lines ()
+    while Queue.is_empty queued && not !eof do
+      fill_once ()
     done;
     (* Drain whatever else is ready, up to the batch bound. *)
     while
-      List.length !queued < max_batch && (not !eof) && readable_now input
+      Queue.length queued < max_batch && (not !eof) && readable_now input
     do
-      fill_once ();
-      queued := !queued @ take_lines ()
+      fill_once ()
     done;
-    (if !eof then begin
-       (* a final unterminated line still counts as a request *)
-       let rest = Buffer.contents pending in
-       Buffer.clear pending;
-       if rest <> "" then queued := !queued @ [ rest ]
-     end);
-    let batch, rest =
-      let rec split i acc = function
-        | [] -> (List.rev acc, [])
-        | l when i = max_batch -> (List.rev acc, l)
-        | x :: tl -> split (i + 1) (x :: acc) tl
-      in
-      split 0 [] !queued
-    in
-    queued := rest;
-    (match List.filter (fun l -> String.trim l <> "") batch with
+    (* a final unterminated line still counts as a request *)
+    if !eof && Buffer.length line > 0 then end_line ();
+    (match List.filter (fun l -> String.trim l <> "") (take max_batch) with
     | [] -> ()
     | requests ->
         let responses, verdict = handle requests in
@@ -99,5 +116,5 @@ let serve ~input ~output ~handle =
            with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
              running := false);
         if verdict = Stop then running := false);
-    if !eof && !queued = [] then running := false
+    if !eof && Queue.is_empty queued then running := false
   done

@@ -11,6 +11,12 @@
 
 type verdict = Continue | Stop
 
+val max_line_bytes : int
+(** 1 MiB.  A longer line reaches [handle], in order, as its first
+    [max_line_bytes] bytes, and the rest of it up to its newline is
+    dropped: it still gets exactly one answer, and no line holds more
+    memory than this. *)
+
 val serve :
   input:Unix.file_descr ->
   output:Unix.file_descr ->

@@ -16,6 +16,12 @@
      peaks, spill bytes) for every zoo network at its minimum input size
      with the PUMA-like mapping, HT and LL, on the Table I scratchpad,
      plus squeezenet HT on a 4 kB scratchpad, where the plan spills.
+   - the MD5 of each compile's AG layout: every zoo network at its
+     minimum input size with the PUMA-like mapping, and the five paper
+     networks at the CLI's default size with the fast GA at seed 42,
+     HT and LL.  The rendering holds the AG-to-core and AG-to-crossbar
+     tables and, per weighted node, its replication and, per replica,
+     the window range, the head core and the AG ids grouped by core.
 
    Floats print as %h (exact hex).  After an intended change to one of
    these results, regenerate with [dune build @runtest] then
@@ -210,7 +216,65 @@ let lifetimes () =
   lifetime_row ~local_memory_bytes:4096 "squeezenet"
     Pimcomp.Mode.High_throughput
 
+(* Groups are derived here from [ag_ids] and [ag_cores], so the
+   rendering reads only fields every version of [Layout] has had. *)
+let layout_text (l : Pimcomp.Layout.t) =
+  let b = Buffer.create 4096 in
+  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+  line "ag_core %s" (ints l.Pimcomp.Layout.ag_core);
+  line "ag_xbars %s" (ints l.Pimcomp.Layout.ag_xbars);
+  Array.iteri
+    (fun i (nl : Pimcomp.Layout.node_layout) ->
+      line "node %d replication %d" i nl.Pimcomp.Layout.replication;
+      Array.iter
+        (fun (r : Pimcomp.Layout.replica) ->
+          let ids = Array.to_list r.Pimcomp.Layout.ag_ids in
+          let cores = r.Pimcomp.Layout.ag_cores in
+          let groups =
+            List.sort_uniq compare (Array.to_list cores)
+            |> List.map (fun core ->
+                   Printf.sprintf "%d:%s" core
+                     (String.concat ","
+                        (List.map string_of_int
+                           (List.filteri (fun i _ -> cores.(i) = core) ids))))
+          in
+          line "  windows %d %d head %d groups %s" r.Pimcomp.Layout.window_lo
+            r.Pimcomp.Layout.window_hi r.Pimcomp.Layout.head_core
+            (String.concat " " groups))
+        nl.Pimcomp.Layout.replicas)
+    l.Pimcomp.Layout.by_node_index;
+  Buffer.contents b
+
+let layout_row name ~input_size strategy mode =
+  let options = { Pimcomp.Compile.default_options with strategy; mode } in
+  let graph = Nnir.Zoo.build ~input_size name in
+  let layout =
+    (Pimcomp.Compile.compile ~options hw graph).Pimcomp.Compile.layout
+  in
+  Printf.printf "layout %s %s %s %s\n" name
+    (Pimcomp.Mode.to_string mode)
+    (Pimcomp.Compile.mapping_strategy_name strategy)
+    (Digest.to_hex (Digest.string (layout_text layout)))
+
+let layouts () =
+  List.iter
+    (fun name ->
+      List.iter
+        (layout_row name ~input_size:(Nnir.Zoo.min_input_size name)
+           Pimcomp.Compile.Puma_like)
+        Pimcomp.Mode.all)
+    Nnir.Zoo.names;
+  List.iter
+    (fun name ->
+      List.iter
+        (layout_row name
+           ~input_size:(Nnir.Zoo.scaled_input_size ~factor:4 name)
+           (Pimcomp.Compile.Genetic_algorithm Pimcomp.Genetic.fast_params))
+        Pimcomp.Mode.all)
+    [ "vgg16"; "resnet18"; "squeezenet"; "googlenet"; "inception_v3" ]
+
 let () =
   streams ();
   synths ();
-  lifetimes ()
+  lifetimes ();
+  layouts ()

@@ -1,6 +1,6 @@
 (* Tests for the GA encoding (Section IV-C1): the paper's integer gene
-   encoding, chromosome invariants, the four mutation operations and the
-   deterministic placement. *)
+   encoding, chromosome invariants, the four mutation operations, and
+   the deterministic placement [Layout] derives from the genes. *)
 
 let hw = Pimhw.Config.puma_like
 
@@ -131,6 +131,9 @@ let test_spread_and_merge_counts () =
   Alcotest.(check (list int)) "totals invariant" before (totals ());
   Alcotest.(check bool) "still valid" true (Pimcomp.Chromosome.is_valid c)
 
+(* [Layout.of_chromosome] places exactly the AGs the genes count: global
+   ids are dense, every replica is whole, and each core holds as many of
+   a node's AGs as its gene says. *)
 let test_placements_dense_and_consistent () =
   let table = tiny_table () in
   let rng = Pimcomp.Rng.create ~seed:13 in
@@ -138,53 +141,83 @@ let test_placements_dense_and_consistent () =
     Pimcomp.Chromosome.random_initial rng table ~core_count:6
       ~max_node_num_in_core:6 ~extra_replica_attempts:4 ()
   in
-  let p = Pimcomp.Chromosome.placements c in
+  let layout = Pimcomp.Layout.of_chromosome c in
+  let num_ags = layout.Pimcomp.Layout.num_ags in
+  let seen = Array.make num_ags 0 in
   Array.iteri
-    (fun i (pl : Pimcomp.Chromosome.placement) ->
-      Alcotest.(check int) "dense global ids" i pl.Pimcomp.Chromosome.p_global_ag)
-    p;
-  Array.iteri
-    (fun node_index (info : Pimcomp.Partition.info) ->
-      let mine =
-        Array.to_list p
-        |> List.filter (fun (pl : Pimcomp.Chromosome.placement) ->
-               pl.Pimcomp.Chromosome.p_node_index = node_index)
-      in
-      let r = Pimcomp.Chromosome.replication c node_index in
-      Alcotest.(check int) "placement count"
-        (r * info.Pimcomp.Partition.ags_per_replica)
-        (List.length mine);
-      List.iter
-        (fun (pl : Pimcomp.Chromosome.placement) ->
-          Alcotest.(check bool) "replica in range" true
-            (pl.Pimcomp.Chromosome.p_replica >= 0
-            && pl.Pimcomp.Chromosome.p_replica < r);
-          Alcotest.(check bool) "ag index in range" true
-            (pl.Pimcomp.Chromosome.p_ag_in_replica >= 0
-            && pl.Pimcomp.Chromosome.p_ag_in_replica
-               < info.Pimcomp.Partition.ags_per_replica))
-        mine)
-    (Pimcomp.Partition.entries table)
+    (fun node_index (nl : Pimcomp.Layout.node_layout) ->
+      let info = Pimcomp.Partition.entry table node_index in
+      Alcotest.(check int) "replica count"
+        (Pimcomp.Chromosome.replication c node_index)
+        (Array.length nl.Pimcomp.Layout.replicas);
+      let on_core = Array.make 6 0 in
+      Array.iter
+        (fun (r : Pimcomp.Layout.replica) ->
+          Alcotest.(check int) "whole replica"
+            info.Pimcomp.Partition.ags_per_replica
+            (Array.length r.Pimcomp.Layout.ag_ids);
+          Array.iteri
+            (fun i ag ->
+              seen.(ag) <- seen.(ag) + 1;
+              let core = r.Pimcomp.Layout.ag_cores.(i) in
+              on_core.(core) <- on_core.(core) + 1)
+            r.Pimcomp.Layout.ag_ids)
+        nl.Pimcomp.Layout.replicas;
+      Array.iteri
+        (fun core n ->
+          Alcotest.(check int) "AGs on core match its gene"
+            (Pimcomp.Chromosome.gene_ags
+               (Pimcomp.Chromosome.genes c core)
+               node_index)
+            n)
+        on_core)
+    layout.Pimcomp.Layout.by_node_index;
+  Alcotest.(check (array int)) "dense global ids, each placed once"
+    (Array.make num_ags 1) seen
 
-let test_cores_of_node () =
+(* Each replica's groups list its AGs by core, ascending, in replica
+   order, and a node's replicas together use exactly the cores holding
+   a gene of it. *)
+let test_replica_groups () =
   let table = tiny_table () in
   let rng = Pimcomp.Rng.create ~seed:17 in
   let c =
     Pimcomp.Chromosome.random_initial rng table ~core_count:6
-      ~max_node_num_in_core:6 ()
+      ~max_node_num_in_core:6 ~extra_replica_attempts:4 ()
   in
-  for node_index = 0 to Pimcomp.Partition.num_weighted table - 1 do
-    let cores = Pimcomp.Chromosome.cores_of_node c node_index in
-    Alcotest.(check bool) "node mapped somewhere" true (cores <> []);
-    List.iter
-      (fun core ->
-        Alcotest.(check bool) "gene exists on listed core" true
-          (List.exists
-             (fun (g : Pimcomp.Chromosome.gene) ->
-               g.Pimcomp.Chromosome.node_index = node_index)
-             (Pimcomp.Chromosome.genes c core)))
-      cores
-  done
+  let layout = Pimcomp.Layout.of_chromosome c in
+  Array.iteri
+    (fun node_index (nl : Pimcomp.Layout.node_layout) ->
+      let used = ref [] in
+      Array.iter
+        (fun (r : Pimcomp.Layout.replica) ->
+          let cores = List.map fst r.Pimcomp.Layout.groups in
+          Alcotest.(check (list int)) "cores ascending and distinct"
+            (List.sort_uniq compare
+               (Array.to_list r.Pimcomp.Layout.ag_cores))
+            cores;
+          List.iter
+            (fun (core, ags) ->
+              Alcotest.(check (list int)) "the core's AGs in replica order"
+                (List.filteri
+                   (fun i _ -> r.Pimcomp.Layout.ag_cores.(i) = core)
+                   (Array.to_list r.Pimcomp.Layout.ag_ids))
+                ags)
+            r.Pimcomp.Layout.groups;
+          used := cores @ !used)
+        nl.Pimcomp.Layout.replicas;
+      let holders =
+        List.filter
+          (fun core ->
+            Pimcomp.Chromosome.gene_ags (Pimcomp.Chromosome.genes c core)
+              node_index
+            > 0)
+          (List.init 6 Fun.id)
+      in
+      Alcotest.(check (list int)) "replica cores are the gene holders"
+        holders
+        (List.sort_uniq compare !used))
+    layout.Pimcomp.Layout.by_node_index
 
 let () =
   Alcotest.run "chromosome"
@@ -216,6 +249,6 @@ let () =
         [
           Alcotest.test_case "dense and consistent" `Quick
             test_placements_dense_and_consistent;
-          Alcotest.test_case "cores_of_node" `Quick test_cores_of_node;
+          Alcotest.test_case "replica groups" `Quick test_replica_groups;
         ] );
     ]

@@ -151,7 +151,10 @@ let test_ll_ge_simple_chain_bound () =
   let worst_standalone =
     List.fold_left
       (fun acc id ->
-        let r = Pimcomp.Chromosome.replication_by_node_id chrom id in
+        let r =
+          Pimcomp.Chromosome.replication chrom
+            (Pimcomp.Partition.index_of_node table id)
+        in
         Float.max acc
           (Pimcomp.Fitness.standalone_ns t table g id ~replication:r))
       0.0

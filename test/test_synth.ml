@@ -293,6 +293,33 @@ let run_e2e ~domains ~prune =
         ~eval:(Pimsim.Synth_eval.evaluator ~pool ~networks:e2e_networks ())
         ())
 
+(* Only infeasibility is data: a compile that fails on bad options is a
+   bug the search must not file as an infeasible design point. *)
+let test_e2e_bad_options_abort () =
+  let point =
+    {
+      Ds.xbar_size = 64;
+      xbars_per_core = 16;
+      core_count = 4;
+      local_memory_kb = 64;
+      vfus_per_core = 12;
+    }
+  in
+  let job =
+    {
+      Synth.point;
+      config = Ds.to_config point;
+      options = { e2e_options with core_count = Some 0 };
+      network = 0;
+    }
+  in
+  match Pimsim.Synth_eval.evaluator ~networks:e2e_networks () [| job |] with
+  | _ -> Alcotest.fail "a compile with zero cores was not re-raised"
+  | exception
+      Pimcomp.Compile.Job_error
+        { index = 0; graph = "tiny"; exn = Invalid_argument _ } ->
+      ()
+
 let test_e2e_search () =
   let r = run_e2e ~domains:1 ~prune:true in
   Alcotest.(check bool) "frontier non-empty" true (r.Synth.frontier <> []);
@@ -354,5 +381,7 @@ let () =
             test_e2e_prune_invariance;
           Alcotest.test_case "domain independence" `Quick
             test_e2e_domain_independence;
+          Alcotest.test_case "bad options abort" `Quick
+            test_e2e_bad_options_abort;
         ] );
     ]
