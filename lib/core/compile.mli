@@ -63,7 +63,9 @@ type t = {
 exception Self_check_failed of string
 (** The compiler's own mapping violates the chromosome constraints, or
     its program fails {!Verify.run}: a compiler bug, not bad input and
-    not an infeasible design. *)
+    not an infeasible design.  Both raise sites are reachable only
+    through such a bug, so no test reaches them; test_verify checks the
+    {!Verify.run} reports the second one reads. *)
 
 val compile : ?options:options -> Pimhw.Config.t -> Nnir.Graph.t -> t
 (** Raises {!Self_check_failed} when its own mapping or program fails a

@@ -35,29 +35,51 @@ let objective_name = function
 
 (* --- per-core segment time (Fig. 5) -------------------------------------- *)
 
+(* The segment model over caller-owned arrays, allocation-free: genes
+   are insertion-sorted by cycle count as they stream past
+   ([seg_insert], which bumps the segment count [len] and the AG total)
+   and the segments accumulate over the sorted prefix ([seg_time]).
+   Equal cycle counts give zero-width segments, so the order of ties
+   cannot change the sum. *)
+let seg_insert (ags : int array) (cyc : int array) len total cycles count =
+  let i = ref !len in
+  while !i > 0 && cyc.(!i - 1) > cycles do
+    cyc.(!i) <- cyc.(!i - 1);
+    ags.(!i) <- ags.(!i - 1);
+    decr i
+  done;
+  cyc.(!i) <- cycles;
+  ags.(!i) <- count;
+  incr len;
+  total := !total + count
+
+let seg_time timing (ags : int array) (cyc : int array) len total =
+  let time = ref 0.0 in
+  let remaining = ref total in
+  let prev = ref 0 in
+  for i = 0 to len - 1 do
+    let span = cyc.(i) - !prev in
+    if span > 0 then begin
+      time :=
+        !time
+        +. float_of_int span
+           *. Pimhw.Timing.operation_cycle_ns timing ~ags_in_core:!remaining;
+      prev := cyc.(i)
+    end;
+    remaining := !remaining - ags.(i)
+  done;
+  !time
+
 (* Estimated busy time of one core given (ag_count, cycles) pairs. *)
 let core_time timing pairs =
-  let pairs =
-    List.filter (fun (ags, cycles) -> ags > 0 && cycles > 0) pairs
-    |> List.sort (fun (_, c1) (_, c2) -> Int.compare c1 c2)
-  in
-  let total_ags = List.fold_left (fun acc (ags, _) -> acc + ags) 0 pairs in
-  let time = ref 0.0 in
-  let remaining = ref total_ags in
-  let prev_cycles = ref 0 in
+  let n = List.length pairs in
+  let ags = Array.make n 0 and cyc = Array.make n 0 in
+  let len = ref 0 and total = ref 0 in
   List.iter
-    (fun (ags, cycles) ->
-      let span = cycles - !prev_cycles in
-      if span > 0 then begin
-        time :=
-          !time
-          +. float_of_int span
-             *. Pimhw.Timing.operation_cycle_ns timing ~ags_in_core:!remaining;
-        prev_cycles := cycles
-      end;
-      remaining := !remaining - ags)
+    (fun (count, cycles) ->
+      if count > 0 && cycles > 0 then seg_insert ags cyc len total cycles count)
     pairs;
-  !time
+  seg_time timing ags cyc !len !total
 
 (* --- standalone node time (exposed for tests) ----------------------------- *)
 
@@ -274,6 +296,7 @@ type state = {
   holders : int list array;      (* cores holding the node, ascending *)
   vec_share : float array;       (* LL congestion VFU share *)
   (* per core *)
+  core_seg : float array;        (* Fig. 5 segment time *)
   core_busy : float array;       (* segment time + accumulation extras *)
   core_traffic : float array;    (* HT global-memory bytes *)
   (* per graph node, LL mode only ([||] under HT): the holder-set
@@ -366,47 +389,10 @@ let refresh_node ?(only_dirty = false) st w =
 (* Re-derive a core's cached terms from its gene list and the per-node
    caches.  HT: Fig. 5 segment time plus accumulation comm, and the
    global-memory traffic with the working-set spill model.  LL: segment
-   time plus the VFU share and accumulation extras (congestion bound). *)
-(* Allocation-free [core_time] over the state's scratch arrays: genes
-   are insertion-sorted by cycle count as they stream past
-   ([seg_insert]), and the segment accumulation runs over the sorted
-   prefix ([seg_time]).  Same ascending-cycle float-addition order as
-   [core_time] (tie order is irrelevant: equal cycles give zero-width
-   segments), so the result is bit-identical. *)
-let seg_insert st len total cycles count =
-  let ags = st.seg_ags and cyc = st.seg_cyc in
-  let i = ref !len in
-  while !i > 0 && cyc.(!i - 1) > cycles do
-    cyc.(!i) <- cyc.(!i - 1);
-    ags.(!i) <- ags.(!i - 1);
-    decr i
-  done;
-  cyc.(!i) <- cycles;
-  ags.(!i) <- count;
-  incr len;
-  total := !total + count
-
-let seg_time st len total =
-  let ags = st.seg_ags and cyc = st.seg_cyc in
-  let time = ref 0.0 in
-  let remaining = ref total in
-  let prev = ref 0 in
-  for i = 0 to len - 1 do
-    let span = cyc.(i) - !prev in
-    if span > 0 then begin
-      time :=
-        !time
-        +. float_of_int span
-           *. Pimhw.Timing.operation_cycle_ns st.ctx.timing
-                ~ags_in_core:!remaining;
-      prev := cyc.(i)
-    end;
-    remaining := !remaining - ags.(i)
-  done;
-  !time
-
-(* The gene walks are [while] loops over a list cursor, so that no
-   closure captures the float sums. *)
+   time plus the VFU share and accumulation extras (congestion bound).
+   The segments sort in the state's scratch arrays, and the gene walks
+   are [while] loops over a list cursor, so that no closure captures the
+   float sums. *)
 let refresh_core st core =
   let ctx = st.ctx in
   let genes = ref (Chromosome.genes st.chrom core) in
@@ -424,7 +410,7 @@ let refresh_core st core =
             let w = g.node_index in
             let c = st.cycles.(w) in
             if g.ag_count > 0 && c > 0 then
-              seg_insert st len total c g.ag_count;
+              seg_insert st.seg_ags st.seg_cyc len total c g.ag_count;
             if c > !max_cycles then max_cycles := c;
             let cycles = float_of_int c in
             comm := !comm +. (cycles *. st.penalty.(w));
@@ -452,7 +438,9 @@ let refresh_core st core =
       if overflow > 0.0 then
         traffic := !traffic +. (2.0 *. overflow *. float_of_int !max_cycles);
       st.core_traffic.(core) <- !traffic;
-      st.core_busy.(core) <- seg_time st !len !total +. !comm
+      let seg = seg_time ctx.timing st.seg_ags st.seg_cyc !len !total in
+      st.core_seg.(core) <- seg;
+      st.core_busy.(core) <- seg +. !comm
   | Mode.Low_latency ->
       let extra = ref 0.0 in
       while
@@ -463,14 +451,16 @@ let refresh_core st core =
             let w = g.node_index in
             let c = st.cycles.(w) in
             if g.ag_count > 0 && c > 0 then
-              seg_insert st len total c g.ag_count;
+              seg_insert st.seg_ags st.seg_cyc len total c g.ag_count;
             extra :=
               !extra +. st.vec_share.(w) +. (float_of_int c *. st.penalty.(w));
             true
       do
         ()
       done;
-      st.core_busy.(core) <- seg_time st !len !total +. !extra
+      let seg = seg_time ctx.timing st.seg_ags st.seg_cyc !len !total in
+      st.core_seg.(core) <- seg;
+      st.core_busy.(core) <- seg +. !extra
 
 let rec mark_holders st = function
   | [] -> ()
@@ -656,6 +646,7 @@ let create_state ctx chrom =
       penalty = Array.make n 0.0;
       holders = Array.make n [];
       vec_share = Array.make n 0.0;
+      core_seg = Array.make ctx.core_count 0.0;
       core_busy = Array.make ctx.core_count 0.0;
       core_traffic = Array.make ctx.core_count 0.0;
       ll_cores = Array.make graph_n [];
@@ -703,15 +694,14 @@ let ll timing chrom =
 
 (* --- energy estimate (for the energy-aware objective) --------------------- *)
 
-(* First-order per-inference energy of a mapping: the dynamic crossbar
-   energy is mapping-invariant (total MVM work is fixed), so what the GA
-   can actually trade is leakage — static power integrated over each
-   active core's busy window.  Busy windows are approximated by the
-   per-core Fig. 5 segment times (HT) or the chain finish (LL, all
-   active cores run the whole pipeline). *)
-let estimate_energy_pj (em : Pimhw.Energy_model.t) (mode : Mode.t) timing
-    (chrom : Chromosome.t) =
-  let table = Chromosome.table chrom in
+(* First-order per-inference energy of a state's mapping: the dynamic
+   crossbar energy is mapping-invariant (total MVM work is fixed), so
+   what the GA can actually trade is leakage — static power integrated
+   over each active core's busy window.  Busy windows are the cached
+   per-core Fig. 5 segment times (HT) or the chain finish [time] (LL,
+   all active cores run the whole pipeline). *)
+let energy_pj (em : Pimhw.Energy_model.t) st ~time =
+  let ctx = st.ctx in
   let dynamic =
     Array.fold_left
       (fun acc (info : Partition.info) ->
@@ -720,41 +710,38 @@ let estimate_energy_pj (em : Pimhw.Energy_model.t) (mode : Mode.t) timing
               (info.Partition.windows * info.Partition.ags_per_replica
              * info.Partition.xbars_per_ag)
            *. em.Pimhw.Energy_model.mvm_energy_pj))
-      0.0 (Partition.entries table)
+      0.0 ctx.infos
   in
   let static =
-    match mode with
+    match ctx.mode with
     | Mode.High_throughput ->
         let total = ref 0.0 in
-        for core = 0 to Chromosome.core_count chrom - 1 do
-          let pairs =
-            List.map
-              (fun (g : Chromosome.gene) ->
-                let info = Partition.entry table g.node_index in
-                let r = Chromosome.replication chrom g.node_index in
-                (g.ag_count, Partition.ceil_div info.Partition.windows (max 1 r)))
-              (Chromosome.genes chrom core)
-          in
-          total := !total +. core_time timing pairs
+        for core = 0 to ctx.core_count - 1 do
+          total := !total +. st.core_seg.(core)
         done;
         !total *. em.Pimhw.Energy_model.core_static_mw
     | Mode.Low_latency ->
-        let makespan = ll timing chrom in
         let active = ref 0 in
-        for core = 0 to Chromosome.core_count chrom - 1 do
-          if Chromosome.genes chrom core <> [] then incr active
+        for core = 0 to ctx.core_count - 1 do
+          if Chromosome.genes st.chrom core <> [] then incr active
         done;
-        makespan *. float_of_int !active
-        *. em.Pimhw.Energy_model.core_static_mw
+        time *. float_of_int !active *. em.Pimhw.Energy_model.core_static_mw
   in
   dynamic +. static
 
+let estimate_energy_pj em (mode : Mode.t) timing (chrom : Chromosome.t) =
+  let ctx =
+    context mode timing (Chromosome.table chrom)
+      ~core_count:(Chromosome.core_count chrom)
+  in
+  let st = create_state ctx chrom in
+  energy_pj em st ~time:(time_of st)
+
 (* --- objective assembly ---------------------------------------------------- *)
 
-(* Combine the cached time with the objective.  The time path is fully
-   cached; the energy-delay objective recomputes the energy estimate from
-   scratch (it is only used by the energy benchmarks, where evaluation
-   throughput is not the bottleneck). *)
+(* Combine the cached time with the objective.  Both objectives read
+   only the state's cached terms, so an incremental child costs the
+   same refresh under either. *)
 let assemble st =
   let time = time_of st in
   st.time <- time;
@@ -777,7 +764,7 @@ let assemble st =
         let em =
           Pimhw.Energy_model.create st.ctx.timing.Pimhw.Timing.config
         in
-        time *. estimate_energy_pj em st.ctx.mode st.ctx.timing st.chrom /. 1e6)
+        time *. energy_pj em st ~time /. 1e6)
 
 let evaluate ?(objective = Minimize_time) (mode : Mode.t) timing chrom =
   let ctx =
@@ -807,6 +794,7 @@ module Inc = struct
       penalty = Array.copy st.penalty;
       holders = Array.copy st.holders;
       vec_share = Array.copy st.vec_share;
+      core_seg = Array.copy st.core_seg;
       core_busy = Array.copy st.core_busy;
       core_traffic = Array.copy st.core_traffic;
       ll_cores = Array.copy st.ll_cores;

@@ -18,7 +18,8 @@ val objective_name : objective -> string
 val core_time : Pimhw.Timing.t -> (int * int) list -> float
 (** [core_time timing pairs] — estimated busy time of one core from
     [(ag_count, operation_cycles)] pairs, the segment computation of the
-    paper's Fig. 5 (exposed for unit tests). *)
+    paper's Fig. 5: the routine {!Inc} runs per core, exposed for unit
+    tests. *)
 
 val ht : Pimhw.Timing.t -> Chromosome.t -> float
 (** F_HT = max over cores of the estimated core time. *)
@@ -37,7 +38,8 @@ val standalone_ns :
 val estimate_energy_pj :
   Pimhw.Energy_model.t -> Mode.t -> Pimhw.Timing.t -> Chromosome.t -> float
 (** First-order per-inference energy of a mapping (dynamic crossbar work
-    plus leakage over estimated busy windows). *)
+    plus leakage over estimated busy windows): the estimate the
+    energy-delay objective multiplies by the time. *)
 
 val evaluate :
   ?objective:objective -> Mode.t -> Pimhw.Timing.t -> Chromosome.t -> float

@@ -12,7 +12,9 @@
    full path), so the search trajectory is identical; it exists as the
    reference for tests and benchmarks.
 
-   [optimize] runs one panmictic population on the calling domain.
+   One generation loop ([evolve]) serves both searches.  [optimize] is
+   its one-pool case: one panmictic population on the calling domain,
+   driven by the master RNG one generation at a time.
    [optimize_islands] is the island model: the population is partitioned
    into sub-populations that each run the same elitist loop on their own
    RNG stream ([Rng.split] off the master), fanned out across OCaml 5
@@ -119,7 +121,7 @@ let improved ~previous current =
    [result.failed_mutations]. *)
 let max_parent_retries = 3
 
-(* --- per-population machinery (shared by [optimize] and the islands) ---- *)
+(* --- per-population machinery ---------------------------------------------- *)
 
 type pool = {
   mutable p_pop : individual array;  (* sorted best-first between generations *)
@@ -190,7 +192,7 @@ let init_pool ~params ~population ~elite ~eval ~seeds ~rng table ~core_count
     {
       p_pop = [||];
       p_rng = rng;
-      p_elite = min elite (population - 1);
+      p_elite = elite;
       p_parent_pool = max 1 (population / 2);
       p_evaluations = 0;
       p_failed = 0;
@@ -228,90 +230,37 @@ let run_generation ~eval_child pool =
   sort_population pop;
   pool.p_history_rev <- pop.(0).fitness :: pool.p_history_rev
 
-(* --- single-population driver ------------------------------------------- *)
+(* --- the generation loop ---------------------------------------------------- *)
 
-let optimize ?(params = default_params) ?(seeds = []) ?objective
-    ?(evaluation = Incremental) ?progress ~mode ~timing ~rng table ~core_count
+(* Both searches run this loop: one pool per entry of [sizes], each on
+   its own RNG, fanned out across domains in batches of [batch]
+   generations with a ring migration of [migration_k] individuals
+   between batches.  [optimize] is the one-pool case: the master RNG,
+   batches of one generation, nothing to migrate.
+
+   Caller seeds go round-robin across the pools; [unshare] because each
+   copy is owned by a different domain from here on.  A pool's elite is
+   scaled from the global setting, so the total elite fraction matches
+   the single-population run, and leaves at least one child slot. *)
+let evolve ~params ~sizes ~rngs ~batch ~migration_k ?domains ~seeds
+    ?objective ~evaluation ?progress ~mode ~timing table ~core_count
     ~max_node_num_in_core () =
-  if params.population < 2 then invalid_arg "Genetic.optimize: population < 2";
-  if params.iterations < 0 then invalid_arg "Genetic.optimize: iterations < 0";
+  let islands = Array.length sizes in
   let ctx = Fitness.context ?objective mode timing table ~core_count in
   let eval, eval_child = make_eval ?objective ~evaluation ~mode ~timing ctx in
-  let seeds =
-    List.filter Chromosome.is_valid seeds |> List.map Chromosome.copy
-  in
-  let pool =
-    init_pool ~params ~population:params.population ~elite:params.elite ~eval
-      ~seeds ~rng table ~core_count ~max_node_num_in_core
-  in
-  let initial_best_fitness = pool.p_pop.(0).fitness in
-  let stale = ref 0 in
-  let generation = ref 0 in
-  let should_stop () =
-    !generation >= params.iterations
-    || match params.patience with Some p -> !stale >= p | None -> false
-  in
-  while not (should_stop ()) do
-    incr generation;
-    let previous_best = pool.p_pop.(0).fitness in
-    run_generation ~eval_child pool;
-    if improved ~previous:previous_best pool.p_pop.(0).fitness then stale := 0
-    else incr stale;
-    match progress with
-    | Some f -> f ~generations:!generation ~best:pool.p_pop.(0).fitness
-    | None -> ()
-  done;
-  {
-    best = pool.p_pop.(0).chrom;
-    best_fitness = pool.p_pop.(0).fitness;
-    initial_best_fitness;
-    generations_run = !generation;
-    evaluations = pool.p_evaluations;
-    failed_mutations = pool.p_failed;
-    history = List.rev pool.p_history_rev;
-  }
-
-(* --- island model -------------------------------------------------------- *)
-
-let optimize_islands ?(params = default_params)
-    ?(island = default_island_params) ?(seeds = []) ?objective
-    ?(evaluation = Incremental) ?progress ~mode ~timing ~rng table ~core_count
-    ~max_node_num_in_core () =
-  if params.population < 2 then
-    invalid_arg "Genetic.optimize_islands: population < 2";
-  if params.iterations < 0 then
-    invalid_arg "Genetic.optimize_islands: iterations < 0";
-  if island.migration_interval < 1 then
-    invalid_arg "Genetic.optimize_islands: migration_interval < 1";
-  if island.migration_size < 0 then
-    invalid_arg "Genetic.optimize_islands: migration_size < 0";
-  let layout = island_layout ~population:params.population island in
-  let islands = Array.length layout in
-  let min_sub = Array.fold_left min max_int layout in
-  let migration_k = max 0 (min island.migration_size (min_sub - 1)) in
-  let ctx = Fitness.context ?objective mode timing table ~core_count in
-  let eval, eval_child = make_eval ?objective ~evaluation ~mode ~timing ctx in
-  (* Per-island RNG streams, split in island order from the master: a
-     pure function of the master seed and the island count, independent
-     of how many domains run the islands. *)
-  let rngs = Array.init islands (fun _ -> Rng.split rng) in
-  (* Caller seeds round-robin across islands; [unshare] because each
-     copy is owned by a different domain from here on. *)
-  let island_seeds = Array.make islands [] in
+  let pool_seeds = Array.make islands [] in
   List.iteri
     (fun j c ->
       let i = j mod islands in
-      island_seeds.(i) <- Chromosome.unshare c :: island_seeds.(i))
+      pool_seeds.(i) <- Chromosome.unshare c :: pool_seeds.(i))
     (List.filter Chromosome.is_valid seeds);
-  (* Per-island elite scaled from the global setting, so the total elite
-     fraction matches the single-population run. *)
   let elite_for sub = min (params.elite * sub / params.population) (sub - 1) in
   let pools =
-    Pimutil.Domain_pool.map ?domains:island.domains
+    Pimutil.Domain_pool.map ?domains
       (fun i ->
-        init_pool ~params ~population:layout.(i) ~elite:(elite_for layout.(i))
+        init_pool ~params ~population:sizes.(i) ~elite:(elite_for sizes.(i))
           ~eval
-          ~seeds:(List.rev island_seeds.(i))
+          ~seeds:(List.rev pool_seeds.(i))
           ~rng:rngs.(i) table ~core_count ~max_node_num_in_core)
       (Array.init islands (fun i -> i))
   in
@@ -375,9 +324,9 @@ let optimize_islands ?(params = default_params)
   let generation = ref 0 in
   let stop = ref false in
   while (not !stop) && !generation < params.iterations do
-    let g = min island.migration_interval (params.iterations - !generation) in
+    let g = min batch (params.iterations - !generation) in
     ignore
-      (Pimutil.Domain_pool.map ?domains:island.domains
+      (Pimutil.Domain_pool.map ?domains
          (fun pool ->
            for _ = 1 to g do
              run_generation ~eval_child pool
@@ -413,6 +362,39 @@ let optimize_islands ?(params = default_params)
     failed_mutations = Array.fold_left (fun a p -> a + p.p_failed) 0 pools;
     history = List.rev !history_rev;
   }
+
+let check_params name params =
+  if params.population < 2 then invalid_arg (name ^ ": population < 2");
+  if params.iterations < 0 then invalid_arg (name ^ ": iterations < 0")
+
+let optimize ?(params = default_params) ?(seeds = []) ?objective
+    ?(evaluation = Incremental) ?progress ~mode ~timing ~rng table ~core_count
+    ~max_node_num_in_core () =
+  check_params "Genetic.optimize" params;
+  evolve ~params ~sizes:[| params.population |] ~rngs:[| rng |] ~batch:1
+    ~migration_k:0 ~seeds ?objective ~evaluation ?progress ~mode ~timing table
+    ~core_count ~max_node_num_in_core ()
+
+(* Per-island RNG streams are split in island order from the master: a
+   pure function of the master seed and the island count, independent
+   of how many domains run the islands. *)
+let optimize_islands ?(params = default_params)
+    ?(island = default_island_params) ?(seeds = []) ?objective
+    ?(evaluation = Incremental) ?progress ~mode ~timing ~rng table ~core_count
+    ~max_node_num_in_core () =
+  check_params "Genetic.optimize_islands" params;
+  if island.migration_interval < 1 then
+    invalid_arg "Genetic.optimize_islands: migration_interval < 1";
+  if island.migration_size < 0 then
+    invalid_arg "Genetic.optimize_islands: migration_size < 0";
+  let sizes = island_layout ~population:params.population island in
+  let min_sub = Array.fold_left min max_int sizes in
+  evolve ~params ~sizes
+    ~rngs:(Array.init (Array.length sizes) (fun _ -> Rng.split rng))
+    ~batch:island.migration_interval
+    ~migration_k:(max 0 (min island.migration_size (min_sub - 1)))
+    ?domains:island.domains ~seeds ?objective ~evaluation ?progress ~mode
+    ~timing table ~core_count ~max_node_num_in_core ()
 
 (* Random search with the same evaluation budget, used by the ablation
    benchmarks to show the mutations matter. *)

@@ -72,8 +72,14 @@ val optimize :
   max_node_num_in_core:int ->
   unit ->
   result
-(** Single panmictic population on the calling domain.  [progress] is
-    called after every generation (benchmark instrumentation; it cannot
+(** Single panmictic population on the calling domain: the one-pool
+    case of {!optimize_islands}'s generation loop, driven by [rng]
+    itself, one generation per batch, with nothing to migrate.
+    [history] is the running best per generation (length
+    [generations_run + 1]).  [patience = Some p] stops the search after
+    [p] consecutive generations without improvement; it is checked after
+    each generation, so [Some 0] runs exactly one.  [progress] is called
+    after every generation (benchmark instrumentation; it cannot
     influence the search).  Raises [Invalid_argument] when
     [params.population < 2] or [params.iterations < 0]. *)
 
@@ -105,7 +111,8 @@ val optimize_islands :
     [island.domains] is, because islands share only read-only state and
     results are merged in island order.  [history] is the running global
     best per generation (length [generations_run + 1]); [patience] is
-    counted per generation but only stops at a migration-batch boundary;
+    counted per generation but only stops at a migration-batch boundary,
+    so [Some 0] runs one batch of [migration_interval] generations;
     [progress] fires once per batch.  Raises [Invalid_argument] on the
     same parameters as {!optimize}. *)
 

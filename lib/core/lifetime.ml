@@ -200,15 +200,15 @@ let place (buffers : buffer array) =
     evs;
   (!peak, !peak_at)
 
-(* --- demand replay -------------------------------------------------------- *)
+(* --- trace replay ----------------------------------------------------------- *)
 
-(* Per-core demand peaks of the trace under the lifetime discipline with
-   no capacity: replayed through {!Memalloc} itself so the number is the
-   very one the verifier's independent replay computes. *)
-let demand_peaks ~core_count trace =
-  let m = Memalloc.create Memalloc.Lifetime ~core_count ~capacity:None in
+(* Replay an allocation trace through a fresh {!Memalloc} of the given
+   discipline.  The planner's demand peaks and the verifier's memory
+   check both go through here, so the two read the same numbers. *)
+let replay strategy ~core_count ~capacity trace =
+  let m = Memalloc.create strategy ~core_count ~capacity in
   Array.iter
-    (fun ev ->
+    (fun (ev : Isa.mem_event) ->
       match ev with
       | Isa.Alloc { core; bytes; request } ->
           ignore (Memalloc.alloc m ~core ~bytes request)
@@ -217,7 +217,7 @@ let demand_peaks ~core_count trace =
           Memalloc.free_accumulator m ~core ~key
       | Isa.Free_ag_slot { core; key } -> Memalloc.free_ag_slot m ~core ~key)
     trace;
-  Memalloc.demand_peaks m
+  m
 
 (* --- spill planning ------------------------------------------------------- *)
 
@@ -278,7 +278,10 @@ let plan_core (buffers : buffer array) ~capacity =
 let plan_of_trace ~core_count ~capacity ?spill_budget trace =
   let n = Array.length trace in
   let all = buffers_of_trace ~core_count trace in
-  let demand = demand_peaks ~core_count trace in
+  let demand =
+    Memalloc.demand_peaks
+      (replay Memalloc.Lifetime ~core_count ~capacity:None trace)
+  in
   let resident = Array.make core_count 0 in
   let pair_bytes = Array.make n 0 in
   let skip = Array.make n false in

@@ -24,6 +24,17 @@ type plan = {
   spilled_buffers : int;
 }
 
+val replay :
+  Memalloc.strategy ->
+  core_count:int ->
+  capacity:int option ->
+  Isa.mem_event array ->
+  Memalloc.t
+(** A fresh {!Memalloc} of the given discipline after the whole trace:
+    the one replay behind the planner's demand peaks and {!Verify.run}'s
+    memory check.  Raises {!Memalloc.Doesnt_fit} as {!Memalloc.alloc}
+    does. *)
+
 val plan_of_trace :
   core_count:int ->
   capacity:int option ->

@@ -176,23 +176,16 @@ let structural ?graph (t : Isa.t) =
 
 let communication (t : Isa.t) =
   let acc : acc = ref [] in
-  (* Tags are dense handles in [0, num_tags), so the first endpoint on
-     each side lives in flat tag-indexed arrays (count = 0 means the tag
-     is unused); out-of-range tags are structural violations and skipped
-     here.  Walking tags in index order keeps reports deterministic
-     without a sort, and the flat layout keeps this pass allocation-free
-     on the dominant clean path. *)
+  (* Tags are dense handles in [0, num_tags), so the first SEND and the
+     first RECV on each tag are kept by global instruction id in flat
+     tag-indexed arrays (count = 0 means the tag is unused);
+     out-of-range tags are structural violations and skipped here.
+     Walking tags in index order keeps reports deterministic without a
+     sort, and the flat layout keeps this pass allocation-free on the
+     dominant clean path. *)
   let num_tags = max 0 t.num_tags in
-  let s_count = Array.make num_tags 0 in
-  let s_core = Array.make num_tags 0 in
-  let s_idx = Array.make num_tags 0 in
-  let s_peer = Array.make num_tags 0 in
-  let s_bytes = Array.make num_tags 0 in
-  let r_count = Array.make num_tags 0 in
-  let r_core = Array.make num_tags 0 in
-  let r_idx = Array.make num_tags 0 in
-  let r_peer = Array.make num_tags 0 in
-  let r_bytes = Array.make num_tags 0 in
+  let s_count = Array.make num_tags 0 and s_first = Array.make num_tags 0 in
+  let r_count = Array.make num_tags 0 and r_first = Array.make num_tags 0 in
   (* Deadlock graph scaffolding (filled below): the single sweep both
      collects endpoints and counts dep out-degrees, since each full pass
      over a large program is cache traffic worth avoiding. *)
@@ -216,6 +209,10 @@ let communication (t : Isa.t) =
       { Isa.op = Isa.Load { bytes = 0 }; deps = []; node_id = -1 }
   in
   let core_of = Array.make n 0 in
+  let endpoint (count : int array) (first : int array) tag id =
+    if count.(tag) = 0 then first.(tag) <- id;
+    count.(tag) <- count.(tag) + 1
+  in
   Array.iteri
     (fun core instrs ->
       let len = Array.length instrs in
@@ -232,55 +229,55 @@ let communication (t : Isa.t) =
                 outdeg.(gid core d) <- outdeg.(gid core d) + 1)
             i.Isa.deps;
           match i.Isa.op with
-          | Isa.Send { dst; bytes; tag } when tag >= 0 && tag < num_tags ->
-              if s_count.(tag) = 0 then begin
-                s_core.(tag) <- core;
-                s_idx.(tag) <- idx;
-                s_peer.(tag) <- dst;
-                s_bytes.(tag) <- bytes
-              end;
-              s_count.(tag) <- s_count.(tag) + 1
-          | Isa.Recv { src; bytes; tag } when tag >= 0 && tag < num_tags ->
-              if r_count.(tag) = 0 then begin
-                r_core.(tag) <- core;
-                r_idx.(tag) <- idx;
-                r_peer.(tag) <- src;
-                r_bytes.(tag) <- bytes
-              end;
-              r_count.(tag) <- r_count.(tag) + 1
+          | Isa.Send { tag; _ } when tag >= 0 && tag < num_tags ->
+              endpoint s_count s_first tag (gid core idx)
+          | Isa.Recv { tag; _ } when tag >= 0 && tag < num_tags ->
+              endpoint r_count r_first tag (gid core idx)
           | _ -> ())
         instrs)
     t.cores;
+  (* an endpoint's index on its core, peer core and bytes, by global id *)
+  let instr_of id = id - base.(core_of.(id)) in
+  let peer id =
+    match flat.(id).Isa.op with
+    | Isa.Send { dst = c; _ } | Isa.Recv { src = c; _ } -> c
+    | _ -> assert false
+  in
+  let bytes id =
+    match flat.(id).Isa.op with
+    | Isa.Send { bytes; _ } | Isa.Recv { bytes; _ } -> bytes
+    | _ -> assert false
+  in
   (* matched tags feed the deadlock graph below *)
   let paired = Array.make num_tags false in
   for tag = 0 to num_tags - 1 do
     let sc = s_count.(tag) and rc = r_count.(tag) in
+    let s = s_first.(tag) and r = r_first.(tag) in
     if sc > 1 then
-      add acc Duplicate_tag ~core:s_core.(tag) ~instr:s_idx.(tag)
+      add acc Duplicate_tag ~core:core_of.(s) ~instr:(instr_of s)
         (Fmt.str "tag %d used by %d SENDs" tag sc);
     if rc > 1 then
-      add acc Duplicate_tag ~core:r_core.(tag) ~instr:r_idx.(tag)
+      add acc Duplicate_tag ~core:core_of.(r) ~instr:(instr_of r)
         (Fmt.str "tag %d used by %d RECVs" tag rc);
     match (sc, rc) with
     | 1, 1 ->
-        if s_peer.(tag) <> r_core.(tag) || r_peer.(tag) <> s_core.(tag) then
-          add acc Rendezvous_mismatch ~core:s_core.(tag) ~instr:s_idx.(tag)
+        if peer s <> core_of.(r) || peer r <> core_of.(s) then
+          add acc Rendezvous_mismatch ~core:core_of.(s) ~instr:(instr_of s)
             (Fmt.str
                "tag %d: SEND %d->%d but RECV on core %d expects source %d"
-               tag s_core.(tag) s_peer.(tag) r_core.(tag) r_peer.(tag))
-        else if s_bytes.(tag) <> r_bytes.(tag) then
-          add acc Rendezvous_mismatch ~core:s_core.(tag) ~instr:s_idx.(tag)
+               tag core_of.(s) (peer s) core_of.(r) (peer r))
+        else if bytes s <> bytes r then
+          add acc Rendezvous_mismatch ~core:core_of.(s) ~instr:(instr_of s)
             (Fmt.str "tag %d: SEND carries %dB but RECV expects %dB" tag
-               s_bytes.(tag) r_bytes.(tag))
+               (bytes s) (bytes r))
         else paired.(tag) <- true
     | 1, 0 ->
-        add acc Unmatched_send ~core:s_core.(tag) ~instr:s_idx.(tag)
-          (Fmt.str "SEND tag %d to core %d has no matching RECV" tag
-             s_peer.(tag))
+        add acc Unmatched_send ~core:core_of.(s) ~instr:(instr_of s)
+          (Fmt.str "SEND tag %d to core %d has no matching RECV" tag (peer s))
     | 0, 1 ->
-        add acc Unmatched_recv ~core:r_core.(tag) ~instr:r_idx.(tag)
+        add acc Unmatched_recv ~core:core_of.(r) ~instr:(instr_of r)
           (Fmt.str "RECV tag %d from core %d has no matching SEND" tag
-             r_peer.(tag))
+             (peer r))
     | _ -> () (* unused, or duplicates already reported *)
   done;
   (* Deadlock-freedom.  The engine executes pure dataflow: an
@@ -295,9 +292,9 @@ let communication (t : Isa.t) =
   let pair_of = Array.make n (-1) in
   for tag = 0 to num_tags - 1 do
     if paired.(tag) then begin
-      let a = gid s_core.(tag) s_idx.(tag) in
+      let a = s_first.(tag) in
       outdeg.(a) <- outdeg.(a) + 1;
-      pair_of.(gid r_core.(tag) r_idx.(tag)) <- a
+      pair_of.(r_first.(tag)) <- a
     end
   done;
   let stack = Array.make (max 1 n) 0 in
@@ -349,8 +346,7 @@ let communication (t : Isa.t) =
             instrs)
         t.cores;
       for tag = 0 to num_tags - 1 do
-        if paired.(tag) then
-          f (gid s_core.(tag) s_idx.(tag)) (gid r_core.(tag) r_idx.(tag))
+        if paired.(tag) then f s_first.(tag) r_first.(tag)
       done
     in
     each_edge (fun a _ -> start.(a + 1) <- start.(a + 1) + 1);
@@ -473,19 +469,9 @@ let resources ?config (t : Isa.t) =
             = t.core_count -> (
       try
         let m =
-          Memalloc.create t.allocator ~core_count:t.core_count ~capacity:cap
+          Lifetime.replay t.allocator ~core_count:t.core_count ~capacity:cap
+            t.mem_trace
         in
-        Array.iter
-          (fun (ev : Isa.mem_event) ->
-            match ev with
-            | Isa.Alloc { core; bytes; request } ->
-                ignore (Memalloc.alloc m ~core ~bytes request)
-            | Isa.Free { core; bytes } -> Memalloc.free m ~core ~bytes
-            | Isa.Free_accumulator { core; key } ->
-                Memalloc.free_accumulator m ~core ~key
-            | Isa.Free_ag_slot { core; key } ->
-                Memalloc.free_ag_slot m ~core ~key)
-          t.mem_trace;
         Array.iteri
           (fun core peak ->
             if peak <> t.memory.Isa.local_peak_bytes.(core) then
@@ -588,43 +574,3 @@ let report ppf = function
         (if List.length vs = 1 then "" else "s")
         Fmt.(list ~sep:cut (fun ppf v -> Fmt.pf ppf "  %a" pp_violation v))
         vs
-
-let run_exn ?graph ?config t =
-  match run ?graph ?config t with
-  | [] -> ()
-  | vs -> invalid_arg (Fmt.str "Verify: %s: %a" t.Isa.graph_name report vs)
-
-(* The index-soundness subset a simulator needs before unchecked
-   accesses: weaker than [run] on purpose — micro-programs with
-   unmatched rendezvous or blank memory reports must still simulate. *)
-let well_formed_exn (t : Isa.t) =
-  let num_ags = Array.length t.ag_core in
-  let fail core idx fmt =
-    Fmt.kstr
-      (fun m -> invalid_arg (Fmt.str "Verify: core %d instr %d: %s" core idx m))
-      fmt
-  in
-  Array.iteri
-    (fun core instrs ->
-      Array.iteri
-        (fun idx (i : Isa.instr) ->
-          List.iter
-            (fun d ->
-              if d < 0 || d >= Array.length instrs then
-                fail core idx "dep %d out of range" d)
-            i.Isa.deps;
-          match i.Isa.op with
-          | Isa.Mvm m ->
-              if m.ag < 0 || m.ag >= num_ags then
-                fail core idx "invalid AG %d" m.ag
-          | Isa.Send { dst; tag; _ } ->
-              if dst < 0 || dst >= t.core_count then
-                fail core idx "SEND to nonexistent core %d" dst;
-              if tag < 0 then fail core idx "negative rendezvous tag %d" tag
-          | Isa.Recv { src; tag; _ } ->
-              if src < 0 || src >= t.core_count then
-                fail core idx "RECV from nonexistent core %d" src;
-              if tag < 0 then fail core idx "negative rendezvous tag %d" tag
-          | Isa.Vec _ | Isa.Load _ | Isa.Store _ -> ())
-        instrs)
-    t.cores

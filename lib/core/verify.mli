@@ -55,31 +55,12 @@ type violation = {
 
 val pp_violation : violation Fmt.t
 
-val structural : ?graph:Nnir.Graph.t -> Isa.t -> violation list
-(** Shape checks only.  [graph] enables node-provenance validation. *)
-
-val communication : Isa.t -> violation list
-(** Rendezvous pairing and deadlock-freedom. *)
-
-val resources : ?config:Pimhw.Config.t -> Isa.t -> violation list
-(** Memory-report replay and capacity checks.  Without [config] the
-    peak/spill replay is skipped for high-throughput programs (their
-    scratchpad capacity is a hardware parameter), but global-traffic
-    recomputation always runs. *)
-
 val run : ?graph:Nnir.Graph.t -> ?config:Pimhw.Config.t -> Isa.t -> violation list
-(** All three families, in order.  Empty list = the program verifies. *)
-
-val run_exn : ?graph:Nnir.Graph.t -> ?config:Pimhw.Config.t -> Isa.t -> unit
-(** Raises [Invalid_argument] with a rendered report on any violation. *)
-
-val well_formed_exn : Isa.t -> unit
-(** The index-soundness subset a simulator needs before it may use
-    unchecked accesses: dep indices in range, MVM AG ids inside the AG
-    table, SEND/RECV peers inside the core grid, tags non-negative.
-    Deliberately weaker than {!run} — hand-built micro-programs with
-    unmatched rendezvous (deadlock tests) or blank memory reports must
-    still simulate.  Raises [Invalid_argument] on the first failure. *)
+(** All three families, in order: structural, communication, resources.
+    Empty list = the program verifies.  [graph] enables node-provenance
+    validation.  Without [config] the peak/spill replay is skipped for
+    high-throughput programs (their scratchpad capacity is a hardware
+    parameter), but global-traffic recomputation always runs. *)
 
 val report : violation list Fmt.t
 (** Multi-line rendering: one line per violation, or a clean bill. *)

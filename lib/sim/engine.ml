@@ -116,12 +116,21 @@ type t = {
 let bytes_to_flits (hw : Pimhw.Config.t) bytes =
   max 1 ((bytes + hw.Pimhw.Config.flit_bytes - 1) / hw.Pimhw.Config.flit_bytes)
 
+(* An index the arena and the run loop would use unchecked. *)
+let reject core idx fmt =
+  Fmt.kstr
+    (fun m ->
+      invalid_arg (Fmt.str "Engine.arena: core %d instr %d: %s" core idx m))
+    fmt
+
+let rec count_deps core idx len acc = function
+  | [] -> acc
+  | d :: rest ->
+      if d < 0 || d >= len then reject core idx "dep %d out of range" d;
+      count_deps core idx len (acc + 1) rest
+
 let arena ?(parallelism = default_parallelism) (hw : Pimhw.Config.t)
     (program : Isa.t) =
-  (* Index soundness (dep ranges, AG ids, rendezvous endpoints and tags)
-     is established once by the shared static checker, so the arena
-     build and the run loop can use unchecked accesses. *)
-  Pimcomp.Verify.well_formed_exn program;
   let timing = Pimhw.Timing.create ~parallelism hw in
   let energy = Pimhw.Energy_model.create hw in
   let core_count = program.Isa.core_count in
@@ -143,23 +152,36 @@ let arena ?(parallelism = default_parallelism) (hw : Pimhw.Config.t)
   let em = energy in
   let lr = em.Pimhw.Energy_model.local_read_pj_per_byte in
   let lw = em.Pimhw.Energy_model.local_write_pj_per_byte in
-  (* first pass: flatten, decode ops, precompute charges, count deps *)
+  (* first pass: flatten, decode ops, precompute charges, count deps.
+     Every index the later passes and the run loop use unchecked is
+     checked here, as it is decoded: deps inside their core, MVM AGs
+     inside the AG table, SEND/RECV peers inside the core grid, tags
+     non-negative.  Nothing more: micro-programs with unmatched
+     rendezvous or blank memory reports must still simulate. *)
   let max_tag = ref (-1) in
   let total_deps = ref 0 in
   let g = ref 0 in
+  let check_peer core idx what peer tag =
+    if peer < 0 || peer >= core_count then
+      reject core idx "%s nonexistent core %d" what peer;
+    if tag < 0 then reject core idx "negative rendezvous tag %d" tag
+  in
   Array.iteri
     (fun core instrs ->
+      let len = Array.length instrs in
       Array.iteri
         (fun idx (i : Isa.instr) ->
           let id = !g in
           incr g;
           core_of.(id) <- core;
           idx_of.(id) <- idx;
-          let nd = List.length i.Isa.deps in
+          let nd = count_deps core idx len 0 i.Isa.deps in
           dep_count.(id) <- nd;
           total_deps := !total_deps + nd;
           match i.Isa.op with
           | Isa.Mvm m ->
+              if m.ag < 0 || m.ag >= num_ags then
+                reject core idx "invalid AG %d" m.ag;
               let w = float_of_int m.windows in
               kind.(id) <- k_mvm;
               res_of.(id) <- m.ag;
@@ -207,6 +229,7 @@ let arena ?(parallelism = default_parallelism) (hw : Pimhw.Config.t)
               pe_noc.(id) <-
                 Pimhw.Energy_model.message_energy_pj em ~hops ~bytes
           | Isa.Send s ->
+              check_peer core idx "SEND to" s.dst s.tag;
               kind.(id) <- k_send;
               tag_of.(id) <- s.tag;
               if s.tag > !max_tag then max_tag := s.tag;
@@ -216,6 +239,7 @@ let arena ?(parallelism = default_parallelism) (hw : Pimhw.Config.t)
               pe_noc.(id) <-
                 Pimhw.Energy_model.message_energy_pj em ~hops ~bytes:s.bytes
           | Isa.Recv r ->
+              check_peer core idx "RECV from" r.src r.tag;
               kind.(id) <- k_recv;
               tag_of.(id) <- r.tag;
               if r.tag > !max_tag then max_tag := r.tag)
@@ -347,21 +371,19 @@ let reset a =
   a.load_bytes <- 0;
   a.store_bytes <- 0
 
-(* Shared result epilogue: the same expression shapes for every float,
-   whether the inputs came from event-by-event simulation or the period
-   detector's analytic closure — so any two paths fed bitwise-equal
-   inputs produce bitwise-equal metrics. *)
-let make_metrics a ~core_first ~core_last ~e_mvm ~e_vec ~e_local ~e_global
-    ~e_noc ~executed ~instrs_total ~mvm_windows ~messages ~flit_hops
-    ~load_bytes ~store_bytes ~local_peak_bytes ~local_resident_peak_bytes
-    ~simulated_instances ~extrapolated_instances =
-  let makespan = Array.fold_left Float.max 0.0 core_last in
+(* The result epilogue over the arena's counters, which hold the whole
+   run by now: event-by-event simulation, plus the period detector's
+   analytic closure when it fired.  The per-core local-memory peaks are
+   zero; [exec] puts the program's own report in their place. *)
+let make_metrics a ~batches ~extrapolated =
+  let makespan = Array.fold_left Float.max 0.0 a.core_last in
   let em = a.energy in
   let core_busy =
     Array.mapi
       (fun i last ->
-        if core_first.(i) = Float.infinity then 0.0 else last -. core_first.(i))
-      core_last
+        if a.core_first.(i) = Float.infinity then 0.0
+        else last -. a.core_first.(i))
+      a.core_last
   in
   let core_static =
     Array.fold_left
@@ -373,6 +395,8 @@ let make_metrics a ~core_first ~core_last ~e_mvm ~e_vec ~e_local ~e_global
       (fun acc busy -> acc +. (busy *. em.Pimhw.Energy_model.router_static_mw))
       0.0 core_busy
   in
+  let instrs_total = batches * a.n in
+  let zero_peaks = Array.make a.core_count 0 in
   {
     Metrics.graph_name = a.program.Isa.graph_name;
     mode = a.program.Isa.mode;
@@ -385,11 +409,11 @@ let make_metrics a ~core_first ~core_last ~e_mvm ~e_vec ~e_local ~e_global
       makespan *. float_of_int (max 1 a.program.Isa.pipeline_depth);
     energy =
       {
-        Metrics.mvm_pj = e_mvm;
-        vec_pj = e_vec;
-        local_mem_pj = e_local;
-        global_mem_pj = e_global;
-        noc_pj = e_noc;
+        Metrics.mvm_pj = a.e_mvm;
+        vec_pj = a.e_vec;
+        local_mem_pj = a.e_local;
+        global_mem_pj = a.e_global;
+        noc_pj = a.e_noc;
         core_static_pj = core_static;
         router_static_pj = router_static;
         global_static_pj =
@@ -397,19 +421,19 @@ let make_metrics a ~core_first ~core_last ~e_mvm ~e_vec ~e_local ~e_global
         hyper_transport_static_pj =
           makespan *. em.Pimhw.Energy_model.hyper_transport_static_mw;
       };
-    instrs_executed = executed;
+    instrs_executed = a.executed;
     instrs_total;
-    mvm_windows;
-    messages;
-    flit_hops;
-    global_load_bytes = load_bytes;
-    global_store_bytes = store_bytes;
+    mvm_windows = a.mvm_windows;
+    messages = a.messages;
+    flit_hops = a.flit_hops;
+    global_load_bytes = a.load_bytes;
+    global_store_bytes = a.store_bytes;
     core_busy_ns = core_busy;
-    local_peak_bytes;
-    local_resident_peak_bytes;
-    deadlocked = executed < instrs_total;
-    simulated_instances;
-    extrapolated_instances;
+    local_peak_bytes = zero_peaks;
+    local_resident_peak_bytes = zero_peaks;
+    deadlocked = a.executed < instrs_total;
+    simulated_instances = batches - extrapolated;
+    extrapolated_instances = extrapolated;
   }
 
 (* --- The event loop ----------------------------------------------------------
@@ -883,63 +907,46 @@ let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
       if c = n then on_retire slot inst tnow
     end
   done;
-  let zero_peaks = Array.make a.core_count 0 in
-  let metrics =
-    if !fired then begin
-      (* The simulated stream ran [batches - skip] instances; the true
-         stream's timing is that run with every touched core's busy
-         frontier displaced [skip] steady intervals later (the first
-         instance, and each core's first-busy time, are unchanged).
-         Integer counters come from the static per-instance totals, so
-         they are exact by construction; dynamic energies add one steady
-         per-instance quantum per skipped instance. *)
-      let skip = float_of_int !fire_skip in
-      let shift = skip *. !fire_interval in
-      let core_last =
-        Array.mapi
-          (fun c t ->
-            if a.core_first.(c) = Float.infinity then t else t +. shift)
-          a.core_last
-      in
-      let times_batches msg per_instance =
-        let x = ref 0 in
-        for g = 0 to n - 1 do
-          x := !x + per_instance g
-        done;
-        if !x <> 0 && batches > max_int / !x then
-          invalid_arg
-            (Fmt.str "Engine.stream: %s x %d batches overflows" msg !x)
-        else !x * batches
-      in
-      let of_kind k v g = if kind.(g) = k then v.(g) else 0 in
-      make_metrics a ~core_first:a.core_first ~core_last
-        ~e_mvm:(a.e_mvm +. (skip *. fire_s.(0)))
-        ~e_vec:(a.e_vec +. (skip *. fire_s.(1)))
-        ~e_local:(a.e_local +. (skip *. fire_s.(2)))
-        ~e_global:(a.e_global +. (skip *. fire_s.(3)))
-        ~e_noc:(a.e_noc +. (skip *. fire_s.(4)))
-        ~executed:total ~instrs_total:total
-        ~mvm_windows:(times_batches "MVM windows" (Array.get a.windows_d))
-        ~messages:
-          (times_batches "messages" (fun g ->
-               if kind.(g) = k_send then 1 else 0))
-        ~flit_hops:(times_batches "flit-hops" (Array.get a.flithops_d))
-        ~load_bytes:(times_batches "load bytes" (of_kind k_load a.bytes_d))
-        ~store_bytes:(times_batches "store bytes" (of_kind k_store a.bytes_d))
-        ~local_peak_bytes:zero_peaks ~local_resident_peak_bytes:zero_peaks
-        ~simulated_instances:(batches - !fire_skip)
-        ~extrapolated_instances:!fire_skip
-    end
-    else
-      make_metrics a ~core_first:a.core_first ~core_last:a.core_last
-        ~e_mvm:a.e_mvm ~e_vec:a.e_vec ~e_local:a.e_local ~e_global:a.e_global
-        ~e_noc:a.e_noc ~executed:a.executed ~instrs_total:total
-        ~mvm_windows:a.mvm_windows ~messages:a.messages
-        ~flit_hops:a.flit_hops ~load_bytes:a.load_bytes
-        ~store_bytes:a.store_bytes ~local_peak_bytes:zero_peaks
-        ~local_resident_peak_bytes:zero_peaks ~simulated_instances:batches
-        ~extrapolated_instances:0
-  in
+  if !fired then begin
+    (* The simulated stream ran [batches - skip] instances; the true
+       stream's timing is that run with every touched core's busy
+       frontier displaced [skip] steady intervals later (the first
+       instance, and each core's first-busy time, are unchanged).
+       Integer counters come from the static per-instance totals, so
+       they are exact by construction; dynamic energies add one steady
+       per-instance quantum per skipped instance. *)
+    let skip = float_of_int !fire_skip in
+    let shift = skip *. !fire_interval in
+    for c = 0 to a.core_count - 1 do
+      if a.core_first.(c) <> Float.infinity then
+        a.core_last.(c) <- a.core_last.(c) +. shift
+    done;
+    let times_batches msg per_instance =
+      let x = ref 0 in
+      for g = 0 to n - 1 do
+        x := !x + per_instance g
+      done;
+      if !x <> 0 && batches > max_int / !x then
+        invalid_arg
+          (Fmt.str "Engine.stream: %s x %d batches overflows" msg !x)
+      else !x * batches
+    in
+    let of_kind k v g = if kind.(g) = k then v.(g) else 0 in
+    a.e_mvm <- a.e_mvm +. (skip *. fire_s.(0));
+    a.e_vec <- a.e_vec +. (skip *. fire_s.(1));
+    a.e_local <- a.e_local +. (skip *. fire_s.(2));
+    a.e_global <- a.e_global +. (skip *. fire_s.(3));
+    a.e_noc <- a.e_noc +. (skip *. fire_s.(4));
+    a.executed <- total;
+    a.mvm_windows <- times_batches "MVM windows" (Array.get a.windows_d);
+    a.messages <-
+      times_batches "messages" (fun g -> if kind.(g) = k_send then 1 else 0);
+    a.flit_hops <- times_batches "flit-hops" (Array.get a.flithops_d);
+    a.load_bytes <- times_batches "load bytes" (of_kind k_load a.bytes_d);
+    a.store_bytes <- times_batches "store bytes" (of_kind k_store a.bytes_d)
+  end;
+  let extrapolated = if !fired then !fire_skip else 0 in
+  let metrics = make_metrics a ~batches ~extrapolated in
   let state_words =
     if not measure then 0
     else
@@ -952,8 +959,8 @@ let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
   let stats =
     {
       batches;
-      simulated_instances = (if !fired then batches - !fire_skip else batches);
-      extrapolated_instances = (if !fired then !fire_skip else 0);
+      simulated_instances = batches - extrapolated;
+      extrapolated_instances = extrapolated;
       fired_at = (if !fired then Some !fire_at else None);
       steady_interval_ns = (if !fired then Some !fire_interval else None);
       peak_slots = w;

@@ -16,12 +16,12 @@
 
     Execution is dataflow (dependency-driven): well-formed programs
     always terminate, and unmatched rendezvous surface as
-    [deadlocked = true] in the result instead of a hang.  Programs are
-    screened by [Pimcomp.Verify.well_formed_exn] — the index-soundness
-    subset of the full verifier, so hand-built micro-programs with
-    unmatched rendezvous or blank memory reports still simulate.  A
+    [deadlocked = true] in the result instead of a hang.  {!arena}
+    checks only the indices the simulator uses unchecked, so hand-built
+    micro-programs with unmatched rendezvous or blank memory reports
+    still simulate; {!Pimcomp.Verify.run} is the full contract.  A
     program that executes two SENDs on the same rendezvous tag (possible
-    only past that subset) is rejected with [Invalid_argument] instead
+    only past those checks) is rejected with [Invalid_argument] instead
     of silently overwriting the earlier message. *)
 
 type t
@@ -36,7 +36,11 @@ val default_parallelism : int
 
 val arena : ?parallelism:int -> Pimhw.Config.t -> Pimcomp.Isa.t -> t
 (** Build the flat arena: O(instructions + edges), performed once per
-    (program, parallelism, hardware) triple. *)
+    (program, parallelism, hardware) triple.  Raises [Invalid_argument]
+    naming the core and instruction of the first index it decodes out of
+    range: a dep outside its core, an MVM AG outside the AG table, a
+    SEND/RECV peer outside the core grid, or a negative rendezvous
+    tag. *)
 
 val exec :
   ?on_schedule:(core:int -> index:int -> start:float -> finish:float -> unit) ->

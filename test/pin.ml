@@ -23,6 +23,12 @@
      tables and, per weighted node, its replication and, per replica,
      the window range, the head core and the AG ids grouped by core.
 
+   - the GA under the energy-delay objective, which no other pin
+     reaches: [Genetic.optimize] and [optimize_islands] (default island
+     parameters) on squeezenet and resnet18 at 56 px, HT and LL, with
+     [Genetic.fast_params] at seed 42: the best fitness, the evaluation
+     count and the history length.
+
    Floats print as %h (exact hex).  After an intended change to one of
    these results, regenerate with [dune build @runtest] then
    [dune promote]. *)
@@ -273,8 +279,41 @@ let layouts () =
         Pimcomp.Mode.all)
     [ "vgg16"; "resnet18"; "squeezenet"; "googlenet"; "inception_v3" ]
 
+let edp_row name mode =
+  let graph = Nnir.Zoo.build ~input_size:56 name in
+  let table = Pimcomp.Partition.of_graph hw graph in
+  let core_count = Pimcomp.Partition.fit_core_count table in
+  let timing = Pimhw.Timing.create hw in
+  let params = Pimcomp.Genetic.fast_params in
+  let objective = Pimcomp.Fitness.Minimize_energy_delay in
+  let max_node_num_in_core =
+    Pimcomp.Compile.default_options.Pimcomp.Compile.max_node_num_in_core
+  in
+  let row search (r : Pimcomp.Genetic.result) =
+    Printf.printf "edp %s %s %s best=%s evaluations=%d history=%d\n" search
+      name
+      (Pimcomp.Mode.to_string mode)
+      (hex r.Pimcomp.Genetic.best_fitness)
+      r.Pimcomp.Genetic.evaluations
+      (List.length r.Pimcomp.Genetic.history)
+  in
+  row "optimize"
+    (Pimcomp.Genetic.optimize ~params ~objective ~mode ~timing
+       ~rng:(Pimcomp.Rng.create ~seed:42)
+       table ~core_count ~max_node_num_in_core ());
+  row "islands"
+    (Pimcomp.Genetic.optimize_islands ~params ~objective ~mode ~timing
+       ~rng:(Pimcomp.Rng.create ~seed:42)
+       table ~core_count ~max_node_num_in_core ())
+
+let edps () =
+  List.iter
+    (fun name -> List.iter (edp_row name) Pimcomp.Mode.all)
+    [ "squeezenet"; "resnet18" ]
+
 let () =
   streams ();
   synths ();
   lifetimes ();
-  layouts ()
+  layouts ();
+  edps ()

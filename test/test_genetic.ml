@@ -413,6 +413,49 @@ let test_negative_iterations_rejected () =
         (Pimcomp.Genetic.random_search ~params ~mode ~timing ~rng:(rng ())
            table ~core_count:cores ~max_node_num_in_core:16 ()))
 
+(* [progress] is what [bench -- ga] draws its best-vs-time curves from:
+   it fires after every generation of [optimize] and after every
+   migration batch of [optimize_islands] (the last batch may be short),
+   and each [best] is the history entry of the generation it reports. *)
+let test_progress () =
+  let table, cores = setup "tiny" 16 in
+  let timing = Pimhw.Timing.create ~parallelism:8 hw in
+  let reported = ref [] in
+  let progress ~generations ~best =
+    reported := (generations, best) :: !reported
+  in
+  let check_calls label ~batch (r : Pimcomp.Genetic.result) =
+    let calls = List.rev !reported in
+    reported := [];
+    let n = r.Pimcomp.Genetic.generations_run in
+    Alcotest.(check (list int))
+      (label ^ ": generations reported")
+      (List.init ((n + batch - 1) / batch) (fun k -> min n ((k + 1) * batch)))
+      (List.map fst calls);
+    List.iter
+      (fun (g, best) ->
+        Alcotest.(check string)
+          (Fmt.str "%s: best at generation %d" label g)
+          (Printf.sprintf "%h" (List.nth r.Pimcomp.Genetic.history g))
+          (Printf.sprintf "%h" best))
+      calls
+  in
+  let params = { params with Pimcomp.Genetic.iterations = 23 } in
+  List.iter
+    (fun mode ->
+      let rng () = Pimcomp.Rng.create ~seed:29 in
+      check_calls "optimize" ~batch:1
+        (Pimcomp.Genetic.optimize ~params ~progress ~mode ~timing ~rng:(rng ())
+           table ~core_count:cores ~max_node_num_in_core:16 ());
+      let island =
+        { Pimcomp.Genetic.default_island_params with migration_interval = 5 }
+      in
+      check_calls "optimize_islands" ~batch:5
+        (Pimcomp.Genetic.optimize_islands ~params ~island ~progress ~mode
+           ~timing ~rng:(rng ()) table ~core_count:cores
+           ~max_node_num_in_core:16 ()))
+    Pimcomp.Mode.all
+
 (* --- Rng.int stream ----------------------------------------------------------- *)
 
 (* Reference [Rng.int] without the fast-accept path: every draw is
@@ -709,6 +752,8 @@ let () =
             test_random_search_history_curve;
           Alcotest.test_case "negative iterations rejected" `Quick
             test_negative_iterations_rejected;
+          Alcotest.test_case "progress per generation and batch" `Quick
+            test_progress;
         ] );
       ( "pinned",
         [

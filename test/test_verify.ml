@@ -283,6 +283,11 @@ let test_corpus_rejected () =
   Alcotest.(check bool) "corpus covers >= 8 distinct violation kinds" true
     (Hashtbl.length distinct >= 8)
 
+let contains ~needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 let test_clean_program_accepted () =
   let g, p = compile () in
   Alcotest.(check int) "no violations" 0
@@ -294,44 +299,93 @@ let test_clean_program_accepted () =
   let _, kind, corrupted, _ = List.nth cases 0 in
   let vs = Verify.run ~graph:cg ~config:hw corrupted in
   let rendered = Fmt.str "%a" Verify.report vs in
-  let contains ~needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "violation report names the kind" true
     (contains ~needle:(Verify.kind_name kind) rendered)
 
-let test_compile_rejects_corruption () =
-  (* compile with verify=true must raise on a program the schedulers
-     could never emit -- exercised through run_exn, which Compile uses *)
+(* [Compile.compile]'s self-check reads [Verify.run]: a RECV replaced by
+   a no-op leaves the SEND on its tag unmatched, reported at that SEND,
+   and the clean program reports nothing. *)
+let test_run_reports_neutralised_recv () =
   let g, p = compile ~name:"alexnet" () in
-  let core, idx, _ = find_op p is_recv in
+  let core, idx, recv = find_op p is_recv in
+  let tag = match recv.Isa.op with Isa.Recv r -> r.tag | _ -> assert false in
+  let send_core, send_idx, _ =
+    find_op p (function Isa.Send s -> s.tag = tag | _ -> false)
+  in
   let corrupted = map_instr p ~core ~idx neutralise in
-  (match Verify.run_exn ~graph:g ~config:hw corrupted with
-  | () -> Alcotest.fail "run_exn accepted a corrupted program"
-  | exception Invalid_argument msg ->
-      Alcotest.(check bool) "message names the violation" true
-        (String.length msg > 0));
-  Verify.run_exn ~graph:g ~config:hw p
+  (match Verify.run ~graph:g ~config:hw corrupted with
+  | [ v ] ->
+      Alcotest.(check string)
+        "kind" "unmatched-send"
+        (Verify.kind_name v.Verify.kind);
+      Alcotest.(check (option int)) "core" (Some send_core) v.Verify.core;
+      Alcotest.(check (option int)) "instr" (Some send_idx) v.Verify.instr
+  | vs ->
+      Alcotest.failf "expected one unmatched SEND, got: %a" Verify.report vs);
+  Alcotest.(check int) "clean program" 0
+    (List.length (Verify.run ~graph:g ~config:hw p))
 
-(* Engine-level subset: hand-built programs with unmatched rendezvous
-   must still pass (they simulate to a deadlocked result), while index
-   corruption must be rejected before the arena is built. *)
+(* Engine-level subset: [Engine.arena] rejects every index the simulator
+   reads unchecked, naming the instruction, while a hand-built program
+   whose RECV has lost its SEND builds and simulates to a deadlocked
+   result. *)
 let test_well_formed_subset () =
   let _, p = compile ~name:"alexnet" () in
-  let core, idx, _ = find_op p is_recv in
-  let unmatched = map_instr p ~core ~idx neutralise in
-  Verify.well_formed_exn unmatched;
-  let bad_dep =
-    map_instr p ~core ~idx (fun i -> { i with Isa.deps = [ 999_999 ] })
+  let mvm_core, mvm_idx, _ = find_op p is_mvm in
+  let send_core, send_idx, _ = find_op p is_send in
+  let recv_core, recv_idx, recv = find_op p is_recv in
+  let with_op core idx f =
+    (core, idx, map_instr p ~core ~idx (fun i -> { i with Isa.op = f i.Isa.op }))
   in
-  (match Verify.well_formed_exn bad_dep with
-  | () -> Alcotest.fail "well_formed_exn accepted a dangling dep"
-  | exception Invalid_argument _ -> ());
-  match Pimsim.Engine.run hw bad_dep with
-  | _ -> Alcotest.fail "engine simulated a program with a dangling dep"
-  | exception Invalid_argument _ -> ()
+  let mvm = with_op mvm_core mvm_idx in
+  let send = with_op send_core send_idx in
+  let recv_op = with_op recv_core recv_idx in
+  let dep d =
+    ( mvm_core,
+      mvm_idx,
+      map_instr p ~core:mvm_core ~idx:mvm_idx (fun i ->
+          { i with Isa.deps = [ d ] }) )
+  in
+  List.iter
+    (fun (label, (core, idx, bad)) ->
+      match Pimsim.Engine.arena hw bad with
+      | _ -> Alcotest.failf "arena accepted %s" label
+      | exception Invalid_argument msg ->
+          let site = Fmt.str "core %d instr %d" core idx in
+          Alcotest.(check bool)
+            (label ^ ": names " ^ site)
+            true
+            (contains ~needle:site msg))
+    [
+      ("a dep past its core", dep (Array.length p.Isa.cores.(mvm_core)));
+      ("a negative dep", dep (-1));
+      ( "an AG past the table",
+        mvm (function
+          | Isa.Mvm m -> Isa.Mvm { m with ag = Array.length p.Isa.ag_core }
+          | op -> op) );
+      ( "a negative AG",
+        mvm (function Isa.Mvm m -> Isa.Mvm { m with ag = -1 } | op -> op) );
+      ( "a SEND peer past the grid",
+        send (function
+          | Isa.Send s -> Isa.Send { s with dst = p.Isa.core_count }
+          | op -> op) );
+      ( "a negative RECV peer",
+        recv_op (function Isa.Recv r -> Isa.Recv { r with src = -1 } | op -> op)
+      );
+      ( "a negative SEND tag",
+        send (function Isa.Send s -> Isa.Send { s with tag = -1 } | op -> op) );
+      ( "a negative RECV tag",
+        recv_op (function Isa.Recv r -> Isa.Recv { r with tag = -2 } | op -> op)
+      );
+    ];
+  let tag = match recv.Isa.op with Isa.Recv r -> r.tag | _ -> assert false in
+  let lost_core, lost_idx, _ =
+    find_op p (function Isa.Send s -> s.tag = tag | _ -> false)
+  in
+  let lost = map_instr p ~core:lost_core ~idx:lost_idx neutralise in
+  Alcotest.(check bool)
+    "a RECV without its SEND deadlocks" true
+    (Pimsim.Engine.exec (Pimsim.Engine.arena hw lost)).Pimsim.Metrics.deadlocked
 
 (* --- qcheck: random mappings always produce verifying programs ------- *)
 
@@ -398,8 +452,8 @@ let () =
         [
           Alcotest.test_case "mutations rejected with kinds" `Quick
             test_corpus_rejected;
-          Alcotest.test_case "run_exn raises" `Quick
-            test_compile_rejects_corruption;
+          Alcotest.test_case "run reports a neutralised RECV" `Quick
+            test_run_reports_neutralised_recv;
           Alcotest.test_case "engine subset" `Quick test_well_formed_subset;
         ] );
       ( "random",
