@@ -403,6 +403,7 @@ let random_search ?(params = default_params) ?objective ~mode ~timing ~rng
   if params.iterations < 0 then
     invalid_arg "Genetic.random_search: iterations < 0";
   let budget = params.population * (params.iterations + 1) in
+  let ctx = Fitness.context ?objective mode timing table ~core_count in
   let evaluations = ref 0 in
   let best = ref None in
   let history_rev = ref [] in
@@ -413,7 +414,7 @@ let random_search ?(params = default_params) ?objective ~mode ~timing ~rng
      with
     | chrom ->
         incr evaluations;
-        let fitness = Fitness.evaluate ?objective mode timing chrom in
+        let fitness = Fitness.Inc.fitness (Fitness.Inc.create ctx chrom) in
         (match !best with
         | Some (_, bf) when bf <= fitness -> ()
         | _ -> best := Some (chrom, fitness))

@@ -10,8 +10,11 @@
    Work split across replicas:
    - HT mode: contiguous window ranges (replica r owns windows
      [lo, hi) of the node's H_out * W_out sliding windows);
-   - LL mode: output rows round-robin (row 1-based r belongs to replica
-     (r - 1) mod R), which staggers replicas across the row pipeline. *)
+   - LL mode: the output columns of every row — {!Schedule_ll} cuts each
+     row into C column chunks and gives chunk j to replica j * R / C, a
+     contiguous block of chunks per replica, so all R replicas cooperate
+     on every row (DESIGN.md §3.3).  The LL schedulers do not read the
+     window range. *)
 
 type replica = {
   ag_ids : int array;          (* global AG ids, by AG index in the replica *)

@@ -27,7 +27,11 @@
    spill pairs (the trace itself is invariant across passes, which is
    what lets {!Verify} recompute the plan from the program alone and
    check the stamped report).  The whole pass is deterministic: same
-   trace + same capacity -> same plan, bit for bit. *)
+   trace + same capacity -> same plan, bit for bit.
+
+   [apply] is the one function that drives an allocator with a trace
+   event: the schedulers' builder applies each event as it records it,
+   and [replay] folds it over a finished trace. *)
 
 (* --- the plan handed back to the scheduler's second pass ------------------ *)
 
@@ -39,7 +43,6 @@ type plan = {
   skip : bool array;
       (* per event ordinal: event belongs to a spilled buffer — record
          it in the trace but keep it away from the allocator *)
-  demand : int array;    (* per-core demand peak (no capacity clamp) *)
   resident : int array;  (* per-core placement peak *)
   spill : int;           (* total planned spill traffic, both ways *)
   spilled_buffers : int;
@@ -202,21 +205,24 @@ let place (buffers : buffer array) =
 
 (* --- trace replay ----------------------------------------------------------- *)
 
-(* Replay an allocation trace through a fresh {!Memalloc} of the given
-   discipline.  The planner's demand peaks and the verifier's memory
-   check both go through here, so the two read the same numbers. *)
+(* Drive an allocator with one trace event; returns the bytes an
+   allocation spilled (0 for a free). *)
+let apply m (ev : Isa.mem_event) =
+  match ev with
+  | Isa.Alloc { core; bytes; request } -> Memalloc.alloc m ~core ~bytes request
+  | Isa.Free { core; bytes } ->
+      Memalloc.free m ~core ~bytes;
+      0
+  | Isa.Free_accumulator { core; key } ->
+      Memalloc.free_accumulator m ~core ~key;
+      0
+  | Isa.Free_ag_slot { core; key } ->
+      Memalloc.free_ag_slot m ~core ~key;
+      0
+
 let replay strategy ~core_count ~capacity trace =
   let m = Memalloc.create strategy ~core_count ~capacity in
-  Array.iter
-    (fun (ev : Isa.mem_event) ->
-      match ev with
-      | Isa.Alloc { core; bytes; request } ->
-          ignore (Memalloc.alloc m ~core ~bytes request)
-      | Isa.Free { core; bytes } -> Memalloc.free m ~core ~bytes
-      | Isa.Free_accumulator { core; key } ->
-          Memalloc.free_accumulator m ~core ~key
-      | Isa.Free_ag_slot { core; key } -> Memalloc.free_ag_slot m ~core ~key)
-    trace;
+  Array.iter (fun ev -> ignore (apply m ev)) trace;
   m
 
 (* --- spill planning ------------------------------------------------------- *)
@@ -278,10 +284,6 @@ let plan_core (buffers : buffer array) ~capacity =
 let plan_of_trace ~core_count ~capacity ?spill_budget trace =
   let n = Array.length trace in
   let all = buffers_of_trace ~core_count trace in
-  let demand =
-    Memalloc.demand_peaks
-      (replay Memalloc.Lifetime ~core_count ~capacity:None trace)
-  in
   let resident = Array.make core_count 0 in
   let pair_bytes = Array.make n 0 in
   let skip = Array.make n false in
@@ -319,7 +321,6 @@ let plan_of_trace ~core_count ~capacity ?spill_budget trace =
     events = n;
     pair_bytes;
     skip;
-    demand;
     resident;
     spill = !spill;
     spilled_buffers = !spilled_buffers;
@@ -327,19 +328,10 @@ let plan_of_trace ~core_count ~capacity ?spill_budget trace =
 
 (* --- orchestration -------------------------------------------------------- *)
 
-let stamp plan (prog : Isa.t) =
-  {
-    prog with
-    Isa.memory =
-      {
-        Isa.local_peak_bytes = plan.demand;
-        local_resident_peak_bytes = plan.resident;
-        spill_bytes = plan.spill;
-        global_load_bytes = prog.Isa.memory.Isa.global_load_bytes;
-        global_store_bytes = prog.Isa.memory.Isa.global_store_bytes;
-      };
-  }
-
+(* The memory report: demand from the profiling pass, which applied
+   every event to its own unclamped [Lifetime] allocator; residency and
+   spill from the plan; global traffic as the emitting pass counted it,
+   planned round trips included. *)
 let optimise ~capacity ?spill_budget ~schedule () =
   let first = schedule None in
   let plan =
@@ -349,4 +341,13 @@ let optimise ~capacity ?spill_budget ~schedule () =
   let prog = if plan.spill > 0 then schedule (Some plan) else first in
   if Array.length prog.Isa.mem_trace <> plan.events then
     failwith "Lifetime.optimise: second emission pass diverged from the plan";
-  stamp plan prog
+  {
+    prog with
+    Isa.memory =
+      {
+        prog.Isa.memory with
+        Isa.local_peak_bytes = first.Isa.memory.Isa.local_peak_bytes;
+        local_resident_peak_bytes = plan.resident;
+        spill_bytes = plan.spill;
+      };
+  }

@@ -9,7 +9,10 @@
 
     The whole pass is a deterministic function of (trace, capacity):
     {!Verify} recomputes the plan from the program alone and checks the
-    stamped memory report against it. *)
+    stamped memory report against it.  {!apply} is the one way a trace
+    event reaches a {!Memalloc} allocator: the schedulers' builder
+    applies each event as it records it, and {!replay} folds it over a
+    finished trace. *)
 
 type plan = {
   events : int;           (** expected trace length *)
@@ -18,11 +21,15 @@ type plan = {
   skip : bool array;      (** per event ordinal: event belongs to a
                               spilled buffer — trace it, but keep it away
                               from the allocator *)
-  demand : int array;     (** per-core demand peak, no capacity clamp *)
   resident : int array;   (** per-core placement peak *)
   spill : int;            (** total planned spill traffic, both ways *)
   spilled_buffers : int;
 }
+
+val apply : Memalloc.t -> Isa.mem_event -> int
+(** Drive the allocator with one trace event.  Returns the bytes an
+    allocation spilled to global memory (0 for a free).  Raises
+    {!Memalloc.Doesnt_fit} as {!Memalloc.alloc} does. *)
 
 val replay :
   Memalloc.strategy ->
@@ -30,10 +37,8 @@ val replay :
   capacity:int option ->
   Isa.mem_event array ->
   Memalloc.t
-(** A fresh {!Memalloc} of the given discipline after the whole trace:
-    the one replay behind the planner's demand peaks and {!Verify.run}'s
-    memory check.  Raises {!Memalloc.Doesnt_fit} as {!Memalloc.alloc}
-    does. *)
+(** A fresh {!Memalloc} of the given discipline after {!apply} over the
+    whole trace: {!Verify.run}'s memory check. *)
 
 val plan_of_trace :
   core_count:int ->
@@ -54,8 +59,7 @@ val optimise :
 (** Runs [schedule None] to profile lifetimes, plans placement, re-runs
     [schedule (Some plan)] if spills are needed (the emission — and in
     particular the trace — must be identical up to the planned spill
-    pairs), and stamps the plan's memory report into the result. *)
-
-val stamp : plan -> Isa.t -> Isa.t
-(** Overwrite a program's memory report with the plan's numbers,
-    keeping the builder-accounted global traffic. *)
+    pairs), and stamps the memory report into the result: the profiling
+    pass's demand peaks (its builder applied every event to an
+    unclamped [Lifetime] allocator), the plan's placement peaks and
+    spill traffic, and the emitting pass's global traffic. *)

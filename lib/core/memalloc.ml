@@ -170,53 +170,32 @@ let reclaim c bytes =
   end
   else c.current <- c.current - resident
 
+(* A keyed block (accumulation chain, AG staging slot) is reused across
+   requests under its key and grows to the largest of them.  [find] +
+   [Not_found] rather than [find_opt]: the option box would be pure
+   garbage at one lookup per allocation event. *)
+let reuse t core table key bytes =
+  match Hashtbl.find table key with
+  | held when held >= bytes -> 0
+  | held ->
+      Hashtbl.replace table key bytes;
+      grow t core (bytes - held)
+  | exception Not_found ->
+      Hashtbl.add table key bytes;
+      grow t core bytes
+
 (* Request a buffer of [bytes] on [core].  Returns the number of bytes
-   that spilled (0 almost always; HT + naive overflows).  The scalar
-   entry points below are the per-instruction hot path: no [request]
-   value, and [find] + [Not_found] rather than [find_opt] because the
-   option box is pure garbage at this call rate. *)
-let alloc_fresh t ~core ~bytes =
-  if bytes < 0 then invalid_arg (Fmt.str "Memalloc.alloc: negative size %d" bytes);
-  check_fits t bytes;
-  grow t core bytes
-
-let alloc_accumulator t ~core ~bytes ~key =
-  if bytes < 0 then invalid_arg (Fmt.str "Memalloc.alloc: negative size %d" bytes);
-  check_fits t bytes;
-  match t.strategy with
-  | Naive -> grow t core bytes
-  | Add_reuse | Ag_reuse | Lifetime -> (
-      let c = t.cores.(core) in
-      match Hashtbl.find c.accumulators key with
-      | held when held >= bytes -> 0
-      | held ->
-          Hashtbl.replace c.accumulators key bytes;
-          grow t core (bytes - held)
-      | exception Not_found ->
-          Hashtbl.add c.accumulators key bytes;
-          grow t core bytes)
-
-let alloc_ag_slot t ~core ~bytes ~key =
-  if bytes < 0 then invalid_arg (Fmt.str "Memalloc.alloc: negative size %d" bytes);
-  check_fits t bytes;
-  match t.strategy with
-  | Naive | Add_reuse -> grow t core bytes
-  | Ag_reuse | Lifetime -> (
-      let c = t.cores.(core) in
-      match Hashtbl.find c.ag_slots key with
-      | held when held >= bytes -> 0
-      | held ->
-          Hashtbl.replace c.ag_slots key bytes;
-          grow t core (bytes - held)
-      | exception Not_found ->
-          Hashtbl.add c.ag_slots key bytes;
-          grow t core bytes)
-
+   that spilled (0 almost always; HT + naive overflows).  The schedulers'
+   builder reaches this through [Lifetime.apply], once per allocation
+   event. *)
 let alloc t ~core ~bytes request =
-  match request with
-  | Fresh -> alloc_fresh t ~core ~bytes
-  | Accumulator key -> alloc_accumulator t ~core ~bytes ~key
-  | Ag_slot key -> alloc_ag_slot t ~core ~bytes ~key
+  if bytes < 0 then invalid_arg (Fmt.str "Memalloc.alloc: negative size %d" bytes);
+  check_fits t bytes;
+  match (request, t.strategy) with
+  | Fresh, _ | Accumulator _, Naive | Ag_slot _, (Naive | Add_reuse) ->
+      grow t core bytes
+  | Accumulator key, _ -> reuse t core t.cores.(core).accumulators key bytes
+  | Ag_slot key, _ -> reuse t core t.cores.(core).ag_slots key bytes
 
 (* Release a plain block.  Only the reclaiming disciplines act: the
    naive and ADD-reuse disciplines of Fig. 7 leave dead blocks in

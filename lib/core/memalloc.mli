@@ -28,13 +28,6 @@ val alloc : t -> core:int -> bytes:int -> request -> int
 (** Returns the bytes that spilled to global memory (0 unless a capacity
     is set and exceeded). *)
 
-(** Scalar variants of {!alloc} for the schedulers' hot loops: same
-    semantics, no [request] value to construct per call. *)
-
-val alloc_fresh : t -> core:int -> bytes:int -> int
-val alloc_accumulator : t -> core:int -> bytes:int -> key:int -> int
-val alloc_ag_slot : t -> core:int -> bytes:int -> key:int -> int
-
 val free : t -> core:int -> bytes:int -> unit
 (** Reclaims only under [Ag_reuse] and [Lifetime]; a no-op for the other
     disciplines.  Only the portion of the freed bytes that was actually

@@ -119,77 +119,54 @@ let push_trace t ev =
   t.trace.(idx) <- ev;
   t.trace_len <- idx + 1
 
-(* Emit the spill round-trip if the allocator overflowed.  Returns the
-   indices of any spill instructions so callers can make dependent work
-   wait for them. *)
-let spill_instrs t ~core ~node spilled =
+(* Record one allocation event: trace it, check its ordinal against the
+   lifetime plan if one is installed, then apply it to the allocator —
+   or, when the plan spilled its buffer, keep it away from the allocator
+   and take the planned round trip instead.  Lifetime builders carry no
+   capacity, so a resident buffer never overflows; a legacy builder's
+   allocator reports its own overflow.  The second emission pass must
+   replay the profiled event stream exactly; an ordinal past the plan
+   means the scheduler diverged between passes.  Returns the index of
+   the round trip's LOAD, if any, for dependent work to wait on. *)
+let record t ~core ~node ev =
+  let ordinal = t.trace_len in
+  push_trace t ev;
+  let spilled =
+    match t.plan with
+    | None -> Lifetime.apply t.alloc ev
+    | Some plan ->
+        if ordinal >= plan.Lifetime.events then
+          failwith "Prog_builder: emission diverged from the lifetime plan";
+        if plan.Lifetime.skip.(ordinal) then
+          plan.Lifetime.pair_bytes.(ordinal)
+        else Lifetime.apply t.alloc ev
+  in
   if spilled > 0 then begin
     let s = emit_store t ~core ~deps:[] ~node ~bytes:spilled in
-    let l = emit_load t ~core ~deps:[ s ] ~node ~bytes:spilled in
-    [ l ]
+    [ emit_load t ~core ~deps:[ s ] ~node ~bytes:spilled ]
   end
   else []
 
-(* With a lifetime plan installed, the plan — not the allocator —
-   decides what spills: a planned allocation ordinal either belongs to a
-   resident buffer (allocator runs, never overflows: lifetime builders
-   carry no capacity) or to a spilled one (allocator skipped, the
-   planned round trip emitted).  The second emission pass must replay
-   the profiled event stream exactly; an ordinal past the plan means the
-   scheduler diverged between passes. *)
-let planned_alloc t ~core ~node ordinal fallback =
-  match t.plan with
-  | None -> spill_instrs t ~core ~node (fallback ())
-  | Some plan ->
-      if ordinal >= plan.Lifetime.events then
-        failwith "Prog_builder: emission diverged from the lifetime plan";
-      if plan.Lifetime.skip.(ordinal) then
-        spill_instrs t ~core ~node plan.Lifetime.pair_bytes.(ordinal)
-      else
-        spill_instrs t ~core ~node (fallback ())
-
-let plan_skips t ordinal =
-  match t.plan with
-  | None -> false
-  | Some plan ->
-      if ordinal >= plan.Lifetime.events then
-        failwith "Prog_builder: emission diverged from the lifetime plan";
-      plan.Lifetime.skip.(ordinal)
-
-(* Request a local buffer; scalar variants mirror {!Memalloc}'s. *)
 let alloc_fresh t ~core ~bytes ~node =
-  let ordinal = t.trace_len in
-  push_trace t (Isa.Alloc { core; bytes; request = Memalloc.Fresh });
-  planned_alloc t ~core ~node ordinal (fun () ->
-      Memalloc.alloc_fresh t.alloc ~core ~bytes)
+  record t ~core ~node (Isa.Alloc { core; bytes; request = Memalloc.Fresh })
 
 let alloc_accumulator t ~core ~bytes ~node ~key =
-  let ordinal = t.trace_len in
-  push_trace t (Isa.Alloc { core; bytes; request = Memalloc.Accumulator key });
-  planned_alloc t ~core ~node ordinal (fun () ->
-      Memalloc.alloc_accumulator t.alloc ~core ~bytes ~key)
+  record t ~core ~node
+    (Isa.Alloc { core; bytes; request = Memalloc.Accumulator key })
 
 let alloc_ag_slot t ~core ~bytes ~node ~key =
-  let ordinal = t.trace_len in
-  push_trace t (Isa.Alloc { core; bytes; request = Memalloc.Ag_slot key });
-  planned_alloc t ~core ~node ordinal (fun () ->
-      Memalloc.alloc_ag_slot t.alloc ~core ~bytes ~key)
+  record t ~core ~node
+    (Isa.Alloc { core; bytes; request = Memalloc.Ag_slot key })
 
+(* A free never spills, so [record] returns [] and [node] is unused. *)
 let free_buffer t ~core ~bytes =
-  let ordinal = t.trace_len in
-  push_trace t (Isa.Free { core; bytes });
-  if not (plan_skips t ordinal) then Memalloc.free t.alloc ~core ~bytes
+  ignore (record t ~core ~node:(-1) (Isa.Free { core; bytes }))
 
 let free_accumulator t ~core ~key =
-  let ordinal = t.trace_len in
-  push_trace t (Isa.Free_accumulator { core; key });
-  if not (plan_skips t ordinal) then
-    Memalloc.free_accumulator t.alloc ~core ~key
+  ignore (record t ~core ~node:(-1) (Isa.Free_accumulator { core; key }))
 
 let free_ag_slot t ~core ~key =
-  let ordinal = t.trace_len in
-  push_trace t (Isa.Free_ag_slot { core; key });
-  if not (plan_skips t ordinal) then Memalloc.free_ag_slot t.alloc ~core ~key
+  ignore (record t ~core ~node:(-1) (Isa.Free_ag_slot { core; key }))
 
 (* A matched SEND/RECV pair.  Returns the receive's index on [dst].
    [src_deps]/[dst_deps] are existing instruction indices on the

@@ -19,14 +19,15 @@
 
    This is the flat-arena implementation: the program is compiled once
    into contiguous arrays indexed by a global instruction id
-   (core-major), with CSR-encoded dependent edges, dense tag -> arrival
-   / parked-RECV tables, per-instruction precomputed durations and
-   energy charges, and an int-packed event heap.  One event loop
+   (core-major), with CSR-encoded dependent edges and per-instruction
+   precomputed durations and energy charges.  Nothing writes the arena
+   once [arena] returns: each run allocates its own flat state (unit
+   queues, an int-packed event heap, frontiers, counters, and window
+   slots with dense tag -> arrival / parked-RECV tables), so runs on one
+   arena are independent, from one domain or several.  One event loop
    ([simulate]) runs every simulation: [exec] is its one-instance case,
    [stream] pipelines many instances through window slots indexed by
-   instance number.  A one-slot run's tables and the heap live in the
-   arena and are reset — not reallocated — between runs, so
-   parallelism sweeps and repeated captures pay the build cost once.
+   instance number.
 
    Determinism and bit-identity with {!Engine_ref}: events are popped in
    (time, code) order where the code ranks unit releases before
@@ -84,7 +85,18 @@ type t = {
   flithops_d : int array;
   bytes_d : int array;
   t_dram : float;
-  (* mutable state shared by every in-flight instance, reset per run *)
+}
+
+(* Positions of the five dynamic energies in a run's [dyn] array and in
+   each window slot's partials. *)
+let e_mvm = 0
+let e_vec = 1
+let e_local = 2
+let e_global = 3
+let e_noc = 4
+
+(* One run's mutable state, shared by every instance in flight. *)
+type run = {
   issue_next : float array;   (* per-core MVM issue port *)
   res_state : int array;      (* 0 free; 1 busy, release event in heap;
                                  2 busy, release deferred (see [free_at]) *)
@@ -92,19 +104,9 @@ type t = {
   qhead : int array;          (* per-resource FIFO: intrusive int lists *)
   qtail : int array;
   heap : Heap.Packed_payload.t;
-  (* window slot 0: one instance's tables, initialised at its admission *)
-  missing : int array;        (* unretired dependencies *)
-  ready : float array;        (* latest retired dependency's finish *)
-  qnext : int array;          (* unit-queue links *)
-  arrival : float array;      (* tag -> message arrival; nan = none *)
-  parked : int array;         (* tag -> parked RECV id; -1 = none *)
   core_first : float array;
   core_last : float array;
-  mutable e_mvm : float;
-  mutable e_vec : float;
-  mutable e_local : float;
-  mutable e_global : float;
-  mutable e_noc : float;
+  dyn : float array;          (* dynamic energies, indexed by [e_mvm]... *)
   mutable executed : int;
   mutable mvm_windows : int;
   mutable messages : int;
@@ -321,24 +323,21 @@ let arena ?(parallelism = default_parallelism) (hw : Pimhw.Config.t)
     flithops_d;
     bytes_d;
     t_dram = hw.Pimhw.Config.t_dram_latency_ns;
-    issue_next = Array.make core_count 0.0;
-    res_state = Array.make num_resources 0;
-    free_at = Array.make num_resources 0.0;
-    qhead = Array.make num_resources (-1);
-    qtail = Array.make num_resources (-1);
+  }
+
+let program a = a.program
+
+let new_run a =
+  {
+    issue_next = Array.make a.core_count 0.0;
+    res_state = Array.make a.num_resources 0;
+    free_at = Array.make a.num_resources 0.0;
+    qhead = Array.make a.num_resources (-1);
+    qtail = Array.make a.num_resources (-1);
     heap = Heap.Packed_payload.create ();
-    missing = Array.make n 0;
-    ready = Array.make n 0.0;
-    qnext = Array.make n (-1);
-    arrival = Array.make num_tags Float.nan;
-    parked = Array.make num_tags (-1);
-    core_first = Array.make core_count Float.infinity;
-    core_last = Array.make core_count 0.0;
-    e_mvm = 0.0;
-    e_vec = 0.0;
-    e_local = 0.0;
-    e_global = 0.0;
-    e_noc = 0.0;
+    core_first = Array.make a.core_count Float.infinity;
+    core_last = Array.make a.core_count 0.0;
+    dyn = Array.make 5 0.0;
     executed = 0;
     mvm_windows = 0;
     messages = 0;
@@ -347,43 +346,19 @@ let arena ?(parallelism = default_parallelism) (hw : Pimhw.Config.t)
     store_bytes = 0;
   }
 
-let program a = a.program
-
-(* Reset the state every instance shares.  A window slot's tables are
-   initialised when an instance is admitted to it. *)
-let reset a =
-  Array.fill a.issue_next 0 a.core_count 0.0;
-  Array.fill a.res_state 0 a.num_resources 0;
-  Array.fill a.qhead 0 a.num_resources (-1);
-  Array.fill a.qtail 0 a.num_resources (-1);
-  Heap.Packed_payload.clear a.heap;
-  Array.fill a.core_first 0 a.core_count Float.infinity;
-  Array.fill a.core_last 0 a.core_count 0.0;
-  a.e_mvm <- 0.0;
-  a.e_vec <- 0.0;
-  a.e_local <- 0.0;
-  a.e_global <- 0.0;
-  a.e_noc <- 0.0;
-  a.executed <- 0;
-  a.mvm_windows <- 0;
-  a.messages <- 0;
-  a.flit_hops <- 0;
-  a.load_bytes <- 0;
-  a.store_bytes <- 0
-
-(* The result epilogue over the arena's counters, which hold the whole
+(* The result epilogue over the run's counters, which hold the whole
    run by now: event-by-event simulation, plus the period detector's
    analytic closure when it fired.  The per-core local-memory peaks are
    zero; [exec] puts the program's own report in their place. *)
-let make_metrics a ~batches ~extrapolated =
-  let makespan = Array.fold_left Float.max 0.0 a.core_last in
+let make_metrics a r ~batches ~extrapolated =
+  let makespan = Array.fold_left Float.max 0.0 r.core_last in
   let em = a.energy in
   let core_busy =
     Array.mapi
       (fun i last ->
-        if a.core_first.(i) = Float.infinity then 0.0
-        else last -. a.core_first.(i))
-      a.core_last
+        if r.core_first.(i) = Float.infinity then 0.0
+        else last -. r.core_first.(i))
+      r.core_last
   in
   let core_static =
     Array.fold_left
@@ -409,11 +384,11 @@ let make_metrics a ~batches ~extrapolated =
       makespan *. float_of_int (max 1 a.program.Isa.pipeline_depth);
     energy =
       {
-        Metrics.mvm_pj = a.e_mvm;
-        vec_pj = a.e_vec;
-        local_mem_pj = a.e_local;
-        global_mem_pj = a.e_global;
-        noc_pj = a.e_noc;
+        Metrics.mvm_pj = r.dyn.(e_mvm);
+        vec_pj = r.dyn.(e_vec);
+        local_mem_pj = r.dyn.(e_local);
+        global_mem_pj = r.dyn.(e_global);
+        noc_pj = r.dyn.(e_noc);
         core_static_pj = core_static;
         router_static_pj = router_static;
         global_static_pj =
@@ -421,17 +396,17 @@ let make_metrics a ~batches ~extrapolated =
         hyper_transport_static_pj =
           makespan *. em.Pimhw.Energy_model.hyper_transport_static_mw;
       };
-    instrs_executed = a.executed;
+    instrs_executed = r.executed;
     instrs_total;
-    mvm_windows = a.mvm_windows;
-    messages = a.messages;
-    flit_hops = a.flit_hops;
-    global_load_bytes = a.load_bytes;
-    global_store_bytes = a.store_bytes;
+    mvm_windows = r.mvm_windows;
+    messages = r.messages;
+    flit_hops = r.flit_hops;
+    global_load_bytes = r.load_bytes;
+    global_store_bytes = r.store_bytes;
     core_busy_ns = core_busy;
     local_peak_bytes = zero_peaks;
     local_resident_peak_bytes = zero_peaks;
-    deadlocked = a.executed < instrs_total;
+    deadlocked = r.executed < instrs_total;
     simulated_instances = batches - extrapolated;
     extrapolated_instances = extrapolated;
   }
@@ -443,9 +418,7 @@ let make_metrics a ~batches ~extrapolated =
    instance k runs in window slot k mod w (per-slot missing counters,
    ready times, queue links, tag tables), where w is the window, so
    memory is O(window x n) regardless of [batches].  An unbounded run
-   takes w = batches, one slot per instance.  A one-slot run ([exec],
-   or window 1) uses the arena's own tables and allocates nothing per
-   instruction.
+   takes w = batches, one slot per instance, and [exec] one slot.
 
    Bit-identity with simulating the materialised program
    [Batch.replicate program ~batches] as one instance rests on three
@@ -496,53 +469,51 @@ type stream_stats = {
   fired_at : int option;        (* retired-instance index at detector fire *)
   steady_interval_ns : float option;
   peak_slots : int;             (* window slots: the window, or batches *)
-  state_words : int;            (* heap words reachable from slot state *)
+  state_words : int;            (* heap words reachable from run state *)
 }
 
-(* [measure] walks the slot state for [state_words]; 0 when off.  All
+(* [measure] walks the run state for [state_words]; 0 when off.  All
    indices are validated at arena build (dep ranges, AG ids, tag ranges)
    or derived from in-range construction, so the loop uses unsafe
    accesses throughout. *)
 let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
-  reset a;
+  let r = new_run a in
   let n = a.n and nt = a.num_tags and num_resources = a.num_resources in
   let total = batches * n in
   let dept_off = a.dept_off and dept_arr = a.dept_arr in
   let kind = a.kind and res_of = a.res_of and tag_of = a.tag_of in
   let dur = a.dur and issue_delta = a.issue_delta in
   let dep_count = a.dep_count in
-  let qhead = a.qhead and qtail = a.qtail in
-  let res_state = a.res_state and free_at = a.free_at in
-  let heap = a.heap in
+  let qhead = r.qhead and qtail = r.qtail in
+  let res_state = r.res_state and free_at = r.free_at in
+  let heap = r.heap and dyn = r.dyn in
   (* --- window slots: instance [k] holds slot [k mod w] for its whole
      life, where [w] is the window, or [batches] when unbounded.  A
      bounded window admits [k >= w] only once [k - w], the slot's
      previous holder, has retired; an unbounded run gives every
-     instance a slot of its own.  A one-slot run uses the arena's own
-     tables, so [exec] allocates no per-instruction state. --- *)
+     instance a slot of its own. --- *)
   let w = if window > 0 then window else batches in
-  let s_missing, s_ready, s_qnext, s_arrival, s_parked =
-    if w = 1 then (a.missing, a.ready, a.qnext, a.arrival, a.parked)
-    else
-      ( Array.make (w * n) 0,
-        Array.make (w * n) 0.0,
-        Array.make (w * n) (-1),
-        Array.make (w * nt) Float.nan,
-        Array.make (w * nt) (-1) )
-  in
+  let s_missing = Array.make (w * n) 0 in
+  let s_ready = Array.make (w * n) 0.0 in
+  let s_qnext = Array.make (w * n) (-1) in
+  let s_arrival = Array.make (w * nt) Float.nan in
+  let s_parked = Array.make (w * nt) (-1) in
   (* the instance each slot holds; -1 once it retires *)
   let s_instance = Array.make w (-1) and s_completed = Array.make w 0 in
-  (* per-slot dynamic-energy partials (mvm, vec, local, global, noc):
-     only the detector's closure reads them *)
+  (* per-slot dynamic-energy partials, in [dyn]'s order: only the
+     detector's closure reads them *)
   let track = detect && window > 0 in
   let s_energy = Array.make (5 * w) 0.0 in
   (* table position [slot * n + g] -> slot; slot 0, the whole of a
      one-instance run, needs no division *)
   let slot_of p = if p < n then 0 else p / n in
   let charge slot part pe g =
-    let i = (5 * slot) + part in
-    Array.unsafe_set s_energy i
-      (Array.unsafe_get s_energy i +. Array.unsafe_get pe g)
+    let x = Array.unsafe_get pe g in
+    Array.unsafe_set dyn part (Array.unsafe_get dyn part +. x);
+    if track then begin
+      let i = (5 * slot) + part in
+      Array.unsafe_set s_energy i (Array.unsafe_get s_energy i +. x)
+    end
   in
   let admitted = ref (-1) in
   (* Bounded-window admission (window > 0): instance k is admitted only
@@ -577,28 +548,20 @@ let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
     let start = ref ready and finish = ref ready and release = ref Float.nan in
     let k = Array.unsafe_get kind g in
     if k = k_mvm then begin
-      let s = Float.max ready (Array.unsafe_get a.issue_next core) in
-      Array.unsafe_set a.issue_next core (s +. Array.unsafe_get issue_delta g);
+      let s = Float.max ready (Array.unsafe_get r.issue_next core) in
+      Array.unsafe_set r.issue_next core (s +. Array.unsafe_get issue_delta g);
       let f = s +. Array.unsafe_get dur g in
-      a.e_mvm <- a.e_mvm +. Array.unsafe_get a.pe_mvm g;
-      a.e_local <- a.e_local +. Array.unsafe_get a.pe_local g;
-      a.mvm_windows <- a.mvm_windows + Array.unsafe_get a.windows_d g;
-      if track then begin
-        charge slot 0 a.pe_mvm g;
-        charge slot 2 a.pe_local g
-      end;
+      charge slot e_mvm a.pe_mvm g;
+      charge slot e_local a.pe_local g;
+      r.mvm_windows <- r.mvm_windows + Array.unsafe_get a.windows_d g;
       start := s;
       finish := f;
       release := f
     end
     else if k = k_vec then begin
       let f = ready +. Array.unsafe_get dur g in
-      a.e_vec <- a.e_vec +. Array.unsafe_get a.pe_vec g;
-      a.e_local <- a.e_local +. Array.unsafe_get a.pe_local g;
-      if track then begin
-        charge slot 1 a.pe_vec g;
-        charge slot 2 a.pe_local g
-      end;
+      charge slot e_vec a.pe_vec g;
+      charge slot e_local a.pe_local g;
       finish := f;
       release := f
     end
@@ -608,17 +571,12 @@ let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
       release := ready +. Array.unsafe_get dur g;
       finish := ready +. a.t_dram +. Array.unsafe_get dur g;
       if k = k_load then
-        a.load_bytes <- a.load_bytes + Array.unsafe_get a.bytes_d g
-      else a.store_bytes <- a.store_bytes + Array.unsafe_get a.bytes_d g;
-      a.e_global <- a.e_global +. Array.unsafe_get a.pe_global g;
-      a.e_local <- a.e_local +. Array.unsafe_get a.pe_local g;
-      a.flit_hops <- a.flit_hops + Array.unsafe_get a.flithops_d g;
-      a.e_noc <- a.e_noc +. Array.unsafe_get a.pe_noc g;
-      if track then begin
-        charge slot 3 a.pe_global g;
-        charge slot 2 a.pe_local g;
-        charge slot 4 a.pe_noc g
-      end
+        r.load_bytes <- r.load_bytes + Array.unsafe_get a.bytes_d g
+      else r.store_bytes <- r.store_bytes + Array.unsafe_get a.bytes_d g;
+      charge slot e_global a.pe_global g;
+      charge slot e_local a.pe_local g;
+      r.flit_hops <- r.flit_hops + Array.unsafe_get a.flithops_d g;
+      charge slot e_noc a.pe_noc g
     end
     else if k = k_send then begin
       (* the sender injects and moves on; the message then crosses the
@@ -630,10 +588,9 @@ let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
           (Fmt.str "Engine: duplicate SEND on tag %d (silent overwrite \
                     would drop a rendezvous)" tag);
       Array.unsafe_set s_arrival st (ready +. Array.unsafe_get dur g);
-      a.messages <- a.messages + 1;
-      a.flit_hops <- a.flit_hops + Array.unsafe_get a.flithops_d g;
-      a.e_noc <- a.e_noc +. Array.unsafe_get a.pe_noc g;
-      if track then charge slot 4 a.pe_noc g
+      r.messages <- r.messages + 1;
+      r.flit_hops <- r.flit_hops + Array.unsafe_get a.flithops_d g;
+      charge slot e_noc a.pe_noc g
     end
     else begin
       (* k_recv *)
@@ -647,10 +604,10 @@ let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
       finish := s
     end;
     let start = !start and finish = !finish in
-    if start < Array.unsafe_get a.core_first core then
-      Array.unsafe_set a.core_first core start;
-    if finish > Array.unsafe_get a.core_last core then
-      Array.unsafe_set a.core_last core finish;
+    if start < Array.unsafe_get r.core_first core then
+      Array.unsafe_set r.core_first core start;
+    if finish > Array.unsafe_get r.core_last core then
+      Array.unsafe_set r.core_last core finish;
     let idx = Array.unsafe_get a.idx_of g in
     (match on_schedule with
     | Some f -> f ~core ~index:idx ~start ~finish
@@ -845,7 +802,7 @@ let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
       let slot = slot_of p in
       let g = p - (slot * n) in
       let inst = Array.unsafe_get s_instance slot in
-      a.executed <- a.executed + 1;
+      r.executed <- r.executed + 1;
       (* lazy admission: the frontier instance's first completion admits
          its successor, before any wake could target it (throttled mode
          defers instances >= window to retirement-driven admission) *)
@@ -918,8 +875,8 @@ let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
     let skip = float_of_int !fire_skip in
     let shift = skip *. !fire_interval in
     for c = 0 to a.core_count - 1 do
-      if a.core_first.(c) <> Float.infinity then
-        a.core_last.(c) <- a.core_last.(c) +. shift
+      if r.core_first.(c) <> Float.infinity then
+        r.core_last.(c) <- r.core_last.(c) +. shift
     done;
     let times_batches msg per_instance =
       let x = ref 0 in
@@ -932,21 +889,19 @@ let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
       else !x * batches
     in
     let of_kind k v g = if kind.(g) = k then v.(g) else 0 in
-    a.e_mvm <- a.e_mvm +. (skip *. fire_s.(0));
-    a.e_vec <- a.e_vec +. (skip *. fire_s.(1));
-    a.e_local <- a.e_local +. (skip *. fire_s.(2));
-    a.e_global <- a.e_global +. (skip *. fire_s.(3));
-    a.e_noc <- a.e_noc +. (skip *. fire_s.(4));
-    a.executed <- total;
-    a.mvm_windows <- times_batches "MVM windows" (Array.get a.windows_d);
-    a.messages <-
+    for i = 0 to 4 do
+      dyn.(i) <- dyn.(i) +. (skip *. fire_s.(i))
+    done;
+    r.executed <- total;
+    r.mvm_windows <- times_batches "MVM windows" (Array.get a.windows_d);
+    r.messages <-
       times_batches "messages" (fun g -> if kind.(g) = k_send then 1 else 0);
-    a.flit_hops <- times_batches "flit-hops" (Array.get a.flithops_d);
-    a.load_bytes <- times_batches "load bytes" (of_kind k_load a.bytes_d);
-    a.store_bytes <- times_batches "store bytes" (of_kind k_store a.bytes_d)
+    r.flit_hops <- times_batches "flit-hops" (Array.get a.flithops_d);
+    r.load_bytes <- times_batches "load bytes" (of_kind k_load a.bytes_d);
+    r.store_bytes <- times_batches "store bytes" (of_kind k_store a.bytes_d)
   end;
   let extrapolated = if !fired then !fire_skip else 0 in
-  let metrics = make_metrics a ~batches ~extrapolated in
+  let metrics = make_metrics a r ~batches ~extrapolated in
   let state_words =
     if not measure then 0
     else
@@ -954,7 +909,7 @@ let simulate ?on_schedule ~window ~detect ~confirm ~measure a ~batches =
         (Obj.repr
            ( s_missing, s_ready, s_qnext, s_arrival, s_parked,
              s_instance, s_completed, s_energy,
-             heap, (pl_inst, pl_finish) ))
+             r, (pl_inst, pl_finish) ))
   in
   let stats =
     {

@@ -6,13 +6,12 @@
     event and static energy per component-active window.
 
     This is the flat-arena implementation: the program is compiled once
-    into contiguous arrays (CSR dependency edges, dense rendezvous
-    tables, precomputed per-instruction durations and energy charges,
-    an int-packed event heap) and the arena can be re-run by resetting
-    state instead of reallocating it.  One event loop serves every
-    simulation: {!exec} is the one-instance case of {!stream}, and a
-    one-slot run uses the arena's own tables.  Results are bit-identical
-    to the reference interpreter {!Engine_ref}.
+    into contiguous arrays (CSR dependency edges, precomputed
+    per-instruction durations and energy charges), and each simulation
+    allocates its own run state (dense rendezvous tables, unit queues,
+    an int-packed event heap).  One event loop serves every simulation:
+    {!exec} is the one-instance case of {!stream}.  Results are
+    bit-identical to the reference interpreter {!Engine_ref}.
 
     Execution is dataflow (dependency-driven): well-formed programs
     always terminate, and unmatched rendezvous surface as
@@ -25,10 +24,11 @@
     of silently overwriting the earlier message. *)
 
 type t
-(** A reusable simulation arena: one compiled program at one parallelism
-    degree on one hardware configuration.  [exec] and [stream] may be
-    called any number of times; each call resets the mutable state in
-    place. *)
+(** A simulation arena: one compiled program at one parallelism degree
+    on one hardware configuration, decoded into flat tables.  It is
+    read-only once {!arena} returns: [exec] and [stream] allocate their
+    own run state, so they may be called any number of times on one
+    arena, from one domain or several at once. *)
 
 val default_parallelism : int
 (** 20 — the paper's energy-evaluation setting; the single source of
@@ -48,9 +48,10 @@ val exec :
   Metrics.t
 (** Simulate one inference of the arena's program: the event loop of
     {!stream} at one instance, with no window and no detector, and the
-    program's own local-memory peaks on the metrics.  Allocates no
-    per-instruction state.  Deterministic: repeated calls return
-    bit-identical metrics.  [on_schedule] observes every instruction as
+    program's own local-memory peaks on the metrics.  Allocates the
+    run's state (O(instructions + tags + units)) and writes nothing
+    else.  Deterministic: repeated calls return bit-identical
+    metrics.  [on_schedule] observes every instruction as
     it is scheduled (see {!Trace}). *)
 
 val program : t -> Pimcomp.Isa.t
@@ -79,9 +80,10 @@ type stream_stats = {
       (** window slots allocated: the window, or [batches] when
           unbounded; instance [k] holds slot [k mod peak_slots] *)
   state_words : int;
-      (** heap words reachable from the streaming slot state — the
-          O(window x n) part that replaces the O(batches x n)
-          materialised program + arena *)
+      (** heap words reachable from the run's state (window slots, unit
+          queues, event heap, frontiers, counters) — the O(window x n)
+          part that replaces the O(batches x n) materialised program +
+          arena *)
 }
 
 val stream :

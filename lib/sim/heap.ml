@@ -86,7 +86,6 @@ module Packed_payload = struct
     { times = Array.make 256 0.0; codes = Array.make 256 0;
       pays = Array.make 256 0; size = 0; time0 = 0.0; code0 = -1; pay0 = -1 }
 
-  let clear h = h.size <- 0
   let last_time h = h.time0
   let last_code h = h.code0
   let last_pay h = h.pay0

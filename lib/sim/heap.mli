@@ -18,7 +18,6 @@ module Packed_payload : sig
   type t
 
   val create : unit -> t
-  val clear : t -> unit
   val push : t -> float -> int -> int -> unit
   val pop : t -> bool
   val last_time : t -> float

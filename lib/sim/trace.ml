@@ -16,9 +16,9 @@ type event = {
 
 type t = { program : Isa.t; events : event array (* by start time *) }
 
-(* Capture on an existing arena: repeated captures (e.g. across a
-   parameter study of the same compiled program) reset the arena's state
-   instead of rebuilding it. *)
+(* Capture on an existing arena: repeated captures of the same compiled
+   program share its decoded tables, and each capture runs on state of
+   its own. *)
 let capture arena =
   let program = Engine.program arena in
   let collected = ref [] in

@@ -17,8 +17,8 @@ val run :
 (** Simulate and collect the full event trace (sorted by start time). *)
 
 val capture : Engine.t -> Metrics.t * t
-(** Like {!run}, but on an existing arena: repeated captures reset the
-    arena in place instead of rebuilding it. *)
+(** Like {!run}, but on an existing arena: repeated captures decode the
+    program once, and each capture allocates its own run state. *)
 
 val events : t -> event array
 val length : t -> int

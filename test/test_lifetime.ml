@@ -126,7 +126,9 @@ let test_hand_planned_spill () =
   Alcotest.(check bool) "resident fits" true
     (plan.Pimcomp.Lifetime.resident.(0) <= 150);
   Alcotest.(check int) "demand is the unclamped sum" 200
-    plan.Pimcomp.Lifetime.demand.(0);
+    (Pimcomp.Memalloc.demand_peak ~core:0
+       (Pimcomp.Lifetime.replay Pimcomp.Memalloc.Lifetime ~core_count:1
+          ~capacity:None trace));
   (* without the capacity nothing spills and both buffers coexist *)
   let free = Pimcomp.Lifetime.plan_of_trace ~core_count:1 ~capacity:None trace in
   Alcotest.(check int) "no spill unconstrained" 0 free.Pimcomp.Lifetime.spill;
@@ -159,6 +161,49 @@ let test_tight_memory_spilling () =
     (List.map
        (Fmt.str "%a" Pimcomp.Verify.pp_violation)
        (Pimcomp.Verify.run ~graph ~config:tight_config p))
+
+(* The demand peaks [Lifetime.optimise] stamps come from its profiling
+   pass, the resident peaks and spill from its plan; [Verify] rebuilds
+   all three from the trace alone, so a report that drifts from any of
+   them is caught. *)
+let test_report_drift_detected () =
+  let graph, lt =
+    compile ~config:tight_config ~allocator:Pimcomp.Memalloc.Lifetime
+      ~mode:Pimcomp.Mode.High_throughput "squeezenet"
+  in
+  let p = lt.Pimcomp.Compile.program in
+  let memory = p.Pimcomp.Isa.memory in
+  let bump = Array.mapi (fun c b -> if c = 0 then b + 1024 else b) in
+  let drifts label (memory : Pimcomp.Isa.memory_report) ~core =
+    let vs =
+      Pimcomp.Verify.run ~graph ~config:tight_config
+        { p with Pimcomp.Isa.memory }
+    in
+    Alcotest.(check bool)
+      (label ^ " reports memory-drift")
+      true
+      (List.exists
+         (fun (v : Pimcomp.Verify.violation) ->
+           v.Pimcomp.Verify.kind = Pimcomp.Verify.Memory_drift
+           && v.Pimcomp.Verify.core = core)
+         vs)
+  in
+  drifts "inflated local peak"
+    {
+      memory with
+      Pimcomp.Isa.local_peak_bytes = bump memory.Pimcomp.Isa.local_peak_bytes;
+    }
+    ~core:(Some 0);
+  drifts "inflated resident peak"
+    {
+      memory with
+      Pimcomp.Isa.local_resident_peak_bytes =
+        bump memory.Pimcomp.Isa.local_resident_peak_bytes;
+    }
+    ~core:(Some 0);
+  drifts "spill + 2"
+    { memory with Pimcomp.Isa.spill_bytes = memory.Pimcomp.Isa.spill_bytes + 2 }
+    ~core:None
 
 let test_spill_budget () =
   let options allocator spill_budget =
@@ -248,6 +293,8 @@ let () =
         [
           Alcotest.test_case "tight memory spills validly" `Quick
             test_tight_memory_spilling;
+          Alcotest.test_case "report drift detected" `Quick
+            test_report_drift_detected;
           Alcotest.test_case "spill budget enforced" `Quick test_spill_budget;
           Alcotest.test_case "text round-trip" `Quick test_text_roundtrip;
           Alcotest.test_case "spilling program simulates" `Quick

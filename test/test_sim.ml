@@ -367,9 +367,9 @@ let collect_events run_fn =
      observable contract, so compare order-insensitively *)
   (m, List.sort compare !events)
 
-(* Also checks that a reused arena resets: [Engine.exec] on an arena
-   that has already run an [exec], and then a [stream], returns the
-   metrics of a fresh [Engine.run]. *)
+(* Also checks that runs on one arena leave it as they found it:
+   [Engine.exec] on an arena that has already run an [exec], and then a
+   [stream], returns the metrics of a fresh [Engine.run]. *)
 let engines_agree ?(parallelisms = [ 1; 7; 20 ]) program =
   List.for_all
     (fun parallelism ->
@@ -428,6 +428,32 @@ let random_programs_differential =
           Pimcomp.Schedule_ht.schedule layout;
           Pimcomp.Schedule_ll.schedule layout;
         ])
+
+(* Each run allocates its own state, so two domains may run one arena at
+   once and get what the same runs give one after the other.  Each job
+   repeats its run so that the two domains overlap: on an arena that
+   holds run state, the overlapping runs corrupt each other's queues. *)
+let test_arena_shared_across_domains () =
+  let program = compile_zoo ~mode:Pimcomp.Mode.Low_latency "resnet18" in
+  let arena = Pimsim.Engine.arena ~parallelism:20 hw program in
+  let run = function
+    | `Exec -> (Pimsim.Engine.exec arena, None)
+    | `Stream ->
+        let m, stats = Pimsim.Engine.stream arena ~batches:2 in
+        (m, Some stats)
+  in
+  let repeat job = List.init 3 (fun _ -> run job) in
+  List.iter
+    (fun (label, jobs) ->
+      let sequential = Array.map repeat jobs in
+      Alcotest.(check bool)
+        (label ^ " on two domains equal the sequential runs")
+        true
+        (Pimutil.Domain_pool.map ~domains:2 repeat jobs = sequential))
+    [
+      ("exec, exec", [| `Exec; `Exec |]);
+      ("exec, stream", [| `Exec; `Stream |]);
+    ]
 
 let test_batch_zoo_coverage () =
   List.iter
@@ -575,6 +601,8 @@ let () =
       ( "differential",
         [
           Alcotest.test_case "zoo networks" `Quick test_differential_zoo;
+          Alcotest.test_case "arena shared across domains" `Quick
+            test_arena_shared_across_domains;
           QCheck_alcotest.to_alcotest random_programs_differential;
         ] );
       ( "trace",
