@@ -1342,16 +1342,17 @@ let alloc_bench () =
    The constant-memory streaming engine (Pimsim.Batch.run_stream) against
    materialised replication at a large batch count: wall clock, resident
    state, and exactness.  Materialised replication pays O(batches x n)
-   for the replicated program and its arena; the stream pays O(window x n)
-   and the period detector closes the tail analytically once the
-   retirement cadence locks (DESIGN.md §3.9).  Gates at full size:
-   bit-identity against the materialised oracle at N <= 8, the detector
-   fired at N = 256 with the steady interval matching the materialised
-   baseline bit-for-bit, and >= 10x on both wall clock and resident
-   state.  Results land in BENCH_STREAM.json; PIMCOMP_SIM_TINY=1 shrinks
-   the run to the tiny network — whose bursty HT cadence the detector
-   correctly refuses to extrapolate, so the speed gates are recorded but
-   only the identity and boundedness gates are enforced there. *)
+   for the replicated program, its arena and its run's state; the stream
+   pays O(window x n) and the period detector closes the tail
+   analytically once the retirement cadence locks (DESIGN.md §3.9).
+   Gates at full size: bit-identity against the materialised oracle at
+   N <= 8, the detector fired at N = 256 with the steady interval
+   matching the materialised baseline bit-for-bit, and >= 10x on both
+   wall clock and resident state.  Results land in BENCH_STREAM.json;
+   PIMCOMP_SIM_TINY=1 shrinks the run to the tiny network — whose bursty
+   HT cadence the detector correctly refuses to extrapolate, so the speed
+   gates are recorded but only the identity and boundedness gates are
+   enforced there. *)
 let stream_bench () =
   let tiny = Sys.getenv_opt "PIMCOMP_SIM_TINY" <> None in
   let net =
@@ -1410,13 +1411,14 @@ let stream_bench () =
         Pimsim.Batch.run_stream ~parallelism hw_s program ~batches:big_n)
   in
   (* Resident state: what each path must hold live to simulate N
-     instances — the replicated program plus its arena on one side, the
-     single-instance arena plus the O(window x n) streaming slot state
-     on the other. *)
+     instances — the replicated program, its arena and the run state of
+     its one simulation on one side, the single-instance arena plus the
+     O(window x n) streaming run state on the other. *)
   let mat_words =
     let rep = Pimsim.Batch.replicate program ~batches:big_n in
     let arena = Pimsim.Engine.arena ~parallelism hw_s rep in
-    Obj.reachable_words (Obj.repr (rep, arena))
+    let _, run = Pimsim.Engine.stream ~window:0 ~batches:1 arena in
+    Obj.reachable_words (Obj.repr (rep, arena)) + run.Pimsim.Engine.state_words
   in
   let stream_words =
     Obj.reachable_words

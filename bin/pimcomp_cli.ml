@@ -253,15 +253,6 @@ let compile_options ?mode ?parallelism ?cores ?allocator ?spill_budget
     verify = Option.value verify ~default:defaults.verify;
   }
 
-(* The simulate step of `pimcomp simulate` and serve's simulate op: one
-   cold-start inference, or [batches] pipelined inferences through the
-   constant-memory streaming engine. *)
-let simulate_program ~parallelism ~batches hw program =
-  if batches < 1 then
-    invalid_arg (Fmt.str "batches must be at least 1, got %d" batches);
-  if batches = 1 then `Single (Pimsim.Engine.run ~parallelism hw program)
-  else `Stream (Pimsim.Batch.run_stream ~parallelism hw program ~batches)
-
 (* Warm, long-lived workers for serve and synth: spawned once, minor
    heap grown for the schedulers' allocation profile, reused across
    batches. *)
@@ -425,10 +416,11 @@ let compile_term simulate =
               (Pimsim.Trace.length trace) path Pimsim.Metrics.pp metrics
         | None when simulate -> (
             match
-              simulate_program ~parallelism ~batches hw (program ())
+              Pimsim.Simulate.run ~parallelism ~batches hw (program ())
             with
-            | `Single metrics -> Fmt.pr "@.%a@." Pimsim.Metrics.pp metrics
-            | `Stream (r, _stats) ->
+            | Pimsim.Simulate.Single metrics ->
+                Fmt.pr "@.%a@." Pimsim.Metrics.pp metrics
+            | Pimsim.Simulate.Stream (r, _stats) ->
                 Fmt.pr "@.%a@.@.%a@." Pimsim.Batch.pp r Pimsim.Metrics.pp
                   r.Pimsim.Batch.metrics)
         | None -> ()))
@@ -665,11 +657,13 @@ module Serve = struct
     ]
 
   (* Heavy ops run on pool domains; everything here must only touch the
-     request's own data plus the domain-safe cache handle.  [verify]
-     always compiles with the verifier on: a miss verifies in
-     [Compile.compile] and a hit in [Cache.find], and a violation
-     surfaces as the compile error. *)
-  let run_heavy ~hw ~cache op req =
+     request's own data plus the domain-safe cache handle and simulation
+     record.  [verify] always compiles with the verifier on: a miss
+     verifies in [Compile.compile] and a hit in [Cache.find], and a
+     violation surfaces as the compile error.  A [simulate] hit on bytes
+     the daemon has already simulated at the same batch count is
+     answered from [sims]. *)
+  let run_heavy ~hw ~cache ~sims op req =
     let graph =
       load_network
         (J.string_field "network" req)
@@ -706,17 +700,18 @@ module Serve = struct
         in
         let fields =
           match
-            simulate_program ~parallelism:options.Pimcomp.Compile.parallelism
+            Pimsim.Simulate.served sims
+              ~parallelism:options.Pimcomp.Compile.parallelism
               ~batches:(J.int_field ~default:1 "batches" req)
-              hw (Lazy.force served.Pimcomp.Compile.program)
+              hw served
           with
-          | `Single m ->
+          | Pimsim.Simulate.Single m ->
               [
                 ("latency_ns", J.Float m.Pimsim.Metrics.latency_ns);
                 ("throughput_ips", J.Float m.Pimsim.Metrics.throughput_ips);
                 ("energy_pj", energy m);
               ]
-          | `Stream ((r : Pimsim.Batch.result), stats) ->
+          | Pimsim.Simulate.Stream ((r : Pimsim.Batch.result), stats) ->
               [
                 ("batches", J.Int r.batches);
                 ("total_ns", J.Float r.total_ns);
@@ -733,14 +728,13 @@ module Serve = struct
         J.Obj (program_fields served @ fields)
     | op -> error (Fmt.str "unknown op %S" op)
 
-  let stats_response cache =
-    match cache with
-    | None -> J.Obj [ ("ok", J.Bool true); ("cache", J.Bool false) ]
-    | Some cache ->
-        let s = Pimcomp.Cache.stats cache in
-        J.Obj
+  let stats_response ~cache ~sims =
+    let cache_fields =
+      match cache with
+      | None -> [ ("cache", J.Bool false) ]
+      | Some cache ->
+          let s = Pimcomp.Cache.stats cache in
           [
-            ("ok", J.Bool true);
             ("cache", J.Bool true);
             ("dir", J.String (Pimcomp.Cache.dir cache));
             ("hits", J.Int s.Pimcomp.Cache.hits);
@@ -751,6 +745,14 @@ module Serve = struct
             ("entries", J.Int s.Pimcomp.Cache.entries);
             ("bytes", J.Int s.Pimcomp.Cache.bytes);
           ]
+    in
+    let c = Pimsim.Simulate.counts sims in
+    J.Obj
+      ((("ok", J.Bool true) :: cache_fields)
+      @ [
+          ("simulated", J.Int c.Pimsim.Simulate.simulated);
+          ("sim_recalled", J.Int c.Pimsim.Simulate.recalled);
+        ])
 
   (* A batch of request lines -> response lines (same order) + verdict.
      Light ops answer inline; heavy ops fan out over the pool, in
@@ -760,7 +762,7 @@ module Serve = struct
      never poisons its batchmates or the daemon.  An exception that
      [error_message] does not know is a bug: it is answered as an
      internal error, and the daemon keeps serving. *)
-  let handle ~hw ~cache ~pool lines =
+  let handle ~hw ~cache ~sims ~pool lines =
     let classified =
       List.map
         (fun line ->
@@ -786,7 +788,7 @@ module Serve = struct
       let results =
         Pimutil.Domain_pool.Persistent.run pool
           (fun (_, op, req) ->
-            try run_heavy ~hw ~cache op req
+            try run_heavy ~hw ~cache ~sims op req
             with exn ->
               error
                 (try error_message exn
@@ -806,18 +808,18 @@ module Serve = struct
         | `Heavy (op, req) -> segment := (i, op, req) :: !segment
         | `Stats ->
             run_segment ();
-            responses.(i) <- stats_response cache)
+            responses.(i) <- stats_response ~cache ~sims)
       classified;
     run_segment ();
     (Array.to_list (Array.map J.to_string responses),
      if !stop then Pimutil.Line_server.Stop else
        Pimutil.Line_server.Continue)
 
-  let run_stdio ~hw ~cache ~pool =
+  let run_stdio ~hw ~cache ~sims ~pool =
     Pimutil.Line_server.serve ~input:Unix.stdin ~output:Unix.stdout
-      ~handle:(handle ~hw ~cache ~pool)
+      ~handle:(handle ~hw ~cache ~sims ~pool)
 
-  let run_socket ~hw ~cache ~pool path =
+  let run_socket ~hw ~cache ~sims ~pool path =
     if Sys.file_exists path then Sys.remove path;
     let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Fun.protect
@@ -837,7 +839,7 @@ module Serve = struct
             (fun () ->
               (* Track shutdown so it also ends the accept loop. *)
               let handle lines =
-                let responses, verdict = handle ~hw ~cache ~pool lines in
+                let responses, verdict = handle ~hw ~cache ~sims ~pool lines in
                 if verdict = Pimutil.Line_server.Stop then stopped := true;
                 (responses, verdict)
               in
@@ -857,6 +859,7 @@ let serve_cmd =
     wrap (fun () ->
         let hw = Pimhw.Config.puma_like in
         let cache = open_cache cache_dir cache_max_mb in
+        let sims = Pimsim.Simulate.record () in
         let pool = warm_pool ?domains:jobs () in
         (* A client that hangs up must end only its own conversation. *)
         Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -864,8 +867,8 @@ let serve_cmd =
           ~finally:(fun () -> Pimutil.Domain_pool.Persistent.shutdown pool)
           (fun () ->
             match socket with
-            | None -> Serve.run_stdio ~hw ~cache ~pool
-            | Some path -> Serve.run_socket ~hw ~cache ~pool path))
+            | None -> Serve.run_stdio ~hw ~cache ~sims ~pool
+            | Some path -> Serve.run_socket ~hw ~cache ~sims ~pool path))
   in
   Cmd.v
     (Cmd.info "serve"

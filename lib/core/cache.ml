@@ -193,14 +193,14 @@ let load_entry t ~key ~graph ~config path =
       | Some (m, s) when Digest.equal m mac ->
           (* Bytes this handle verified under this key: decode them
              when, and only if, the caller uses the program. *)
-          Some ((s, lazy (Artifact.decode entry)), true)
+          Some ((s, lazy (Artifact.decode entry), mac), true)
       | _ -> (
           match Artifact.load entry with
           | exception Artifact.Corrupt _ -> None
           | program when Verify.run ~graph ~config program = [] ->
               let s = summary program in
               locked t (fun () -> Hashtbl.replace t.verified key (mac, s));
-              Some ((s, Lazy.from_val program), false)
+              Some ((s, Lazy.from_val program, mac), false)
           | _ -> None))
 
 let lookup t ~key ~graph ~config () =
@@ -227,7 +227,7 @@ let lookup t ~key ~graph ~config () =
 
 let find t ~key ~graph ~config () =
   Option.map
-    (fun (_, program) -> Lazy.force program)
+    (fun (_, program, _) -> Lazy.force program)
     (lookup t ~key ~graph ~config ())
 
 let enforce_budget t =

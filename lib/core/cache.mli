@@ -68,16 +68,18 @@ val lookup :
   graph:Nnir.Graph.t ->
   config:Pimhw.Config.t ->
   unit ->
-  (summary * Isa.t Lazy.t) option
+  (summary * Isa.t Lazy.t * Digest.t) option
 (** Verified lookup.  [key] must be {!Compile.cache_key} of [graph] and
-    [config]: the record trusts the key to fix them.  [Some (s, p)] is a
-    hit whose bytes this handle has seen pass the checksum, the key
+    [config]: the record trusts the key to fix them.  [Some (s, p, m)]
+    is a hit whose bytes this handle has seen pass the checksum, the key
     match and [Verify.run] against [graph]/[config]; [s] summarises
-    [Lazy.force p].  On the handle's first load of those bytes, [p] is
-    already decoded; on a recalled hit it is unmarshalled in place on
-    the first [Lazy.force], which must happen on one domain at a time.
-    [None] is a miss — including poisoned entries, which are deleted
-    and counted in [rejected]. *)
+    [Lazy.force p], and [m] is this handle's MAC of the bytes, so two
+    hits under one key with equal [m] served equal bytes.  On the
+    handle's first load of those bytes, [p] is already decoded; on a
+    recalled hit it is unmarshalled in place on the first [Lazy.force],
+    which must happen on one domain at a time.  [None] is a miss —
+    including poisoned entries, which are deleted and counted in
+    [rejected]. *)
 
 val find :
   t ->

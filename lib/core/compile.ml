@@ -335,14 +335,17 @@ type served = {
   program : Isa.t Lazy.t;
   outcome : outcome;
   key : string option;
+  mac : Digest.t option;
   seconds : float;
   result : t option;
 }
 
 let compile_program ?(options = default_options) ?cache
     (config : Pimhw.Config.t) graph =
-  let compiled (r : t) = (Cache.summary r.program, Lazy.from_val r.program) in
-  let ((summary, program), outcome, key, result), seconds =
+  let compiled (r : t) =
+    (Cache.summary r.program, Lazy.from_val r.program, None)
+  in
+  let ((summary, program, mac), outcome, key, result), seconds =
     Pimutil.Clock.timed (fun () ->
         match cache with
         | None ->
@@ -351,13 +354,13 @@ let compile_program ?(options = default_options) ?cache
         | Some cache -> (
             let key = cache_key ~options config graph in
             match Cache.lookup cache ~key ~graph ~config () with
-            | Some hit -> (hit, Cache_hit, Some key, None)
+            | Some (s, p, m) -> ((s, p, Some m), Cache_hit, Some key, None)
             | None ->
                 let r = compile ~options config graph in
                 Cache.store cache ~key r.program;
                 (compiled r, Cache_miss, Some key, Some r)))
   in
-  { summary; program; outcome; key; seconds; result }
+  { summary; program; outcome; key; mac; seconds; result }
 
 (* --- batch ------------------------------------------------------------------- *)
 

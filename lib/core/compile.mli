@@ -97,6 +97,11 @@ type served = {
           a caller that needs only [summary] never pays the decode. *)
   outcome : outcome;
   key : string option;  (** [None] iff [Cache_off] *)
+  mac : Digest.t option;
+      (** [Some] iff [Cache_hit]: the cache handle's MAC of the served
+          bytes ({!Cache.lookup}).  Under one [key], equal MACs mean
+          equal bytes, so a result derived from the program alone can
+          be recorded by [(key, mac)]. *)
   seconds : float;
       (** wall-clock for the whole request, less a recalled hit's
           deferred decode *)

@@ -4,7 +4,8 @@
    independence, injective rendering), cache-key sensitivity, the
    verified hit path and its per-handle record (HMAC-MD5 against the
    RFC 2202 vectors, recalled hits, changed bytes checked again), LRU
-   eviction, and the crash-safety of the shared atomic writer. *)
+   eviction, serve's record of simulations run on hits, and the
+   crash-safety of the shared atomic writer. *)
 
 let hw = Pimhw.Config.puma_like
 
@@ -408,6 +409,161 @@ let test_wrong_key_rejected () =
     (Pimcomp.Cache.stats cache).Pimcomp.Cache.rejected;
   ignore (Pimcomp.Cache.clear cache)
 
+(* --- simulation record -------------------------------------------------------- *)
+
+(* Bit for bit: Marshal writes every float's 8 bytes. *)
+let bits (r : Pimsim.Simulate.result) = Marshal.to_string r [ Marshal.No_sharing ]
+
+let fresh ~batches program =
+  if batches = 1 then
+    Pimsim.Simulate.Single (Pimsim.Engine.run ~parallelism:20 hw program)
+  else
+    Pimsim.Simulate.Stream
+      (Pimsim.Batch.run_stream ~parallelism:20 hw program ~batches)
+
+let check_counts label ~simulated ~recalled sims =
+  let c = Pimsim.Simulate.counts sims in
+  Alcotest.(check (pair int int))
+    (label ^ ": (simulated, recalled)")
+    (simulated, recalled)
+    (c.Pimsim.Simulate.simulated, c.Pimsim.Simulate.recalled)
+
+(* A handle, a record and the request [opts] on [name], served through
+   the cache: the first request misses and stores. *)
+let sim_setup ?(mode = Pimcomp.Mode.High_throughput) name =
+  let dir = scratch () in
+  let cache = Pimcomp.Cache.open_dir dir in
+  let opts = options ~mode () in
+  let g = graph name in
+  let serve () = Pimcomp.Compile.compile_program ~options:opts ~cache hw g in
+  let program = Lazy.force (serve ()).Pimcomp.Compile.program in
+  (dir, cache, Pimsim.Simulate.record (), serve, program)
+
+let simulate sims ~batches served =
+  Pimsim.Simulate.served sims ~parallelism:20 ~batches hw served
+
+let test_sim_recalled_bit_identical () =
+  let _, cache, sims, serve, program = sim_setup "lenet" in
+  List.iter
+    (fun batches ->
+      let label = Fmt.str "batches %d" batches in
+      let first = simulate sims ~batches (serve ()) in
+      let served = serve () in
+      let again = simulate sims ~batches served in
+      Alcotest.(check bool)
+        (label ^ ": recalled without decoding the program")
+        false
+        (Lazy.is_val served.Pimcomp.Compile.program);
+      Alcotest.(check bool)
+        (label ^ ": first answer equals a fresh run")
+        true
+        (bits first = bits (fresh ~batches program));
+      Alcotest.(check bool)
+        (label ^ ": recalled answer equals a fresh run")
+        true
+        (bits again = bits (fresh ~batches program)))
+    [ 1; 64 ];
+  check_counts "one run per batch count" ~simulated:2 ~recalled:2 sims;
+  ignore (Pimcomp.Cache.clear cache)
+
+(* A miss and a cache-off request carry no MAC: their runs are not
+   recorded, so the next hit runs the engine. *)
+let test_sim_miss_records_nothing () =
+  let _, cache, sims, serve, program = sim_setup "tiny" in
+  ignore (Pimcomp.Cache.clear cache);
+  let miss = serve () in
+  Alcotest.(check bool) "the request misses" true
+    (miss.Pimcomp.Compile.outcome = Pimcomp.Compile.Cache_miss);
+  ignore (simulate sims ~batches:1 miss);
+  let off =
+    Pimcomp.Compile.compile_program ~options:(options ()) hw (graph "tiny")
+  in
+  ignore (simulate sims ~batches:1 off);
+  ignore (simulate sims ~batches:1 off);
+  check_counts "miss and cache-off runs" ~simulated:3 ~recalled:0 sims;
+  Alcotest.(check bool) "the hit after the miss runs the engine" true
+    (bits (simulate sims ~batches:1 (serve ())) = bits (fresh ~batches:1 program));
+  check_counts "first hit" ~simulated:4 ~recalled:0 sims;
+  ignore (Pimcomp.Cache.clear cache)
+
+(* A different valid program under a recorded key: the other mode's
+   program for the same network passes the verifier, so it is served,
+   and the record must not answer for it. *)
+let test_sim_changed_bytes_simulated_again () =
+  let dir, cache, sims, serve, ll = sim_setup ~mode:Pimcomp.Mode.Low_latency "tiny" in
+  let ht = compile ~mode:Pimcomp.Mode.High_throughput "tiny" in
+  let before = simulate sims ~batches:1 (serve ()) in
+  ignore (simulate sims ~batches:1 (serve ()));
+  check_counts "recorded" ~simulated:1 ~recalled:1 sims;
+  let key = Option.get (serve ()).Pimcomp.Compile.key in
+  Pimcomp.Artifact.to_file
+    (Filename.concat dir (key ^ ".pimart"))
+    (Pimcomp.Artifact.make ~key ht);
+  let planted = serve () in
+  Alcotest.(check bool) "the planted program is served" true
+    (planted.Pimcomp.Compile.outcome = Pimcomp.Compile.Cache_hit
+    && Lazy.force planted.Pimcomp.Compile.program = ht);
+  let after = simulate sims ~batches:1 planted in
+  check_counts "new bytes run the engine" ~simulated:2 ~recalled:1 sims;
+  Alcotest.(check bool) "the two programs simulate differently" true
+    (bits (fresh ~batches:1 ll) <> bits (fresh ~batches:1 ht));
+  Alcotest.(check bool) "before: the first program's run" true
+    (bits before = bits (fresh ~batches:1 ll));
+  Alcotest.(check bool) "after: the planted program's run" true
+    (bits after = bits (fresh ~batches:1 ht));
+  Alcotest.(check bool) "the planted program's run is recalled" true
+    (bits (simulate sims ~batches:1 (serve ())) = bits after);
+  check_counts "recalled after the change" ~simulated:2 ~recalled:2 sims;
+  ignore (Pimcomp.Cache.clear cache)
+
+(* One single-inference and one stream result per key: batches 1 and 4
+   are kept apart, and batches 8 replaces the stream result of 4. *)
+let test_sim_batch_counts_kept_apart () =
+  let _, cache, sims, serve, program = sim_setup "tiny" in
+  let expect (batches, simulated, recalled) =
+    let label = Fmt.str "batches %d" batches in
+    Alcotest.(check bool) (label ^ " equals a fresh run") true
+      (bits (simulate sims ~batches (serve ()))
+      = bits (fresh ~batches program));
+    check_counts label ~simulated ~recalled sims
+  in
+  List.iter expect
+    [
+      (1, 1, 0);
+      (4, 2, 0);
+      (1, 2, 1);
+      (4, 2, 2);
+      (8, 3, 2);
+      (8, 3, 3);
+      (4, 4, 3);
+      (1, 4, 4);
+    ];
+  ignore (Pimcomp.Cache.clear cache)
+
+(* Requests on two domains share the handle and the record; their
+   answers equal the fresh sequential runs, whichever domain ran the
+   engine and whichever recalled. *)
+let test_sim_record_across_domains () =
+  let _, cache, sims, serve, program = sim_setup "tiny" in
+  let jobs = [| 1; 4; 1; 4; 1; 4 |] in
+  let sequential = Array.map (fun batches -> bits (fresh ~batches program)) jobs in
+  for round = 1 to 3 do
+    let parallel =
+      Pimutil.Domain_pool.map ~domains:2
+        (fun batches -> bits (simulate sims ~batches (serve ())))
+        jobs
+    in
+    Alcotest.(check (array string))
+      (Fmt.str "round %d equals the sequential runs" round)
+      sequential parallel
+  done;
+  let c = Pimsim.Simulate.counts sims in
+  Alcotest.(check int) "every request counted once" 18
+    (c.Pimsim.Simulate.simulated + c.Pimsim.Simulate.recalled);
+  Alcotest.(check bool) "later rounds recalled" true
+    (c.Pimsim.Simulate.recalled >= 12);
+  ignore (Pimcomp.Cache.clear cache)
+
 (* --- atomic writer ---------------------------------------------------------- *)
 
 exception Writer_died
@@ -469,6 +625,19 @@ let () =
             test_verified_once_per_handle;
           Alcotest.test_case "changed bytes are verified again" `Quick
             test_changed_bytes_verified_again;
+        ] );
+      ( "sim-record",
+        [
+          Alcotest.test_case "recalled run is bit-identical" `Quick
+            test_sim_recalled_bit_identical;
+          Alcotest.test_case "misses and cache-off record nothing" `Quick
+            test_sim_miss_records_nothing;
+          Alcotest.test_case "changed bytes are simulated again" `Quick
+            test_sim_changed_bytes_simulated_again;
+          Alcotest.test_case "batch counts kept apart" `Quick
+            test_sim_batch_counts_kept_apart;
+          Alcotest.test_case "shared across domains" `Quick
+            test_sim_record_across_domains;
         ] );
       ( "atomic-io",
         [
