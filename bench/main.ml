@@ -14,8 +14,9 @@
      ablation GA vs random search vs PUMA-like (DESIGN.md extension)
      batch    single-stream vs steady-state HT throughput
      ga, cache, synth, alloc, stream
-              suites that each compare two paths users run, fail on any
-              divergence and write BENCH_<SUITE>.json
+              suites that each compare two paths users run, write
+              BENCH_<SUITE>.json and then fail on any gate that does not
+              hold (PIMCOMP_SIM_TINY=1 runs each at a smoke size)
 
    The sweep sections (fig8, fig10, ablation) fan their evaluation
    points out across OCaml domains via Pimutil.Domain_pool; every
@@ -74,16 +75,36 @@ let geo_mean values =
         (List.fold_left (fun acc v -> acc +. log v) 0.0 values
         /. float_of_int (List.length values))
 
-(* Every BENCH_*.json lands via the shared atomic writer: render to a
-   buffer, publish with temp-file + rename, so a crashed or interrupted
+module J = Pimutil.Json
+
+(* Every BENCH_*.json is one object, one top-level field per line,
+   published with temp-file + rename so that a crashed or interrupted
    bench run never leaves a torn file for the driver to parse. *)
-let write_json path emit =
-  let buf = Buffer.create 4096 in
-  let json = Format.formatter_of_buffer buf in
-  emit json;
-  Format.pp_print_flush json ();
-  Pimutil.Atomic_io.write_text path (Buffer.contents buf);
+let write_json path fields =
+  let line (key, value) =
+    Fmt.str "  %s: %s" (J.to_string (J.String key)) (J.to_string value)
+  in
+  Pimutil.Atomic_io.write_text path
+    ("{\n" ^ String.concat ",\n" (List.map line fields) ^ "\n}\n");
   Fmt.pr "wrote %s@." path
+
+(* A suite's pass/fail checks.  [check] records one as a boolean field
+   of the suite's file and returns that field; once the file is written,
+   every false gate that is enforced at this size fails the run. *)
+type gate = { key : string; ok : bool; enforced : bool; message : string }
+
+let check gates ?(enforced = true) key ok message =
+  gates := { key; ok; enforced; message } :: !gates;
+  (key, J.Bool ok)
+
+let suite path run () =
+  let gates = ref [] in
+  write_json path (run gates);
+  match List.filter (fun g -> g.enforced && not g.ok) (List.rev !gates) with
+  | [] -> ()
+  | failed ->
+      let line g = Fmt.str "%s (%s: false)" g.message g.key in
+      failwith (String.concat "\n" (List.map line failed))
 
 let hr = String.make 78 '-'
 
@@ -477,14 +498,21 @@ let batch () =
    and both runs record a best-fitness-vs-wall-clock curve via the
    progress callback.  On a 1-core host the parallel number is honestly
    below 1x (domain spawn/join overhead with nothing to overlap).
-   Results land in BENCH_GA.json. *)
-let ga_throughput () =
-  let net = ("resnet18", Nnir.Zoo.scaled_input_size ~factor:4 "resnet18") in
+   Results land in BENCH_GA.json; the tiny size runs the tiny network
+   with the fast GA parameters. *)
+let ga_bench ~tiny gates =
+  let net =
+    if tiny then ("tiny", Nnir.Zoo.min_input_size "tiny")
+    else ("resnet18", Nnir.Zoo.scaled_input_size ~factor:4 "resnet18")
+  in
   let g = graph_of net in
   let table = Pimcomp.Partition.of_graph hw g in
   let core_count = Pimcomp.Partition.fit_core_count table in
   let timing = Pimhw.Timing.create ~parallelism:20 hw in
-  let params = Pimcomp.Genetic.default_params in
+  let params =
+    if tiny then Pimcomp.Genetic.fast_params
+    else Pimcomp.Genetic.default_params
+  in
   let run evaluation mode =
     best_of ~reps:3 (fun () ->
         Pimcomp.Genetic.optimize ~params ~evaluation ~mode ~timing
@@ -492,13 +520,16 @@ let ga_throughput () =
           ~max_node_num_in_core:16 ())
   in
   Fmt.pr
-    "GA mapping-stage throughput on %s@%d, default params (population %d,@.\
-     %d iterations), seed 42.  Incremental and Full must agree bit-for-bit.@.@."
+    "GA mapping-stage throughput on %s@%d, population %d, %d iterations,@.\
+     seed 42.  Incremental and Full must agree bit-for-bit.@.@."
     (fst net) (snd net) params.Pimcomp.Genetic.population
     params.Pimcomp.Genetic.iterations;
   Fmt.pr "%-4s %-12s | %9s %12s %12s | %18s@." "mode" "evaluation" "wall s"
     "evals" "evals/s" "best fitness";
-  let rows =
+  let rate (r : Pimcomp.Genetic.result) s =
+    float_of_int r.Pimcomp.Genetic.evaluations /. s
+  in
+  let modes =
     List.map
       (fun mode ->
         let full, full_s = run Pimcomp.Genetic.Full mode in
@@ -506,8 +537,7 @@ let ga_throughput () =
         let line label (r : Pimcomp.Genetic.result) s =
           Fmt.pr "%-4s %-12s | %9.2f %12d %12.0f | %18.6g@."
             (Pimcomp.Mode.to_string mode)
-            label s r.Pimcomp.Genetic.evaluations
-            (float_of_int r.Pimcomp.Genetic.evaluations /. s)
+            label s r.Pimcomp.Genetic.evaluations (rate r s)
             r.Pimcomp.Genetic.best_fitness
         in
         line "full" full full_s;
@@ -520,10 +550,20 @@ let ga_throughput () =
           (Pimcomp.Mode.to_string mode)
           (full_s /. inc_s)
           (if identical then "identical" else "DIVERGED");
-        if not identical then
-          Fmt.failwith "ga: %a incremental and full trajectories diverged"
-            Pimcomp.Mode.pp mode;
-        (mode, full, full_s, inc, inc_s, identical))
+        J.Obj
+          [
+            ("mode", J.String (Pimcomp.Mode.to_string mode));
+            ("full_seconds", J.Float full_s);
+            ("incremental_seconds", J.Float inc_s);
+            ("evaluations", J.Int inc.Pimcomp.Genetic.evaluations);
+            ("full_evals_per_sec", J.Float (rate full full_s));
+            ("incremental_evals_per_sec", J.Float (rate inc inc_s));
+            ("speedup", J.Float (full_s /. inc_s));
+            ("best_fitness", J.Float inc.Pimcomp.Genetic.best_fitness);
+            check gates "bit_identical" identical
+              (Fmt.str "ga: %a incremental and full trajectories diverged"
+                 Pimcomp.Mode.pp mode);
+          ])
       Pimcomp.Mode.all
   in
   (* Island model vs single population at the same budget.  Curves are
@@ -532,34 +572,29 @@ let ga_throughput () =
   let island = Pimcomp.Genetic.default_island_params in
   let domains_par = max 2 (Pimutil.Domain_pool.default_domains ()) in
   let interval = island.Pimcomp.Genetic.migration_interval in
-  let run_single_curve mode =
+  (* [optimize]'s result, wall time and curve, sampled every [every]
+     generations *)
+  let with_curve ~every optimize =
     let t0 = Unix.gettimeofday () in
     let curve = ref [] in
     let progress ~generations ~best =
-      if generations mod interval = 0 then
+      if generations mod every = 0 then
         curve := (Unix.gettimeofday () -. t0, generations, best) :: !curve
     in
-    let rng = Pimcomp.Rng.create ~seed:42 in
-    let r =
-      Pimcomp.Genetic.optimize ~params ~progress ~mode ~timing ~rng table
-        ~core_count ~max_node_num_in_core:16 ()
-    in
+    let r = optimize ~progress ~rng:(Pimcomp.Rng.create ~seed:42) in
     (r, Unix.gettimeofday () -. t0, List.rev !curve)
   in
+  let run_single_curve mode =
+    with_curve ~every:interval (fun ~progress ~rng ->
+        Pimcomp.Genetic.optimize ~params ~progress ~mode ~timing ~rng table
+          ~core_count ~max_node_num_in_core:16 ())
+  in
   let run_island ~domains mode =
-    let t0 = Unix.gettimeofday () in
-    let curve = ref [] in
-    let progress ~generations ~best =
-      curve := (Unix.gettimeofday () -. t0, generations, best) :: !curve
-    in
-    let rng = Pimcomp.Rng.create ~seed:42 in
-    let r =
-      Pimcomp.Genetic.optimize_islands ~params
-        ~island:{ island with Pimcomp.Genetic.domains = Some domains }
-        ~progress ~mode ~timing ~rng table ~core_count
-        ~max_node_num_in_core:16 ()
-    in
-    (r, Unix.gettimeofday () -. t0, List.rev !curve)
+    with_curve ~every:1 (fun ~progress ~rng ->
+        Pimcomp.Genetic.optimize_islands ~params
+          ~island:{ island with Pimcomp.Genetic.domains = Some domains }
+          ~progress ~mode ~timing ~rng table ~core_count
+          ~max_node_num_in_core:16 ())
   in
   Fmt.pr
     "Island model: %d islands, migrate top %d over the ring every %d@.\
@@ -568,7 +603,13 @@ let ga_throughput () =
     interval;
   Fmt.pr "%-4s %-14s | %9s %12s | %18s@." "mode" "variant" "wall s" "evals"
     "best fitness";
-  let island_rows =
+  let curve_json curve =
+    J.List
+      (List.map
+         (fun (t, g, best) -> J.List [ J.Float t; J.Int g; J.Float best ])
+         curve)
+  in
+  let island_modes =
     List.map
       (fun mode ->
         let single, single_s, single_curve = run_single_curve mode in
@@ -577,6 +618,10 @@ let ga_throughput () =
         let identical =
           seq.Pimcomp.Genetic.best_fitness = par.Pimcomp.Genetic.best_fitness
           && seq.Pimcomp.Genetic.history = par.Pimcomp.Genetic.history
+        in
+        let equal_or_better =
+          par.Pimcomp.Genetic.best_fitness
+          <= single.Pimcomp.Genetic.best_fitness
         in
         let line label (r : Pimcomp.Genetic.result) s =
           Fmt.pr "%-4s %-14s | %9.2f %12d | %18.6g@."
@@ -591,78 +636,44 @@ let ga_throughput () =
           (Pimcomp.Mode.to_string mode)
           (seq_s /. par_s)
           (if identical then "bit-identical" else "DIVERGED")
-          (if
-             par.Pimcomp.Genetic.best_fitness
-             <= single.Pimcomp.Genetic.best_fitness
-           then "equal-or-better"
-           else "worse than single");
-        if not identical then
-          Fmt.failwith "ga: %a island runs diverged between 1 and %d domains"
-            Pimcomp.Mode.pp mode domains_par;
-        (mode, single, single_s, single_curve, seq_s, par, par_s, par_curve,
-         identical))
+          (if equal_or_better then "equal-or-better" else "worse than single");
+        J.Obj
+          [
+            ("mode", J.String (Pimcomp.Mode.to_string mode));
+            ("single_seconds", J.Float single_s);
+            ("single_best", J.Float single.Pimcomp.Genetic.best_fitness);
+            ("single_evaluations", J.Int single.Pimcomp.Genetic.evaluations);
+            ("island_seq_seconds", J.Float seq_s);
+            ("island_par_seconds", J.Float par_s);
+            ("parallel_speedup", J.Float (seq_s /. par_s));
+            ("island_best", J.Float par.Pimcomp.Genetic.best_fitness);
+            ("island_evaluations", J.Int par.Pimcomp.Genetic.evaluations);
+            check gates "bit_identical_across_domains" identical
+              (Fmt.str "ga: %a island runs diverged between 1 and %d domains"
+                 Pimcomp.Mode.pp mode domains_par);
+            ("island_equal_or_better", J.Bool equal_or_better);
+            ("single_curve", curve_json single_curve);
+            ("island_curve", curve_json par_curve);
+          ])
       Pimcomp.Mode.all
   in
-  write_json "BENCH_GA.json" @@ fun json ->
-  Format.fprintf json "{@.  \"network\": \"%s\",@.  \"input_size\": %d,@."
-    (fst net) (snd net);
-  Format.fprintf json
-    "  \"population\": %d,@.  \"iterations\": %d,@.  \"seed\": 42,@.  \
-     \"modes\": [@."
-    params.Pimcomp.Genetic.population params.Pimcomp.Genetic.iterations;
-  List.iteri
-    (fun i (mode, full, full_s, inc, inc_s, identical) ->
-      Format.fprintf json
-        "    { \"mode\": %S, \"full_seconds\": %.3f, \
-         \"incremental_seconds\": %.3f,@.      \"evaluations\": %d, \
-         \"full_evals_per_sec\": %.1f, \"incremental_evals_per_sec\": \
-         %.1f,@.      \"speedup\": %.2f, \"best_fitness\": %.17g, \
-         \"bit_identical\": %b }%s@."
-        (Pimcomp.Mode.to_string mode)
-        full_s inc_s inc.Pimcomp.Genetic.evaluations
-        (float_of_int full.Pimcomp.Genetic.evaluations /. full_s)
-        (float_of_int inc.Pimcomp.Genetic.evaluations /. inc_s)
-        (full_s /. inc_s) inc.Pimcomp.Genetic.best_fitness identical
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Format.fprintf json "  ],@.";
-  Format.fprintf json
-    "  \"islands\": {@.    \"islands\": %d, \"migration_interval\": %d, \
-     \"migration_size\": %d, \"domains\": %d,@.    \"modes\": [@."
-    island.Pimcomp.Genetic.islands interval
-    island.Pimcomp.Genetic.migration_size domains_par;
-  let curve_json ppf curve =
-    Format.fprintf ppf "[%a]"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-         (fun ppf (t, g, best) ->
-           Format.fprintf ppf "[%.3f, %d, %.17g]" t g best))
-      curve
-  in
-  List.iteri
-    (fun i
-         (mode, single, single_s, single_curve, seq_s, par, par_s, par_curve,
-          identical) ->
-      Format.fprintf json
-        "      { \"mode\": %S,@.        \"single_seconds\": %.3f, \
-         \"single_best\": %.17g, \"single_evaluations\": %d,@.        \
-         \"island_seq_seconds\": %.3f, \"island_par_seconds\": %.3f, \
-         \"parallel_speedup\": %.2f,@.        \"island_best\": %.17g, \
-         \"island_evaluations\": %d,@.        \
-         \"bit_identical_across_domains\": %b, \
-         \"island_equal_or_better\": %b,@.        \"single_curve\": %a,@.        \
-         \"island_curve\": %a }%s@."
-        (Pimcomp.Mode.to_string mode)
-        single_s single.Pimcomp.Genetic.best_fitness
-        single.Pimcomp.Genetic.evaluations seq_s par_s (seq_s /. par_s)
-        par.Pimcomp.Genetic.best_fitness par.Pimcomp.Genetic.evaluations
-        identical
-        (par.Pimcomp.Genetic.best_fitness
-        <= single.Pimcomp.Genetic.best_fitness)
-        curve_json single_curve curve_json par_curve
-        (if i = List.length island_rows - 1 then "" else ","))
-    island_rows;
-  Format.fprintf json "    ]@.  }@.}@."
+  [
+    ("network", J.String (fst net));
+    ("input_size", J.Int (snd net));
+    ("population", J.Int params.Pimcomp.Genetic.population);
+    ("iterations", J.Int params.Pimcomp.Genetic.iterations);
+    ("seed", J.Int 42);
+    ("modes", J.List modes);
+    ( "islands",
+      J.Obj
+        [
+          ("islands", J.Int island.Pimcomp.Genetic.islands);
+          ("migration_interval", J.Int interval);
+          ("migration_size", J.Int island.Pimcomp.Genetic.migration_size);
+          ("domains", J.Int domains_par);
+          ("modes", J.List island_modes);
+        ] );
+  ]
 
 (* --- compile cache -------------------------------------------------------------- *)
 
@@ -688,10 +699,9 @@ let ga_throughput () =
    (PUMA-like mapping — the identity sweep is about the artifact path,
    not GA time), and an eviction smoke run checks that the LRU budget
    keeps the newest entry servable.  Results
-   land in BENCH_CACHE.json; PIMCOMP_SIM_TINY=1 shrinks everything for
-   the `dune runtest` smoke invocation. *)
-let cache_bench () =
-  let tiny = Sys.getenv_opt "PIMCOMP_SIM_TINY" <> None in
+   land in BENCH_CACHE.json; the tiny size runs two small networks with
+   a small GA. *)
+let cache_bench ~tiny gates =
   let nets =
     if tiny then
       [ ("tiny", Nnir.Zoo.min_input_size "tiny");
@@ -772,8 +782,7 @@ let cache_bench () =
         let recalled_program, recall_s =
           best_of ~reps:3 (fun () -> hit cache)
         in
-        if recalled () - before <> 3 then
-          Fmt.failwith "cache: %s: expected 3 recalled hits" (fst net);
+        let three_recalled = recalled () - before = 3 in
         (* Bit-identity over the whole Isa.t: instructions, deps, tags,
            memory accounting and mem_trace — structural equality covers
            every field. *)
@@ -794,17 +803,26 @@ let cache_bench () =
         let cold_s = cold.Pimcomp.Compile.seconds in
         Fmt.pr "%-14s | %10.3f %10.4f %10.4f | %7.1fx | %9d | %b@." (fst net)
           cold_s hit_s recall_s (cold_s /. hit_s) entry_bytes identical;
-        if not identical then
-          Fmt.failwith "cache: %s hit differs from the fresh compile" (fst net);
-        (net, cold_s, hit_s, recall_s, entry_bytes, identical))
+        ( cold_s /. hit_s >= 10.0,
+          identical,
+          J.Obj
+            [
+              ("network", J.String (fst net));
+              ("cold_seconds", J.Float cold_s);
+              ("hit_seconds", J.Float hit_s);
+              ("recalled_seconds", J.Float recall_s);
+              ("speedup", J.Float (cold_s /. hit_s));
+              ("entry_bytes", J.Int entry_bytes);
+              check gates "bit_identical" identical
+                (Fmt.str "cache: %s hit differs from the fresh compile"
+                   (fst net));
+              check gates "three_recalled" three_recalled
+                (Fmt.str "cache: %s: expected 3 recalled hits" (fst net));
+            ] ))
       nets
   in
-  let all_over_10x =
-    List.for_all
-      (fun (_, cold_s, hit_s, _, _, _) -> cold_s /. hit_s >= 10.0)
-      rows
-  in
-  let all_identical = List.for_all (fun (_, _, _, _, _, i) -> i) rows in
+  let all_over_10x = List.for_all (fun (over, _, _) -> over) rows in
+  let all_identical = List.for_all (fun (_, same, _) -> same) rows in
   Fmt.pr "@.every network >= 10x: %b   every hit bit-identical: %b@."
     all_over_10x all_identical;
   (* Identity sweep: store/load round-trips across zoo x mode x
@@ -855,9 +873,6 @@ let cache_bench () =
   Fmt.pr
     "identity sweep: %d points (zoo x mode x allocator), %d failures@."
     !identity_points !identity_failures;
-  if !identity_failures > 0 then
-    Fmt.failwith "cache: %d identity-sweep round trips failed"
-      !identity_failures;
   (* Eviction smoke: a 1-byte budget forces every store to evict all
      older entries; the newest must survive and stay servable. *)
   let evict_cache =
@@ -887,50 +902,52 @@ let cache_bench () =
      entries, newest servable: %b@."
     (List.length evict_nets) evict_stats.Pimcomp.Cache.evictions
     evict_stats.Pimcomp.Cache.entries survivor_served;
-  if not survivor_served then
-    failwith "cache: the newest entry did not survive eviction";
   let stats = Pimcomp.Cache.stats cache in
-  write_json "BENCH_CACHE.json" @@ fun json ->
-  Format.fprintf json "{@.  \"tiny\": %b,@.  \"networks\": [@." tiny;
-  List.iteri
-    (fun i (net, cold_s, hit_s, recall_s, entry_bytes, identical) ->
-      Format.fprintf json
-        "    { \"network\": %S, \"cold_seconds\": %.6f, \"hit_seconds\": \
-         %.6f,@.      \"recalled_seconds\": %.6f, \"speedup\": %.1f, \
-         \"entry_bytes\": %d, \"bit_identical\": %b }%s@."
-        (fst net) cold_s hit_s recall_s (cold_s /. hit_s) entry_bytes identical
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Format.fprintf json
-    "  ],@.  \"all_hits_over_10x\": %b,@.  \"all_hits_bit_identical\": %b,@."
-    all_over_10x all_identical;
-  Format.fprintf json
-    "  \"identity_sweep\": { \"points\": %d, \"failures\": %d, \
-     \"bit_identical\": %b },@."
-    !identity_points !identity_failures (!identity_failures = 0);
-  Format.fprintf json
-    "  \"eviction\": { \"stores\": %d, \"evictions\": %d, \"entries\": %d, \
-     \"newest_servable\": %b },@."
-    (List.length evict_nets) evict_stats.Pimcomp.Cache.evictions
-    evict_stats.Pimcomp.Cache.entries survivor_served;
-  Format.fprintf json
-    "  \"stats\": { \"hits\": %d, \"recalled\": %d, \"misses\": %d, \
-     \"rejected\": %d, \"evictions\": %d, \"entries\": %d, \"bytes\": %d \
-     }@.}@."
-    stats.Pimcomp.Cache.hits stats.Pimcomp.Cache.recalled
-    stats.Pimcomp.Cache.misses
-    stats.Pimcomp.Cache.rejected stats.Pimcomp.Cache.evictions
-    stats.Pimcomp.Cache.entries stats.Pimcomp.Cache.bytes
+  [
+    ("tiny", J.Bool tiny);
+    ("networks", J.List (List.map (fun (_, _, row) -> row) rows));
+    ("all_hits_over_10x", J.Bool all_over_10x);
+    ("all_hits_bit_identical", J.Bool all_identical);
+    ( "identity_sweep",
+      J.Obj
+        [
+          ("points", J.Int !identity_points);
+          ("failures", J.Int !identity_failures);
+          check gates "bit_identical" (!identity_failures = 0)
+            (Fmt.str "cache: %d identity-sweep round trips failed"
+               !identity_failures);
+        ] );
+    ( "eviction",
+      J.Obj
+        [
+          ("stores", J.Int (List.length evict_nets));
+          ("evictions", J.Int evict_stats.Pimcomp.Cache.evictions);
+          ("entries", J.Int evict_stats.Pimcomp.Cache.entries);
+          check gates "newest_servable" survivor_served
+            "cache: the newest entry did not survive eviction";
+        ] );
+    ( "stats",
+      J.Obj
+        [
+          ("hits", J.Int stats.Pimcomp.Cache.hits);
+          ("recalled", J.Int stats.Pimcomp.Cache.recalled);
+          ("misses", J.Int stats.Pimcomp.Cache.misses);
+          ("rejected", J.Int stats.Pimcomp.Cache.rejected);
+          ("evictions", J.Int stats.Pimcomp.Cache.evictions);
+          ("entries", J.Int stats.Pimcomp.Cache.entries);
+          ("bytes", J.Int stats.Pimcomp.Cache.bytes);
+        ] );
+  ]
 
 (* --- synth ------------------------------------------------------------------- *)
 
 (* Design-space synthesis throughput: candidates/sec with pruning +
    memoisation vs the naive evaluate-everything baseline, frontier
    non-domination, and bit-identity of the frontier across evaluator
-   domain counts.  Results land in BENCH_SYNTH.json; PIMCOMP_SIM_TINY=1
-   shrinks the grid and networks for the dune runtest smoke. *)
-let synth_bench () =
-  let tiny = Sys.getenv_opt "PIMCOMP_SIM_TINY" <> None in
+   domain counts.  Results land in BENCH_SYNTH.json, whose frontier and
+   search stats are `pimcomp synth --json`'s; the tiny size shrinks the
+   grid and networks. *)
+let synth_bench ~tiny gates =
   let synth_networks =
     if tiny then
       [|
@@ -1009,33 +1026,23 @@ let synth_bench () =
   in
   let pruned = fastest (List.map fst runs) in
   let naive = fastest (List.map snd runs) in
-  if
-    List.exists
+  let repeatable =
+    List.for_all
       (fun ((p : Pimcomp.Synth.result), _) ->
-        p.Pimcomp.Synth.frontier <> pruned.Pimcomp.Synth.frontier)
+        p.Pimcomp.Synth.frontier = pruned.Pimcomp.Synth.frontier)
       runs
-  then failwith "synth: same seed produced two different frontiers";
+  in
   (* Determinism across domain counts. *)
   let many_domains = max 2 (Pimutil.Domain_pool.default_domains ()) in
   let multi = search ~domains:many_domains `Pruned in
   let frontier = pruned.Pimcomp.Synth.frontier in
-  Fmt.pr "@.Pareto frontier (%d points):@." (List.length frontier);
-  Fmt.pr "%-22s | %12s %12s %10s@." "point" "time us" "energy uJ" "area mm2";
-  List.iter
-    (fun (fp : Pimcomp.Synth.frontier_point) ->
-      Fmt.pr "%-22s | %12.2f %12.2f %10.2f@."
-        (Pimhw.Design_space.point_name fp.Pimcomp.Synth.point)
-        (fp.Pimcomp.Synth.objectives.Pimcomp.Synth.time_ns /. 1e3)
-        (fp.Pimcomp.Synth.objectives.Pimcomp.Synth.energy_pj /. 1e6)
-        fp.Pimcomp.Synth.objectives.Pimcomp.Synth.area_mm2)
-    frontier;
-  let rate (r : Pimcomp.Synth.result) =
-    float_of_int r.Pimcomp.Synth.stats.Pimcomp.Synth.considered
-    /. max 1e-9 r.Pimcomp.Synth.stats.Pimcomp.Synth.wall_seconds
-  in
-  let pruned_rate = rate pruned and naive_rate = rate naive in
-  let speedup = pruned_rate /. naive_rate in
+  Fmt.pr "@.Pareto frontier (%d points):@.%a" (List.length frontier)
+    Pimcomp.Synth.pp_frontier frontier;
   let ps = pruned.Pimcomp.Synth.stats and ns = naive.Pimcomp.Synth.stats in
+  let pruned_rate = Pimcomp.Synth.candidates_per_sec ps
+  and naive_rate = Pimcomp.Synth.candidates_per_sec ns in
+  let speedup = pruned_rate /. naive_rate in
+  let deterministic = frontier = multi.Pimcomp.Synth.frontier in
   Fmt.pr
     "@.pruned+memoised: %d considered, %d evaluated (%d jobs), %d memo \
      hits, %d pruned, %.2f s -> %.1f candidates/s@."
@@ -1054,8 +1061,7 @@ let synth_bench () =
     "frontier identical for 1 vs %d domains: %b  (the CI host is \
      effectively 1-core, so the multi-domain run is about determinism, \
      not speed)@."
-    many_domains
-    (frontier = multi.Pimcomp.Synth.frontier);
+    many_domains deterministic;
   (* Frontier sanity: every point pairwise non-dominated. *)
   let non_dominated =
     List.for_all
@@ -1069,78 +1075,48 @@ let synth_bench () =
           frontier)
       frontier
   in
-  let deterministic = frontier = multi.Pimcomp.Synth.frontier in
   let invariant = frontier = naive.Pimcomp.Synth.frontier in
-  write_json "BENCH_SYNTH.json" (fun json ->
-      let strings l = String.concat ", " (List.map (Fmt.str "%S") l) in
-      Format.fprintf json
-        "{@.  \"tiny\": %b,@.  \"networks\": [%s],@.  \"grid_points\": %d,@."
-        tiny
-        (strings (Array.to_list (Array.map fst synth_networks)))
-        (Pimhw.Design_space.cardinality axes);
-      Format.fprintf json
-        "  \"axes\": { \"xbar_sizes\": [%s], \"xbars_per_core\": [%s], \
-         \"core_counts\": [%s], \"local_memory_kb\": [%s], \
-         \"vfus_per_core\": [%s] },@."
-        (String.concat ", "
-           (List.map string_of_int axes.Pimhw.Design_space.xbar_size_axis))
-        (String.concat ", "
-           (List.map string_of_int axes.Pimhw.Design_space.xbars_per_core_axis))
-        (String.concat ", "
-           (List.map string_of_int axes.Pimhw.Design_space.core_count_axis))
-        (String.concat ", "
-           (List.map string_of_int axes.Pimhw.Design_space.local_memory_kb_axis))
-        (String.concat ", "
-           (List.map string_of_int axes.Pimhw.Design_space.vfus_per_core_axis));
-      Format.fprintf json "  \"frontier\": [@.";
-      List.iteri
-        (fun i (fp : Pimcomp.Synth.frontier_point) ->
-          let o = fp.Pimcomp.Synth.objectives in
-          Format.fprintf json
-            "    { \"point\": %S, \"time_ns\": %.6f, \"energy_pj\": %.6f, \
-             \"area_mm2\": %.6f }%s@."
-            (Pimhw.Design_space.point_name fp.Pimcomp.Synth.point)
-            o.Pimcomp.Synth.time_ns o.Pimcomp.Synth.energy_pj
-            o.Pimcomp.Synth.area_mm2
-            (if i = List.length frontier - 1 then "" else ","))
-        frontier;
-      Format.fprintf json "  ],@.";
-      let stats label (s : Pimcomp.Synth.stats) rate =
-        Format.fprintf json
-          "  \"%s\": { \"considered\": %d, \"evaluated\": %d, \
-           \"eval_jobs\": %d, \"memo_hits\": %d, \"pruned_capacity\": %d, \
-           \"pruned_area\": %d, \"infeasible\": %d, \"wall_seconds\": %.6f, \
-           \"candidates_per_sec\": %.2f },@."
-          label s.Pimcomp.Synth.considered s.Pimcomp.Synth.evaluated
-          s.Pimcomp.Synth.eval_jobs s.Pimcomp.Synth.memo_hits
-          s.Pimcomp.Synth.pruned_capacity s.Pimcomp.Synth.pruned_area
-          s.Pimcomp.Synth.infeasible s.Pimcomp.Synth.wall_seconds rate
-      in
-      stats "pruned" ps pruned_rate;
-      stats "naive" ns naive_rate;
-      Format.fprintf json
-        "  \"speedup\": %.3f,@.  \"meets_2x\": %b,@.  \
-         \"frontier_non_dominated\": %b,@.  \"prune_memoise_invariant\": \
-         %b,@.  \"domain_counts\": [1, %d],@.  \
-         \"deterministic_across_domains\": %b,@.  \"note\": \"CI host is \
-         effectively 1-core: the multi-domain run asserts determinism, \
-         not speed\"@.}@."
-        speedup (speedup >= 2.0) non_dominated invariant many_domains
-        deterministic);
-  if frontier = [] then failwith "synth: empty frontier";
-  if not non_dominated then
-    failwith "synth: frontier contains a dominated point";
-  if not deterministic then
-    failwith
+  let ints l = J.List (List.map (fun i -> J.Int i) l) in
+  [
+    ("tiny", J.Bool tiny);
+    ( "networks",
+      J.List
+        (Array.to_list (Array.map (fun (n, _) -> J.String n) synth_networks))
+    );
+    ("grid_points", J.Int (Pimhw.Design_space.cardinality axes));
+    ( "axes",
+      J.Obj
+        [
+          ("xbar_sizes", ints axes.Pimhw.Design_space.xbar_size_axis);
+          ("xbars_per_core", ints axes.Pimhw.Design_space.xbars_per_core_axis);
+          ("core_counts", ints axes.Pimhw.Design_space.core_count_axis);
+          ( "local_memory_kb",
+            ints axes.Pimhw.Design_space.local_memory_kb_axis );
+          ("vfus_per_core", ints axes.Pimhw.Design_space.vfus_per_core_axis);
+        ] );
+    ("frontier", Pimcomp.Synth.frontier_json frontier);
+    ("pruned", Pimcomp.Synth.stats_json ps);
+    ("naive", Pimcomp.Synth.stats_json ns);
+    ("speedup", J.Float speedup);
+    check gates "repeat_runs_identical" repeatable
+      "synth: same seed produced two different frontiers";
+    check gates "frontier_nonempty" (frontier <> []) "synth: empty frontier";
+    check gates "frontier_non_dominated" non_dominated
+      "synth: frontier contains a dominated point";
+    check gates "deterministic_across_domains" deterministic
       (Fmt.str "synth: frontier differs between 1 and %d domains"
          many_domains);
-  if not invariant then
-    failwith "synth: pruning/memoisation changed the frontier";
-  if speedup < 2.0 then
-    failwith
-      (Fmt.str
-         "synth: pruning+memoisation speedup %.2fx below the 2x gate"
-         speedup)
+    check gates "prune_memoise_invariant" invariant
+      "synth: pruning/memoisation changed the frontier";
+    check gates "meets_2x" (speedup >= 2.0)
+      (Fmt.str "synth: pruning+memoisation speedup %.2fx below the 2x gate"
+         speedup);
+    ("domain_counts", ints [ 1; many_domains ]);
+    ( "note",
+      J.String
+        "CI host is effectively 1-core: the multi-domain run asserts \
+         determinism, not speed" );
+  ]
 
 (* --- lifetime allocator ------------------------------------------------------
    The lifetime buffer-placement optimiser (DESIGN.md §lifetime) against
@@ -1148,10 +1124,9 @@ let synth_bench () =
    both dataflow modes, bit-identical simulation when no spills are
    planned, and a deliberately undersized scratchpad that the legacy
    disciplines reject outright but lifetime compiles to a valid spilling
-   program.  Results land in BENCH_ALLOC.json; PIMCOMP_SIM_TINY=1
-   shrinks the run. *)
-let alloc_bench () =
-  let tiny = Sys.getenv_opt "PIMCOMP_SIM_TINY" <> None in
+   program.  Results land in BENCH_ALLOC.json; the tiny size runs two
+   small networks. *)
+let alloc_bench ~tiny gates =
   let nets =
     if tiny then
       [ ("tiny", 16); ("lenet", Nnir.Zoo.min_input_size "lenet") ]
@@ -1186,14 +1161,9 @@ let alloc_bench () =
             let lt_max, lt_sum = resident lt in
             let ag_spill = ag.Pimcomp.Isa.memory.Pimcomp.Isa.spill_bytes in
             let lt_spill = lt.Pimcomp.Isa.memory.Pimcomp.Isa.spill_bytes in
-            if lt_max > ag_max || lt_sum > ag_sum then
-              failwith
-                (Fmt.str
-                   "alloc: lifetime footprint above AG-reuse on %s %s \
-                    (max %d vs %d, sum %d vs %d)"
-                   (fst net)
-                   (Pimcomp.Mode.to_string mode)
-                   lt_max ag_max lt_sum ag_sum);
+            let label =
+              Fmt.str "%s %s" (fst net) (Pimcomp.Mode.to_string mode)
+            in
             (* with no planned spills the lifetime emission is the same
                instruction stream, so the simulated timing and energy
                must be bit-identical *)
@@ -1201,50 +1171,53 @@ let alloc_bench () =
               if ag_spill = 0 && lt_spill = 0 then begin
                 let run p = Pimsim.Engine.run ~parallelism hw p in
                 let ma = run ag and ml = run lt in
-                let same =
-                  ma.Pimsim.Metrics.makespan_ns
-                  = ml.Pimsim.Metrics.makespan_ns
+                Some
+                  (ma.Pimsim.Metrics.makespan_ns = ml.Pimsim.Metrics.makespan_ns
                   && Pimsim.Metrics.total_pj ma.Pimsim.Metrics.energy
-                     = Pimsim.Metrics.total_pj ml.Pimsim.Metrics.energy
-                in
-                if not same then
-                  failwith
-                    (Fmt.str
-                       "alloc: spill-free lifetime program simulates \
-                        differently on %s %s"
-                       (fst net)
-                       (Pimcomp.Mode.to_string mode));
-                Some true
+                     = Pimsim.Metrics.total_pj ml.Pimsim.Metrics.energy)
               end
               else None
             in
+            let reduced = lt_max < ag_max || lt_sum < ag_sum in
             Fmt.pr
               "%-14s %s  ag(max %6d  sum %8d  spill %8d)  lt(max %6d  sum \
                %8d  spill %8d)%s@."
               (fst net)
               (Pimcomp.Mode.to_string mode)
               ag_max ag_sum ag_spill lt_max lt_sum lt_spill
-              (match sim_identical with
-              | Some true -> "  sim-identical"
-              | _ -> "");
-            ( fst net,
-              Pimcomp.Mode.to_string mode,
-              (ag_max, ag_sum, ag_spill),
-              (lt_max, lt_sum, lt_spill),
-              sim_identical ))
+              (if sim_identical = Some true then "  sim-identical" else "");
+            ( reduced,
+              J.Obj
+                [
+                  ("network", J.String (fst net));
+                  ("mode", J.String (Pimcomp.Mode.to_string mode));
+                  ("ag_resident_max", J.Int ag_max);
+                  ("ag_resident_sum", J.Int ag_sum);
+                  ("ag_spill", J.Int ag_spill);
+                  ("lifetime_resident_max", J.Int lt_max);
+                  ("lifetime_resident_sum", J.Int lt_sum);
+                  ("lifetime_spill", J.Int lt_spill);
+                  ("reduced", J.Bool reduced);
+                  check gates "within_ag_reuse"
+                    (lt_max <= ag_max && lt_sum <= ag_sum)
+                    (Fmt.str
+                       "alloc: lifetime footprint above AG-reuse on %s (max \
+                        %d vs %d, sum %d vs %d)"
+                       label lt_max ag_max lt_sum ag_sum);
+                  (match sim_identical with
+                  | Some same ->
+                      check gates "sim_identical" same
+                        (Fmt.str
+                           "alloc: spill-free lifetime program simulates \
+                            differently on %s"
+                           label)
+                  | None -> ("sim_identical", J.Null));
+                ] ))
           [ Pimcomp.Mode.High_throughput; Pimcomp.Mode.Low_latency ])
       nets
   in
-  let reduced =
-    List.filter
-      (fun (_, _, (ag_max, ag_sum, _), (lt_max, lt_sum, _), _) ->
-        lt_max < ag_max || lt_sum < ag_sum)
-      rows
-  in
-  if 2 * List.length reduced < List.length rows then
-    failwith
-      (Fmt.str "alloc: lifetime reduced the footprint on only %d/%d rows"
-         (List.length reduced) (List.length rows));
+  let reduced = List.length (List.filter fst rows) in
+  let total = List.length rows in
   (* An HT scratchpad smaller than the largest single request: the
      legacy disciplines raise Doesnt_fit, the lifetime planner streams
      the oversized buffers through global memory instead. *)
@@ -1273,8 +1246,6 @@ let alloc_bench () =
     | _ -> false
     | exception Pimcomp.Memalloc.Doesnt_fit _ -> true
   in
-  if not legacy_rejected then
-    failwith "alloc: expected the tight scratchpad to reject AG-reuse";
   let tight =
     Pimcomp.Compile.compile
       ~options:(tight_options Pimcomp.Memalloc.Lifetime)
@@ -1287,56 +1258,45 @@ let alloc_bench () =
   let tight_max, _ = resident tp in
   let tight_spill = tp.Pimcomp.Isa.memory.Pimcomp.Isa.spill_bytes in
   let tight_metrics = Pimsim.Engine.run ~parallelism tight_hw tp in
-  if not tight_verified then
-    failwith "alloc: tight-memory lifetime program failed verification";
-  if tight_max > tight_bytes then
-    failwith
-      (Fmt.str "alloc: tight resident peak %d exceeds the %dB scratchpad"
-         tight_max tight_bytes);
-  if tight_spill = 0 then
-    failwith "alloc: tight-memory program planned no spills";
-  if tight_metrics.Pimsim.Metrics.deadlocked then
-    failwith "alloc: tight-memory program deadlocked in simulation";
   Fmt.pr
     "tight %s @@ %dB: spill %d B, resident max %d B, makespan %.2f us, \
      verified %b@."
     tight_name tight_bytes tight_spill tight_max
     (tight_metrics.Pimsim.Metrics.makespan_ns /. 1e3)
     tight_verified;
-  write_json "BENCH_ALLOC.json" (fun json ->
-      Format.fprintf json "{@.  \"tiny\": %b,@.  \"rows\": [@." tiny;
-      List.iteri
-        (fun i
-             ( name,
-               mode,
-               (ag_max, ag_sum, ag_spill),
-               (lt_max, lt_sum, lt_spill),
-               sim_identical ) ->
-          Format.fprintf json
-            "    { \"network\": %S, \"mode\": %S, \"ag_resident_max\": %d, \
-             \"ag_resident_sum\": %d, \"ag_spill\": %d, \
-             \"lifetime_resident_max\": %d, \"lifetime_resident_sum\": %d, \
-             \"lifetime_spill\": %d, \"reduced\": %b, \"sim_identical\": \
-             %s }%s@."
-            name mode ag_max ag_sum ag_spill lt_max lt_sum lt_spill
-            (lt_max < ag_max || lt_sum < ag_sum)
-            (match sim_identical with
-            | Some b -> string_of_bool b
-            | None -> "null")
-            (if i = List.length rows - 1 then "" else ","))
-        rows;
-      Format.fprintf json
-        "  ],@.  \"rows_reduced\": %d,@.  \"rows_total\": %d,@.  \
-         \"reduced_at_least_half\": %b,@."
-        (List.length reduced) (List.length rows)
-        (2 * List.length reduced >= List.length rows);
-      Format.fprintf json
-        "  \"tight\": { \"network\": %S, \"local_memory_bytes\": %d, \
-         \"legacy\": \"doesnt-fit\", \"lifetime_spill\": %d, \
-         \"resident_max\": %d, \"verified\": %b, \"makespan_us\": %.3f \
-         }@.}@."
-        tight_name tight_bytes tight_spill tight_max tight_verified
-        (tight_metrics.Pimsim.Metrics.makespan_ns /. 1e3))
+  [
+    ("tiny", J.Bool tiny);
+    ("rows", J.List (List.map snd rows));
+    ("rows_reduced", J.Int reduced);
+    ("rows_total", J.Int total);
+    check gates "reduced_at_least_half" (2 * reduced >= total)
+      (Fmt.str "alloc: lifetime reduced the footprint on only %d/%d rows"
+         reduced total);
+    ( "tight",
+      J.Obj
+        [
+          ("network", J.String tight_name);
+          ("local_memory_bytes", J.Int tight_bytes);
+          ( "legacy",
+            J.String (if legacy_rejected then "doesnt-fit" else "fits") );
+          check gates "legacy_rejected" legacy_rejected
+            "alloc: expected the tight scratchpad to reject AG-reuse";
+          ("lifetime_spill", J.Int tight_spill);
+          ("resident_max", J.Int tight_max);
+          check gates "verified" tight_verified
+            "alloc: tight-memory lifetime program failed verification";
+          check gates "resident_fits" (tight_max <= tight_bytes)
+            (Fmt.str "alloc: tight resident peak %d exceeds the %dB scratchpad"
+               tight_max tight_bytes);
+          check gates "spilled" (tight_spill > 0)
+            "alloc: tight-memory program planned no spills";
+          check gates "deadlock_free"
+            (not tight_metrics.Pimsim.Metrics.deadlocked)
+            "alloc: tight-memory program deadlocked in simulation";
+          ( "makespan_us",
+            J.Float (tight_metrics.Pimsim.Metrics.makespan_ns /. 1e3) );
+        ] );
+  ]
 
 (* --- streaming batch ----------------------------------------------------------
    The constant-memory streaming engine (Pimsim.Batch.run_stream) against
@@ -1349,12 +1309,11 @@ let alloc_bench () =
    N <= 8, the detector fired at N = 256 with the steady interval
    matching the materialised baseline bit-for-bit, and >= 10x on both
    wall clock and resident state.  Results land in BENCH_STREAM.json;
-   PIMCOMP_SIM_TINY=1 shrinks the run to the tiny network — whose bursty
-   HT cadence the detector correctly refuses to extrapolate, so the speed
+   the tiny size runs the tiny network — whose bursty HT cadence the
+   detector correctly refuses to extrapolate, so the detector and speed
    gates are recorded but only the identity and boundedness gates are
    enforced there. *)
-let stream_bench () =
-  let tiny = Sys.getenv_opt "PIMCOMP_SIM_TINY" <> None in
+let stream_bench ~tiny gates =
   let net =
     if tiny then ("tiny", Nnir.Zoo.min_input_size "tiny")
     else ("resnet18", Nnir.Zoo.min_input_size "resnet18")
@@ -1387,7 +1346,7 @@ let stream_bench () =
      parallelism %d,@.window %d, dyadic memory bandwidth).@.@."
     (fst net) (snd net) parallelism window;
   Fmt.pr "identity vs materialised replication (window 0, detector off):@.";
-  let identity_rows =
+  let identity =
     List.map
       (fun n ->
         let mat = Pimsim.Batch.run ~parallelism hw_s program ~batches:n in
@@ -1398,10 +1357,11 @@ let stream_bench () =
         let identical = st = mat in
         Fmt.pr "  N=%-3d %s@." n
           (if identical then "bit-identical" else "DIVERGED");
-        (n, identical))
+        ( identical,
+          J.Obj [ ("batches", J.Int n); ("bit_identical", J.Bool identical) ]
+        ))
       [ 1; 2; 4; 8 ]
   in
-  let all_identical = List.for_all snd identity_rows in
   let mat_big, mat_s =
     best_of ~reps (fun () ->
         Pimsim.Batch.run ~parallelism hw_s program ~batches:big_n)
@@ -1428,6 +1388,7 @@ let stream_bench () =
   let wall_speedup = mat_s /. stream_s in
   let mem_ratio = float_of_int mat_words /. float_of_int stream_words in
   let fired = stats.Pimsim.Engine.fired_at <> None in
+  let full = not tiny in
   let steady_match =
     stream_big.Pimsim.Batch.steady_interval_ns
     = mat_big.Pimsim.Batch.steady_interval_ns
@@ -1454,88 +1415,72 @@ let stream_bench () =
     stream_big.Pimsim.Batch.steady_interval_ns
     mat_big.Pimsim.Batch.steady_interval_ns
     (if steady_match then "exact" else "DIVERGED");
-  write_json "BENCH_STREAM.json" (fun json ->
-      Format.fprintf json
-        "{@.  \"tiny\": %b,@.  \"network\": %S,@.  \"input_size\": %d,@.  \
-         \"parallelism\": %d,@.  \"window\": %d,@.  \"batches\": %d,@."
-        tiny (fst net) (snd net) parallelism window big_n;
-      Format.fprintf json "  \"identity\": [@.";
-      List.iteri
-        (fun i (n, identical) ->
-          Format.fprintf json
-            "    { \"batches\": %d, \"bit_identical\": %b }%s@." n identical
-            (if i = List.length identity_rows - 1 then "" else ","))
-        identity_rows;
-      Format.fprintf json "  ],@.  \"all_identical\": %b,@." all_identical;
-      Format.fprintf json
-        "  \"materialised_seconds\": %.6f,@.  \"stream_seconds\": %.6f,@.  \
-         \"wall_speedup\": %.2f,@."
-        mat_s stream_s wall_speedup;
-      Format.fprintf json
-        "  \"materialised_words\": %d,@.  \"stream_words\": %d,@.  \
-         \"memory_ratio\": %.2f,@."
-        mat_words stream_words mem_ratio;
-      Format.fprintf json
-        "  \"fired\": %b,@.  \"fired_at\": %s,@.  \"simulated_instances\": \
-         %d,@.  \"extrapolated_instances\": %d,@.  \"peak_slots\": %d,@."
-        fired
-        (match stats.Pimsim.Engine.fired_at with
-        | Some k -> string_of_int k
-        | None -> "null")
-        stats.Pimsim.Engine.simulated_instances
-        stats.Pimsim.Engine.extrapolated_instances
-        stats.Pimsim.Engine.peak_slots;
-      Format.fprintf json
-        "  \"steady_interval_ns\": { \"stream\": %.17g, \"materialised\": \
-         %.17g, \"exact_match\": %b },@."
-        stream_big.Pimsim.Batch.steady_interval_ns
-        mat_big.Pimsim.Batch.steady_interval_ns steady_match;
-      Format.fprintf json
-        "  \"meets_10x_wall\": %b,@.  \"meets_10x_memory\": %b@.}@."
-        (wall_speedup >= 10.0) (mem_ratio >= 10.0));
-  if not all_identical then
-    failwith
+  let opt_int = function Some k -> J.Int k | None -> J.Null in
+  [
+    ("tiny", J.Bool tiny);
+    ("network", J.String (fst net));
+    ("input_size", J.Int (snd net));
+    ("parallelism", J.Int parallelism);
+    ("window", J.Int window);
+    ("batches", J.Int big_n);
+    ("identity", J.List (List.map snd identity));
+    check gates "all_identical"
+      (List.for_all fst identity)
       "stream: streamed result diverged from materialised replication at \
        small N";
-  if window > 0 && stats.Pimsim.Engine.peak_slots > window then
-    failwith
+    ("materialised_seconds", J.Float mat_s);
+    ("stream_seconds", J.Float stream_s);
+    ("wall_speedup", J.Float wall_speedup);
+    ("materialised_words", J.Int mat_words);
+    ("stream_words", J.Int stream_words);
+    ("memory_ratio", J.Float mem_ratio);
+    check gates ~enforced:full "fired" fired
+      (Fmt.str "stream: period detector did not fire at N=%d" big_n);
+    ("fired_at", opt_int stats.Pimsim.Engine.fired_at);
+    ("simulated_instances", J.Int stats.Pimsim.Engine.simulated_instances);
+    ( "extrapolated_instances",
+      J.Int stats.Pimsim.Engine.extrapolated_instances );
+    ("peak_slots", J.Int stats.Pimsim.Engine.peak_slots);
+    check gates "window_bounded"
+      (window = 0 || stats.Pimsim.Engine.peak_slots <= window)
       (Fmt.str "stream: %d slots resident exceeds the %d-instance window"
          stats.Pimsim.Engine.peak_slots window);
-  if not tiny then begin
-    if not fired then
-      failwith
-        (Fmt.str "stream: period detector did not fire at N=%d" big_n);
-    if not steady_match then
-      failwith "stream: steady interval diverged from the materialised run";
-    if wall_speedup < 10.0 then
-      failwith
-        (Fmt.str "stream: wall-clock speedup %.1fx below the 10x gate"
-           wall_speedup);
-    if mem_ratio < 10.0 then
-      failwith
-        (Fmt.str "stream: resident-state ratio %.1fx below the 10x gate"
-           mem_ratio)
-  end
+    ( "steady_interval_ns",
+      J.Obj
+        [
+          ("stream", J.Float stream_big.Pimsim.Batch.steady_interval_ns);
+          ("materialised", J.Float mat_big.Pimsim.Batch.steady_interval_ns);
+          check gates ~enforced:full "exact_match" steady_match
+            "stream: steady interval diverged from the materialised run";
+        ] );
+    check gates ~enforced:full "meets_10x_wall" (wall_speedup >= 10.0)
+      (Fmt.str "stream: wall-clock speedup %.1fx below the 10x gate"
+         wall_speedup);
+    check gates ~enforced:full "meets_10x_memory" (mem_ratio >= 10.0)
+      (Fmt.str "stream: resident-state ratio %.1fx below the 10x gate"
+         mem_ratio);
+  ]
 
 (* --- driver ------------------------------------------------------------------- *)
 
-let sections : (string * (unit -> unit)) list =
-  [
-    ("table1", table1);
-    ("fig8", fig8);
-    ("fig9", fig9);
-    ("fig10", fig10);
-    ("table2", table2);
-    ("ablation", ablation);
-    ("ga", ga_throughput);
-    ("cache", cache_bench);
-    ("batch", batch);
-    ("synth", synth_bench);
-    ("alloc", alloc_bench);
-    ("stream", stream_bench);
-  ]
-
 let () =
+  let tiny = Sys.getenv_opt "PIMCOMP_SIM_TINY" <> None in
+  let sections =
+    [
+      ("table1", table1);
+      ("fig8", fig8);
+      ("fig9", fig9);
+      ("fig10", fig10);
+      ("table2", table2);
+      ("ablation", ablation);
+      ("ga", suite "BENCH_GA.json" (ga_bench ~tiny));
+      ("cache", suite "BENCH_CACHE.json" (cache_bench ~tiny));
+      ("batch", batch);
+      ("synth", suite "BENCH_SYNTH.json" (synth_bench ~tiny));
+      ("alloc", suite "BENCH_ALLOC.json" (alloc_bench ~tiny));
+      ("stream", suite "BENCH_STREAM.json" (stream_bench ~tiny));
+    ]
+  in
   let requested =
     match Array.to_list Sys.argv with
     | _ :: (_ :: _ as names) -> names

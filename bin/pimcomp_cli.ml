@@ -352,6 +352,13 @@ let compile_term simulate =
       strategy seed generations fast ga_islands ga_migration verbose simplify
       objective verify emit_isa emit_trace cache_dir cache_max_mb =
     wrap (fun () ->
+        (* the engine's [on_schedule] hook sees one inference *)
+        if emit_trace <> None && batches <> 1 then
+          invalid_arg
+            (Fmt.str
+               "--emit-trace records a single inference; it cannot be \
+                combined with --batches %d"
+               batches);
         let graph = load_network network input_size in
         let graph =
           if simplify then begin
@@ -695,8 +702,13 @@ module Serve = struct
     | "compile" -> J.Obj (program_fields served)
     | "verify" -> J.Obj (program_fields served @ [ ("violations", J.Int 0) ])
     | "simulate" ->
-        let energy (m : Pimsim.Metrics.t) =
-          J.Float (Pimsim.Metrics.total_pj m.Pimsim.Metrics.energy)
+        let per_inference (m : Pimsim.Metrics.t) =
+          [
+            ("latency_ns", J.Float m.Pimsim.Metrics.latency_ns);
+            ("throughput_ips", J.Float m.Pimsim.Metrics.throughput_ips);
+            ( "energy_pj",
+              J.Float (Pimsim.Metrics.total_pj m.Pimsim.Metrics.energy) );
+          ]
         in
         let fields =
           match
@@ -705,25 +717,20 @@ module Serve = struct
               ~batches:(J.int_field ~default:1 "batches" req)
               hw served
           with
-          | Pimsim.Simulate.Single m ->
-              [
-                ("latency_ns", J.Float m.Pimsim.Metrics.latency_ns);
-                ("throughput_ips", J.Float m.Pimsim.Metrics.throughput_ips);
-                ("energy_pj", energy m);
-              ]
+          | Pimsim.Simulate.Single m -> per_inference m
           | Pimsim.Simulate.Stream ((r : Pimsim.Batch.result), stats) ->
               [
                 ("batches", J.Int r.batches);
                 ("total_ns", J.Float r.total_ns);
                 ("steady_interval_ns", J.Float r.steady_interval_ns);
-                ("latency_ns", J.Float r.metrics.Pimsim.Metrics.latency_ns);
-                ("throughput_ips", J.Float r.throughput_ips);
-                ("energy_pj", energy r.metrics);
-                ( "simulated_instances",
-                  J.Int stats.Pimsim.Engine.simulated_instances );
-                ( "extrapolated_instances",
-                  J.Int stats.Pimsim.Engine.extrapolated_instances );
               ]
+              @ per_inference r.metrics
+              @ [
+                  ( "simulated_instances",
+                    J.Int stats.Pimsim.Engine.simulated_instances );
+                  ( "extrapolated_instances",
+                    J.Int stats.Pimsim.Engine.extrapolated_instances );
+                ]
         in
         J.Obj (program_fields served @ fields)
     | op -> error (Fmt.str "unknown op %S" op)
@@ -929,83 +936,6 @@ let cache_cmd =
 
 (* --- synth: multi-objective hardware design-space search -------------------- *)
 
-let synth_point_json (p : Pimhw.Design_space.point) =
-  Pimutil.Json.Obj
-    [
-      ("name", Pimutil.Json.String (Pimhw.Design_space.point_name p));
-      ("xbar_size", Pimutil.Json.Int p.Pimhw.Design_space.xbar_size);
-      ("xbars_per_core", Pimutil.Json.Int p.Pimhw.Design_space.xbars_per_core);
-      ("core_count", Pimutil.Json.Int p.Pimhw.Design_space.core_count);
-      ("local_memory_kb", Pimutil.Json.Int p.Pimhw.Design_space.local_memory_kb);
-      ("vfus_per_core", Pimutil.Json.Int p.Pimhw.Design_space.vfus_per_core);
-    ]
-
-let synth_frontier_json (fp : Pimcomp.Synth.frontier_point) =
-  let o = fp.Pimcomp.Synth.objectives in
-  Pimutil.Json.Obj
-    [
-      ("point", synth_point_json fp.Pimcomp.Synth.point);
-      ("time_ns", Pimutil.Json.Float o.Pimcomp.Synth.time_ns);
-      ("energy_pj", Pimutil.Json.Float o.Pimcomp.Synth.energy_pj);
-      ("area_mm2", Pimutil.Json.Float o.Pimcomp.Synth.area_mm2);
-      ( "per_network",
-        Pimutil.Json.List
-          (Array.to_list
-             (Array.map
-                (fun (name, time_ns, energy_pj) ->
-                  Pimutil.Json.Obj
-                    [
-                      ("network", Pimutil.Json.String name);
-                      ("time_ns", Pimutil.Json.Float time_ns);
-                      ("energy_pj", Pimutil.Json.Float energy_pj);
-                    ])
-                fp.Pimcomp.Synth.per_network)) );
-    ]
-
-let synth_stats_json (s : Pimcomp.Synth.stats) =
-  Pimutil.Json.Obj
-    [
-      ("considered", Pimutil.Json.Int s.Pimcomp.Synth.considered);
-      ("evaluated", Pimutil.Json.Int s.Pimcomp.Synth.evaluated);
-      ("eval_jobs", Pimutil.Json.Int s.Pimcomp.Synth.eval_jobs);
-      ("memo_hits", Pimutil.Json.Int s.Pimcomp.Synth.memo_hits);
-      ("pruned_capacity", Pimutil.Json.Int s.Pimcomp.Synth.pruned_capacity);
-      ("pruned_area", Pimutil.Json.Int s.Pimcomp.Synth.pruned_area);
-      ("infeasible", Pimutil.Json.Int s.Pimcomp.Synth.infeasible);
-      ("dominated", Pimutil.Json.Int s.Pimcomp.Synth.dominated);
-      ("generations", Pimutil.Json.Int s.Pimcomp.Synth.generations);
-      ("wall_seconds", Pimutil.Json.Float s.Pimcomp.Synth.wall_seconds);
-      ("eval_seconds", Pimutil.Json.Float s.Pimcomp.Synth.eval_seconds);
-      ( "candidates_per_sec",
-        Pimutil.Json.Float
-          (if s.Pimcomp.Synth.wall_seconds > 0.0 then
-             float_of_int s.Pimcomp.Synth.considered
-             /. s.Pimcomp.Synth.wall_seconds
-           else 0.0) );
-    ]
-
-let synth_result_json ~mode ~seed (r : Pimcomp.Synth.result) =
-  Pimutil.Json.Obj
-    [
-      ("mode", Pimutil.Json.String (Pimcomp.Mode.to_string mode));
-      ("seed", Pimutil.Json.Int seed);
-      ( "frontier",
-        Pimutil.Json.List (List.map synth_frontier_json r.Pimcomp.Synth.frontier)
-      );
-      ("stats", synth_stats_json r.Pimcomp.Synth.stats);
-      ( "infeasible",
-        Pimutil.Json.List
-          (List.map
-             (fun (p, reason) ->
-               Pimutil.Json.Obj
-                 [
-                   ("point", synth_point_json p);
-                   ("reason", Pimutil.Json.String reason);
-                 ])
-             r.Pimcomp.Synth.infeasible_points) );
-      ("pruned", Pimutil.Json.Int (List.length r.Pimcomp.Synth.pruned_points));
-    ]
-
 let synth_cmd =
   let networks_arg =
     let doc =
@@ -1148,16 +1078,7 @@ let synth_cmd =
           (List.length result.Pimcomp.Synth.frontier)
           s.Pimcomp.Synth.considered
           (Pimcomp.Mode.to_string mode);
-        Fmt.pr "%-22s | %12s %12s %10s@." "point" "time us" "energy uJ"
-          "area mm2";
-        List.iter
-          (fun (fp : Pimcomp.Synth.frontier_point) ->
-            Fmt.pr "%-22s | %12.2f %12.2f %10.2f@."
-              (Pimhw.Design_space.point_name fp.Pimcomp.Synth.point)
-              (fp.Pimcomp.Synth.objectives.Pimcomp.Synth.time_ns /. 1e3)
-              (fp.Pimcomp.Synth.objectives.Pimcomp.Synth.energy_pj /. 1e6)
-              fp.Pimcomp.Synth.objectives.Pimcomp.Synth.area_mm2)
-          result.Pimcomp.Synth.frontier;
+        Fmt.pr "%a" Pimcomp.Synth.pp_frontier result.Pimcomp.Synth.frontier;
         Fmt.pr
           "@.%d considered: %d evaluated (%d jobs), %d memo hits, %d pruned \
            (capacity), %d pruned (area), %d infeasible@."
@@ -1169,8 +1090,7 @@ let synth_cmd =
                 candidates/s@."
           s.Pimcomp.Synth.wall_seconds s.Pimcomp.Synth.eval_seconds
           pool_domains
-          (float_of_int s.Pimcomp.Synth.considered
-          /. s.Pimcomp.Synth.wall_seconds);
+          (Pimcomp.Synth.candidates_per_sec s);
         List.iter
           (fun (p, reason) ->
             Fmt.pr "infeasible %s: %s@."
@@ -1180,7 +1100,7 @@ let synth_cmd =
         match json_path with
         | None -> ()
         | Some path ->
-            let json = synth_result_json ~mode ~seed result in
+            let json = Pimcomp.Synth.to_json ~mode ~seed result in
             Pimutil.Atomic_io.write_text path
               (Pimutil.Json.to_string json ^ "\n");
             Fmt.pr "@.wrote %s@." path)

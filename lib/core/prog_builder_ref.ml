@@ -1,7 +1,7 @@
 (* Reference (pre-arena) program builder: the original list-of-records
-   formulation, kept verbatim so the Schedule_*_ref schedulers measure
-   the full prior pipeline in the differential benchmarks.  The live
-   builder is {!Prog_builder}.
+   formulation, kept verbatim so the Schedule_*_ref schedulers rebuild
+   the full prior pipeline, which the tests compare the live schedulers
+   against.  The live builder is {!Prog_builder}.
 
    Mutable program-under-construction shared by the two schedulers:
    per-core instruction buffers, rendezvous tag allocation, the local-

@@ -1,5 +1,5 @@
 (** Reference (pre-arena) builder used only by {!Schedule_ll_ref} /
-    {!Schedule_ht_ref} for differential benchmarking.  Mutable program-under-construction shared by the two schedulers:
+    {!Schedule_ht_ref}, oracles for the tests.  Mutable program-under-construction shared by the two schedulers:
     per-core instruction buffers, rendezvous tags, the local-memory
     allocator and global-traffic accounting.  Allocator spills
     materialise as STORE/LOAD round trips. *)

@@ -438,3 +438,91 @@ let run ?(params = default_params)
         search ~params ~options ~axes ~networks ~eval)
   in
   { result with stats = { result.stats with wall_seconds } }
+
+(* --- reports ------------------------------------------------------------ *)
+
+module J = Pimutil.Json
+
+let pp_frontier ppf frontier =
+  Fmt.pf ppf "%-22s | %12s %12s %10s@\n" "point" "time us" "energy uJ"
+    "area mm2";
+  List.iter
+    (fun fp ->
+      Fmt.pf ppf "%-22s | %12.2f %12.2f %10.2f@\n" (Ds.point_name fp.point)
+        (fp.objectives.time_ns /. 1e3)
+        (fp.objectives.energy_pj /. 1e6)
+        fp.objectives.area_mm2)
+    frontier
+
+let point_json (p : Ds.point) =
+  J.Obj
+    [
+      ("name", J.String (Ds.point_name p));
+      ("xbar_size", J.Int p.Ds.xbar_size);
+      ("xbars_per_core", J.Int p.Ds.xbars_per_core);
+      ("core_count", J.Int p.Ds.core_count);
+      ("local_memory_kb", J.Int p.Ds.local_memory_kb);
+      ("vfus_per_core", J.Int p.Ds.vfus_per_core);
+    ]
+
+let frontier_json frontier =
+  J.List
+    (List.map
+       (fun fp ->
+         J.Obj
+           [
+             ("point", point_json fp.point);
+             ("time_ns", J.Float fp.objectives.time_ns);
+             ("energy_pj", J.Float fp.objectives.energy_pj);
+             ("area_mm2", J.Float fp.objectives.area_mm2);
+             ( "per_network",
+               J.List
+                 (Array.to_list
+                    (Array.map
+                       (fun (name, time_ns, energy_pj) ->
+                         J.Obj
+                           [
+                             ("network", J.String name);
+                             ("time_ns", J.Float time_ns);
+                             ("energy_pj", J.Float energy_pj);
+                           ])
+                       fp.per_network)) );
+           ])
+       frontier)
+
+let candidates_per_sec s =
+  if s.wall_seconds > 0.0 then float_of_int s.considered /. s.wall_seconds
+  else 0.0
+
+let stats_json s =
+  J.Obj
+    [
+      ("considered", J.Int s.considered);
+      ("evaluated", J.Int s.evaluated);
+      ("eval_jobs", J.Int s.eval_jobs);
+      ("memo_hits", J.Int s.memo_hits);
+      ("pruned_capacity", J.Int s.pruned_capacity);
+      ("pruned_area", J.Int s.pruned_area);
+      ("infeasible", J.Int s.infeasible);
+      ("dominated", J.Int s.dominated);
+      ("generations", J.Int s.generations);
+      ("wall_seconds", J.Float s.wall_seconds);
+      ("eval_seconds", J.Float s.eval_seconds);
+      ("candidates_per_sec", J.Float (candidates_per_sec s));
+    ]
+
+let to_json ~mode ~seed r =
+  J.Obj
+    [
+      ("mode", J.String (Mode.to_string mode));
+      ("seed", J.Int seed);
+      ("frontier", frontier_json r.frontier);
+      ("stats", stats_json r.stats);
+      ( "infeasible",
+        J.List
+          (List.map
+             (fun (p, reason) ->
+               J.Obj [ ("point", point_json p); ("reason", J.String reason) ])
+             r.infeasible_points) );
+      ("pruned", J.Int (List.length r.pruned_points));
+    ]

@@ -122,3 +122,25 @@ val run :
     (e.g. {!Compile.Job_error}) aborts the search.  Raises
     [Invalid_argument] on empty [networks], non-positive [params], or
     invalid [axes]. *)
+
+(** {2 Reports} — what [pimcomp synth] prints and writes with [--json],
+    and what [BENCH_SYNTH.json] records. *)
+
+val pp_frontier : frontier_point list Fmt.t
+(** The frontier table: a header line, then one line per point with its
+    name, time (us), energy (uJ) and area (mm2). *)
+
+val frontier_json : frontier_point list -> Pimutil.Json.t
+(** One object per point: [point] (its name and axis values), the three
+    objectives and the [per_network] time and energy. *)
+
+val candidates_per_sec : stats -> float
+(** Candidates considered per wall second (0 for a zero wall time). *)
+
+val stats_json : stats -> Pimutil.Json.t
+(** Every {!stats} field, plus {!candidates_per_sec}. *)
+
+val to_json : mode:Mode.t -> seed:int -> result -> Pimutil.Json.t
+(** The [synth --json] document: [mode], [seed], [frontier]
+    ({!frontier_json}), [stats] ({!stats_json}), the [infeasible] points
+    with their reasons, and the [pruned] count. *)

@@ -98,7 +98,7 @@ type result = {
   total_ns : float;
   single_ns : float;          (* single-inference makespan *)
   steady_interval_ns : float; (* marginal time per extra inference *)
-  throughput_ips : float;     (* from the batched run *)
+  throughput_ips : float;     (* [metrics.throughput_ips] *)
   metrics : Metrics.t;        (* of the batched run *)
 }
 
@@ -115,19 +115,21 @@ let result_of ~batches ~(single : Metrics.t) (batched : Metrics.t) =
     total_ns = total;
     single_ns;
     steady_interval_ns = steady;
-    throughput_ips =
-      (if total > 0.0 then float_of_int batches *. 1e9 /. total else 0.0);
+    throughput_ips = batched.Metrics.throughput_ips;
     metrics = batched;
   }
 
 let run ?parallelism hw (program : Isa.t) ~batches =
   let single = Engine.run ?parallelism hw program in
   let batched = Engine.run ?parallelism hw (replicate program ~batches) in
-  (* the materialised engine sees one (big) program, so it reports one
-     simulated instance; stamp the real coverage so materialised and
-     streaming results carry the same provenance *)
+  (* the materialised engine sees one instance; cover all [batches] *)
+  let throughput_ips, latency_ns =
+    Metrics.per_inference ~pipeline_depth:program.Isa.pipeline_depth
+      ~instances:batches batched.Metrics.makespan_ns
+  in
   result_of ~batches ~single
-    { batched with Metrics.simulated_instances = batches }
+    { batched with Metrics.throughput_ips; latency_ns;
+      simulated_instances = batches }
 
 (* Enough in-flight instances to keep every pipeline stage busy (one
    instance per stage) plus slack for scheduling jitter: the streaming

@@ -9,7 +9,7 @@ type result = {
   total_ns : float;
   single_ns : float;
   steady_interval_ns : float;
-  throughput_ips : float;
+  throughput_ips : float;  (** [metrics.throughput_ips] *)
   metrics : Metrics.t;
 }
 
@@ -24,8 +24,8 @@ val replicate : Pimcomp.Isa.t -> batches:int -> Pimcomp.Isa.t
 
 val run :
   ?parallelism:int -> Pimhw.Config.t -> Pimcomp.Isa.t -> batches:int -> result
-(** Materialised path: [Engine.run] on [replicate].  The metrics carry
-    [simulated_instances = batches]. *)
+(** Materialised path: [Engine.run] on [replicate], its metrics'
+    throughput, latency and provenance covering [batches] instances. *)
 
 val default_window : Pimcomp.Isa.t -> int
 (** [pipeline_depth + 4]: one in-flight instance per pipeline stage plus

@@ -325,8 +325,6 @@ let arena ?(parallelism = default_parallelism) (hw : Pimhw.Config.t)
     t_dram = hw.Pimhw.Config.t_dram_latency_ns;
   }
 
-let program a = a.program
-
 let new_run a =
   {
     issue_next = Array.make a.core_count 0.0;
@@ -372,16 +370,16 @@ let make_metrics a r ~batches ~extrapolated =
   in
   let instrs_total = batches * a.n in
   let zero_peaks = Array.make a.core_count 0 in
+  let throughput_ips, latency_ns =
+    Metrics.per_inference ~pipeline_depth:a.program.Isa.pipeline_depth
+      ~instances:batches makespan
+  in
   {
     Metrics.graph_name = a.program.Isa.graph_name;
     mode = a.program.Isa.mode;
     makespan_ns = makespan;
-    throughput_ips = (if makespan > 0.0 then 1e9 /. makespan else 0.0);
-    (* in HT mode an inference crosses [pipeline_depth] stages, each
-       lasting one steady-state interval; in LL the stream IS one
-       inference *)
-    latency_ns =
-      makespan *. float_of_int (max 1 a.program.Isa.pipeline_depth);
+    throughput_ips;
+    latency_ns;
     energy =
       {
         Metrics.mvm_pj = r.dyn.(e_mvm);

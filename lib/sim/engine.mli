@@ -54,8 +54,6 @@ val exec :
     metrics.  [on_schedule] observes every instruction as
     it is scheduled (see {!Trace}). *)
 
-val program : t -> Pimcomp.Isa.t
-
 val run :
   ?parallelism:int ->
   ?on_schedule:(core:int -> index:int -> start:float -> finish:float -> unit) ->
@@ -99,7 +97,7 @@ val stream :
     [window = 0] (the default) places no bound on the number of
     in-flight instances: the schedule is then exactly the materialised
     one, and with [detect:false] the metrics are bit-identical to
-    [exec (arena hw (Batch.replicate (program a) ~batches))].  Fast
+    {!Batch.run}'s (the materialised program, [batches] instances).  Fast
     front-end cores may race arbitrarily far ahead of the bottleneck in
     that schedule, so every instance gets a slot of its own: O(batches
     x n) memory, like the materialised program's run state.

@@ -346,15 +346,16 @@ let run ?parallelism ?on_schedule (hw : Pimhw.Config.t) (program : Isa.t) =
       (fun acc busy -> acc +. (busy *. em.Pimhw.Energy_model.router_static_mw))
       0.0 core_busy
   in
+  let throughput_ips, latency_ns =
+    Metrics.per_inference ~pipeline_depth:program.Isa.pipeline_depth
+      ~instances:1 makespan
+  in
   {
     Metrics.graph_name = program.Isa.graph_name;
     mode = program.Isa.mode;
     makespan_ns = makespan;
-    throughput_ips = (if makespan > 0.0 then 1e9 /. makespan else 0.0);
-    (* in HT mode an inference crosses [pipeline_depth] stages, each
-       lasting one steady-state interval; in LL the stream IS one
-       inference *)
-    latency_ns = makespan *. float_of_int (max 1 program.Isa.pipeline_depth);
+    throughput_ips;
+    latency_ns;
     energy =
       {
         Metrics.mvm_pj = st.e_mvm;

@@ -23,12 +23,17 @@ let static_pj e =
 
 let total_pj e = dynamic_pj e +. static_pj e
 
+let per_inference ~pipeline_depth ~instances makespan_ns =
+  let n = float_of_int instances in
+  ( (if makespan_ns > 0.0 then n *. 1e9 /. makespan_ns else 0.0),
+    float_of_int (max 1 pipeline_depth) *. makespan_ns /. n )
+
 type t = {
   graph_name : string;
   mode : Pimcomp.Mode.t;
   makespan_ns : float;
-  throughput_ips : float;       (* steady-state inferences/second (HT) *)
-  latency_ns : float;           (* single-inference makespan (LL) *)
+  throughput_ips : float;       (* inferences/second, [per_inference] *)
+  latency_ns : float;           (* per inference, [per_inference] *)
   energy : energy;
   instrs_executed : int;
   instrs_total : int;

@@ -16,12 +16,18 @@ val dynamic_pj : energy -> float
 val static_pj : energy -> float
 val total_pj : energy -> float
 
+val per_inference :
+  pipeline_depth:int -> instances:int -> float -> float * float
+(** [(throughput_ips, latency_ns)] of [instances] pipelined inferences
+    in [makespan_ns] (the HT model): [instances x 1e9 / makespan_ns] (0
+    if the makespan is) and [max 1 pipeline_depth x makespan_ns / instances]. *)
+
 type t = {
   graph_name : string;
   mode : Pimcomp.Mode.t;
   makespan_ns : float;
-  throughput_ips : float;
-  latency_ns : float;
+  throughput_ips : float;  (** {!per_inference} over the covered instances *)
+  latency_ns : float;  (** {!per_inference} over the covered instances *)
   energy : energy;
   instrs_executed : int;
   instrs_total : int;

@@ -16,11 +16,7 @@ type event = {
 
 type t = { program : Isa.t; events : event array (* by start time *) }
 
-(* Capture on an existing arena: repeated captures of the same compiled
-   program share its decoded tables, and each capture runs on state of
-   its own. *)
-let capture arena =
-  let program = Engine.program arena in
+let run ?parallelism hw (program : Isa.t) =
   let collected = ref [] in
   let on_schedule ~core ~index ~start ~finish =
     let instr = program.Isa.cores.(core).(index) in
@@ -35,7 +31,7 @@ let capture arena =
       }
       :: !collected
   in
-  let metrics = Engine.exec ~on_schedule arena in
+  let metrics = Engine.run ?parallelism ~on_schedule hw program in
   let events = Array.of_list !collected in
   Array.sort
     (fun a b ->
@@ -43,9 +39,6 @@ let capture arena =
       else compare (a.core, a.index) (b.core, b.index))
     events;
   (metrics, { program; events })
-
-let run ?parallelism hw (program : Isa.t) =
-  capture (Engine.arena ?parallelism hw program)
 
 let events t = t.events
 let length t = Array.length t.events

@@ -16,10 +16,6 @@ val run :
   ?parallelism:int -> Pimhw.Config.t -> Pimcomp.Isa.t -> Metrics.t * t
 (** Simulate and collect the full event trace (sorted by start time). *)
 
-val capture : Engine.t -> Metrics.t * t
-(** Like {!run}, but on an existing arena: repeated captures decode the
-    program once, and each capture allocates its own run state. *)
-
 val events : t -> event array
 val length : t -> int
 

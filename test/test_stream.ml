@@ -86,6 +86,13 @@ let test_zoo_differential () =
               Pimsim.Engine_ref.run ~parallelism:20 hw
                 (Pimsim.Batch.replicate program ~batches)
             in
+            (* the reference sees one instance; the oracle reports the
+               per-inference figures of [batches] *)
+            let throughput_ips, latency_ns =
+              Pimsim.Metrics.per_inference
+                ~pipeline_depth:program.Pimcomp.Isa.pipeline_depth
+                ~instances:batches reference.Pimsim.Metrics.makespan_ns
+            in
             Alcotest.(check bool)
               (Fmt.str "%s %s N=%d: materialised bit-identical to Engine_ref"
                  name
@@ -93,7 +100,12 @@ let test_zoo_differential () =
                  batches)
               true
               (oracle.Pimsim.Batch.metrics
-              = { reference with Pimsim.Metrics.simulated_instances = batches })
+              = {
+                  reference with
+                  Pimsim.Metrics.simulated_instances = batches;
+                  throughput_ips;
+                  latency_ns;
+                })
           end;
           (* window 0 = unbounded, window >= batches = a bound that never
              binds: both must reproduce the materialised schedule
@@ -459,6 +471,36 @@ let test_window_stays_bounded () =
     (s256.Pimsim.Engine.peak_slots
     <= Pimsim.Batch.default_window program)
 
+(* --- per-inference figures over a stream ----------------------------- *)
+
+(* The metrics of N instances carry the batch's throughput, and the
+   per-inference latency does not grow with N. *)
+let test_per_inference () =
+  List.iter
+    (fun name ->
+      let program = compile_zoo ~mode:Pimcomp.Mode.High_throughput name in
+      List.iter
+        (fun window ->
+          let run batches =
+            let r, _ =
+              Pimsim.Batch.run_stream ~parallelism:20 ~window hw program
+                ~batches
+            in
+            Alcotest.(check int64)
+              (Fmt.str "%s w=%d N=%d: metrics throughput" name window batches)
+              (Int64.bits_of_float r.Pimsim.Batch.throughput_ips)
+              (Int64.bits_of_float
+                 r.Pimsim.Batch.metrics.Pimsim.Metrics.throughput_ips);
+            r.Pimsim.Batch.metrics.Pimsim.Metrics.latency_ns
+          in
+          let l8 = run 8 and l64 = run 64 in
+          Alcotest.(check bool)
+            (Fmt.str "%s w=%d: latency at N=64 (%g) <= at N=8 (%g)" name
+               window l64 l8)
+            true (l64 <= l8))
+        [ 0; Pimsim.Batch.default_window program ])
+    [ "tiny"; "lenet" ]
+
 let () =
   Alcotest.run "stream"
     [
@@ -482,6 +524,8 @@ let () =
           QCheck_alcotest.to_alcotest window_invariance;
           Alcotest.test_case "window slots bounded" `Quick
             test_window_stays_bounded;
+          Alcotest.test_case "per-inference throughput and latency" `Quick
+            test_per_inference;
         ] );
       ( "guards",
         [

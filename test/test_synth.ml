@@ -346,6 +346,72 @@ let test_e2e_domain_independence () =
      in
      strip one.Synth.stats = strip four.Synth.stats)
 
+(* The [synth --json] document, read back: every frontier point's name
+   and objectives bit for bit, and every search count. *)
+let test_e2e_json_report () =
+  let module J = Pimutil.Json in
+  let r = run_e2e ~domains:1 ~prune:true in
+  let doc =
+    J.of_string
+      (J.to_string
+         (Synth.to_json ~mode:e2e_options.Pimcomp.Compile.mode
+            ~seed:Synth.default_params.Synth.seed r))
+  in
+  let field key v =
+    match J.member key v with
+    | Some x -> x
+    | None -> Alcotest.failf "no %S in the document" key
+  in
+  let list = function
+    | J.List l -> l
+    | v -> Alcotest.failf "not a list: %s" (J.to_string v)
+  in
+  (* %.17g prints an integral float as an int *)
+  let bits = function
+    | J.Float f -> Int64.bits_of_float f
+    | J.Int i -> Int64.bits_of_float (float_of_int i)
+    | v -> Alcotest.failf "not a number: %s" (J.to_string v)
+  in
+  let points = list (field "frontier" doc) in
+  Alcotest.(check int) "frontier points" (List.length r.Synth.frontier)
+    (List.length points);
+  List.iter2
+    (fun (fp : Synth.frontier_point) p ->
+      let name = Ds.point_name fp.Synth.point in
+      Alcotest.(check string)
+        "name" name
+        (J.string_field "name" (field "point" p));
+      let o = fp.Synth.objectives in
+      List.iter
+        (fun (key, v) ->
+          Alcotest.(check int64) (name ^ " " ^ key) (Int64.bits_of_float v)
+            (bits (field key p)))
+        [
+          ("time_ns", o.Synth.time_ns);
+          ("energy_pj", o.Synth.energy_pj);
+          ("area_mm2", o.Synth.area_mm2);
+        ])
+    r.Synth.frontier points;
+  let s = r.Synth.stats and stats = field "stats" doc in
+  List.iter
+    (fun (key, n) -> Alcotest.(check int) key n (J.int_field key stats))
+    [
+      ("considered", s.Synth.considered);
+      ("evaluated", s.Synth.evaluated);
+      ("eval_jobs", s.Synth.eval_jobs);
+      ("memo_hits", s.Synth.memo_hits);
+      ("pruned_capacity", s.Synth.pruned_capacity);
+      ("pruned_area", s.Synth.pruned_area);
+      ("infeasible", s.Synth.infeasible);
+      ("dominated", s.Synth.dominated);
+      ("generations", s.Synth.generations);
+    ];
+  Alcotest.(check int) "infeasible points"
+    (List.length r.Synth.infeasible_points)
+    (List.length (list (field "infeasible" doc)));
+  Alcotest.(check int) "pruned points" (List.length r.Synth.pruned_points)
+    (J.int_field "pruned" doc)
+
 let () =
   Alcotest.run "synth"
     [
@@ -383,5 +449,6 @@ let () =
             test_e2e_domain_independence;
           Alcotest.test_case "bad options abort" `Quick
             test_e2e_bad_options_abort;
+          Alcotest.test_case "json report" `Quick test_e2e_json_report;
         ] );
     ]
