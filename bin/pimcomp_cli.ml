@@ -352,6 +352,12 @@ let compile_term simulate =
       strategy seed generations fast ga_islands ga_migration verbose simplify
       objective verify emit_isa emit_trace cache_dir cache_max_mb =
     wrap (fun () ->
+        if (not simulate) && batches <> 1 then
+          invalid_arg
+            (Fmt.str
+               "--batches %d: compile does not simulate; pass --batches to \
+                simulate"
+               batches);
         (* the engine's [on_schedule] hook sees one inference *)
         if emit_trace <> None && batches <> 1 then
           invalid_arg

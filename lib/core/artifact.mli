@@ -2,20 +2,23 @@
     cache (docs/formats.md, "pimart container").
 
     The container records the cache key the program was compiled under
-    and an MD5 checksum over the marshalled payload, validated {e
-    before} the bytes reach the unmarshaller: torn or bit-flipped
-    entries raise {!Corrupt} instead of undefined behaviour.  Semantic
-    validity of the program itself is established by {!Verify} when a
-    {!Cache} handle first loads the entry (see {!Cache}).
+    and an MD5 checksum over the payload, a compact binary encoding of
+    the program (docs/formats.md, "payload grammar").  The decoder is
+    total: any bytes decode to a program or raise {!Corrupt}, so no
+    input ends the process, and the checksum turns torn or bit-flipped
+    entries into {!Corrupt} before they are decoded.  Semantic validity
+    of the program itself is established by {!Verify} when a {!Cache}
+    handle first loads the entry (see {!Cache}).
 
     One header parser serves every reader.  The payload is checksummed
-    and unmarshalled where it lies in the bytes read from disk, never
-    copied out of them. *)
+    and decoded where it lies in the bytes read from disk, never copied
+    out of them. *)
 
 exception Corrupt of string
-(** The container failed structural validation (bad magic, truncated
-    header, payload length or checksum mismatch).  Always raised in
-    preference to feeding suspect bytes to [Marshal]. *)
+(** The container failed structural validation: bad magic or version,
+    truncated header, payload length or checksum mismatch, or a payload
+    that is not the encoding of a program.  The only exception the
+    readers below raise. *)
 
 type t = { key : string; program : Isa.t }
 
@@ -37,8 +40,8 @@ val of_file : string -> t
 
 val graph_name_of_file : string -> string
 (** The graph name in a container's header, after every check {!of_file}
-    makes before the payload reaches [Marshal]: the payload is never
-    unmarshalled.  Raises {!Corrupt} on unreadable or invalid files. *)
+    makes before it decodes the payload: the payload is never decoded.
+    Raises {!Corrupt} on unreadable or invalid files. *)
 
 (** {2 Staged loading}
 
@@ -63,8 +66,9 @@ val bytes : opened -> string
 
 val load : opened -> Isa.t
 (** Every remaining check {!of_file} makes: the payload's MD5, then the
-    unmarshal and the graph-name match.  Raises {!Corrupt}. *)
+    decode and the graph-name match.  Raises {!Corrupt}. *)
 
 val decode : opened -> Isa.t
-(** The unmarshal and graph-name match alone, without the checksum.
-    Sound only on bytes equal to bytes that {!load} accepted. *)
+(** The decode and graph-name match alone, without the checksum.  Sound
+    on any bytes: a payload that is not a program's encoding raises
+    {!Corrupt}. *)

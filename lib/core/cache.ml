@@ -25,7 +25,7 @@
      itself.  A passing entry is recorded with an HMAC-MD5 of its file
      bytes under a secret drawn when the handle opened; a later hit
      whose bytes carry the same MAC under the same key is recalled:
-     the checksum, the unmarshal and the verifier are skipped, and the
+     the checksum, the decode and the verifier are skipped, and the
      program is decoded only when the caller forces it;
    - eviction is LRU by file mtime (hits touch their entry), triggered
      on store when [max_bytes] is set; the newest entry always

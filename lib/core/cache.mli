@@ -76,7 +76,7 @@ val lookup :
     [Lazy.force p], and [m] is this handle's MAC of the bytes, so two
     hits under one key with equal [m] served equal bytes.  On the
     handle's first load of those bytes, [p] is already decoded; on a
-    recalled hit it is unmarshalled in place on the first [Lazy.force],
+    recalled hit it is decoded in place on the first [Lazy.force],
     which must happen on one domain at a time.  [None] is a miss —
     including poisoned entries, which are deleted and counted in
     [rejected]. *)
@@ -105,5 +105,5 @@ val clear : t -> int
 val list : t -> (string * string * int * float) list
 (** [(key, graph_name, bytes, mtime)] for every entry, newest first.
     The graph name is read from the container header by
-    {!Artifact.graph_name_of_file}, so no payload is unmarshalled; an
+    {!Artifact.graph_name_of_file}, so no payload is decoded; an
     entry that fails the container check is named ["<corrupt>"]. *)

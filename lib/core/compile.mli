@@ -93,7 +93,7 @@ type served = {
   program : Isa.t Lazy.t;
       (** Already evaluated on a miss, with the cache off, and on a
           handle's first load of an entry.  A recalled hit
-          ({!Cache.lookup}) unmarshals it on the first [Lazy.force], so
+          ({!Cache.lookup}) decodes it on the first [Lazy.force], so
           a caller that needs only [summary] never pays the decode. *)
   outcome : outcome;
   key : string option;  (** [None] iff [Cache_off] *)

@@ -22,41 +22,6 @@ let errf line fmt =
 
 (* --- printing ----------------------------------------------------------- *)
 
-let padding_to_string (p : Op.padding) =
-  Fmt.str "%d,%d,%d,%d" p.top p.bottom p.left p.right
-
-let shape_to_string (s : Tensor.shape) =
-  if Array.length s = 0 then "scalar"
-  else String.concat "x" (List.map string_of_int (Array.to_list s))
-
-let op_fields : Op.t -> string list = function
-  | Op.Input s -> [ "shape=" ^ shape_to_string s ]
-  | Op.Conv c ->
-      [
-        Fmt.str "oc=%d" c.out_channels;
-        Fmt.str "k=%dx%d" c.kernel_h c.kernel_w;
-        Fmt.str "s=%dx%d" c.stride_h c.stride_w;
-        "p=" ^ padding_to_string c.pad;
-        Fmt.str "g=%d" c.groups;
-        Fmt.str "bias=%d" (if c.has_bias then 1 else 0);
-      ]
-  | Op.Fully_connected f ->
-      [
-        Fmt.str "of=%d" f.out_features;
-        Fmt.str "bias=%d" (if f.has_bias then 1 else 0);
-      ]
-  | Op.Pool p when p.global -> []
-  | Op.Pool p ->
-      [
-        Fmt.str "k=%dx%d" p.kernel_h p.kernel_w;
-        Fmt.str "s=%dx%d" p.stride_h p.stride_w;
-        "p=" ^ padding_to_string p.pad;
-        Fmt.str "ceil=%d" (if p.ceil_mode then 1 else 0);
-      ]
-  | Op.Activation _ | Op.Eltwise _ | Op.Concat | Op.Flatten | Op.Softmax
-  | Op.Identity ->
-      []
-
 (* Global pools need a distinct kind keyword since their parameter list is
    empty. *)
 let op_kind_keyword : Op.t -> string = function
@@ -82,25 +47,93 @@ let check_name what name =
              what name))
     name
 
-let node_to_line (n : Node.t) =
+(* Every field is written straight into the one buffer: " key=" and
+   its value, with no per-line strings or lists. *)
+let add_int = Pimutil.Decimal.add_int
+
+let add_key buf key =
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf key;
+  Buffer.add_char buf '='
+
+let add_int_field buf key v =
+  add_key buf key;
+  add_int buf v
+
+let add_pair buf key a b =
+  add_int_field buf key a;
+  Buffer.add_char buf 'x';
+  add_int buf b
+
+let add_flag buf key v =
+  add_key buf key;
+  Buffer.add_char buf (if v then '1' else '0')
+
+let add_padding buf (p : Op.padding) =
+  add_int_field buf "p" p.top;
+  Buffer.add_char buf ',';
+  add_int buf p.bottom;
+  Buffer.add_char buf ',';
+  add_int buf p.left;
+  Buffer.add_char buf ',';
+  add_int buf p.right
+
+let add_shape buf (s : Tensor.shape) =
+  add_key buf "shape";
+  if Array.length s = 0 then Buffer.add_string buf "scalar"
+  else
+    Array.iteri
+      (fun i d ->
+        if i > 0 then Buffer.add_char buf 'x';
+        add_int buf d)
+      s
+
+let add_op_fields buf : Op.t -> unit = function
+  | Op.Input s -> add_shape buf s
+  | Op.Conv c ->
+      add_int_field buf "oc" c.out_channels;
+      add_pair buf "k" c.kernel_h c.kernel_w;
+      add_pair buf "s" c.stride_h c.stride_w;
+      add_padding buf c.pad;
+      add_int_field buf "g" c.groups;
+      add_flag buf "bias" c.has_bias
+  | Op.Fully_connected f ->
+      add_int_field buf "of" f.out_features;
+      add_flag buf "bias" f.has_bias
+  | Op.Pool p when p.global -> ()
+  | Op.Pool p ->
+      add_pair buf "k" p.kernel_h p.kernel_w;
+      add_pair buf "s" p.stride_h p.stride_w;
+      add_padding buf p.pad;
+      add_flag buf "ceil" p.ceil_mode
+  | Op.Activation _ | Op.Eltwise _ | Op.Concat | Op.Flatten | Op.Softmax
+  | Op.Identity ->
+      ()
+
+let add_node buf (n : Node.t) =
   check_name "node" (Node.name n);
-  let inputs = String.concat "," (List.map string_of_int (Node.inputs n)) in
-  let fields = op_fields (Node.op n) in
-  String.concat " "
-    ([ "node"; string_of_int (Node.id n); Node.name n;
-       op_kind_keyword (Node.op n) ]
-    @ fields
-    @ [ "inputs=" ^ inputs ])
+  Buffer.add_string buf "node ";
+  add_int buf (Node.id n);
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf (Node.name n);
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf (op_kind_keyword (Node.op n));
+  add_op_fields buf (Node.op n);
+  Buffer.add_string buf " inputs=";
+  List.iteri
+    (fun i id ->
+      if i > 0 then Buffer.add_char buf ',';
+      add_int buf id)
+    (Node.inputs n);
+  Buffer.add_char buf '\n'
 
 let to_string (g : Graph.t) =
   let buf = Buffer.create 4096 in
   check_name "graph" (Graph.name g);
-  Buffer.add_string buf ("graph " ^ Graph.name g ^ "\n");
-  Array.iter
-    (fun n ->
-      Buffer.add_string buf (node_to_line n);
-      Buffer.add_char buf '\n')
-    (Graph.nodes g);
+  Buffer.add_string buf "graph ";
+  Buffer.add_string buf (Graph.name g);
+  Buffer.add_char buf '\n';
+  Array.iter (add_node buf) (Graph.nodes g);
   Buffer.contents buf
 
 (* --- parsing ------------------------------------------------------------ *)

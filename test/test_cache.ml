@@ -71,8 +71,8 @@ let test_artifact_roundtrip_zoo () =
     ]
 
 (* Random mappings: Random_search with arbitrary seeds explores the
-   chromosome space, so the marshalled payloads differ per case while
-   the container must stay exact. *)
+   chromosome space, so the encoded payloads differ per case while the
+   container must stay exact. *)
 let test_artifact_roundtrip_random =
   QCheck.Test.make ~count:25 ~name:"artifact round-trip, random mappings"
     QCheck.(
@@ -114,8 +114,8 @@ let test_artifact_rejects_corruption () =
   corrupt "bad magic" ("x" ^ text);
   corrupt "truncated payload" (String.sub text 0 (String.length text - 3));
   corrupt "trailing bytes" (text ^ "z");
-  (* Single bit flip deep in the marshalled payload: the checksum must
-     catch it before the bytes reach the unmarshaller. *)
+  (* Single bit flip deep in the payload: the checksum must catch it
+     before the bytes reach the decoder. *)
   let b = Bytes.of_string text in
   let i = Bytes.length b - 5 in
   Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
@@ -129,6 +129,310 @@ let test_artifact_key_validation () =
       | _ -> Alcotest.failf "accepted bad key %S" bad
       | exception Invalid_argument _ -> ())
     [ ""; "abc"; String.make 32 'G'; String.make 33 'a' ]
+
+(* --- payload codec ---------------------------------------------------------- *)
+
+(* Exact, and down to the Marshal image: the decoder rebuilds the one
+   piece of sharing the schedulers create (a standalone activation
+   node's VEC kind value), so digests of a decoded program's Marshal
+   bytes, as perfbench takes them, match the compiled program's. *)
+let check_round_trip ?(image = true) label program =
+  let a = Pimcomp.Artifact.make ~key:dummy_key program in
+  let b = Pimcomp.Artifact.of_string (Pimcomp.Artifact.to_string a) in
+  Alcotest.(check bool) (label ^ " round-trips exactly") true (a = b);
+  if image then
+    Alcotest.(check bool)
+      (label ^ " keeps its Marshal image")
+      true
+      (Marshal.to_string b.Pimcomp.Artifact.program []
+      = Marshal.to_string program [])
+
+let allocators =
+  Pimcomp.Memalloc.[ Naive; Add_reuse; Ag_reuse; Lifetime ]
+
+let test_codec_zoo () =
+  List.iter
+    (fun name ->
+      List.iter
+        (fun mode ->
+          List.iter
+            (fun allocator ->
+              check_round_trip
+                (Fmt.str "%s %a %s" name Pimcomp.Mode.pp mode
+                   (Pimcomp.Memalloc.strategy_name allocator))
+                (compile ~mode ~allocator name))
+            allocators)
+        Pimcomp.Mode.all)
+    Nnir.Zoo.names
+
+let test_codec_paper_networks () =
+  List.iter
+    (fun name ->
+      let g =
+        Nnir.Zoo.build ~input_size:(Nnir.Zoo.scaled_input_size ~factor:4 name)
+          name
+      in
+      List.iter
+        (fun mode ->
+          check_round_trip
+            (Fmt.str "%s %a at factor 4" name Pimcomp.Mode.pp mode)
+            (Pimcomp.Compile.compile ~options:(options ~mode ()) hw g)
+              .Pimcomp.Compile.program)
+        Pimcomp.Mode.all)
+    Nnir.Zoo.paper_benchmarks
+
+(* Programs no scheduler emits.  The codec stores any [Isa.t]; judging
+   it is the verifier's job.  Their values round-trip; their sharing
+   (the test's constants, one [Vact] value on several nodes) need not. *)
+let test_codec_handmade () =
+  let open Pimcomp.Isa in
+  let sigmoid = Vact Nnir.Op.Sigmoid in
+  let fresh_sigmoid () = Vact (Sys.opaque_identity Nnir.Op.Sigmoid) in
+  let mvm ag xbars =
+    Mvm
+      {
+        ag;
+        windows = -3;
+        xbars;
+        input_bytes = max_int;
+        output_bytes = min_int;
+      }
+  in
+  let instr ?(deps = []) node_id op = { op; deps; node_id } in
+  let memory =
+    {
+      local_peak_bytes = [| -1; max_int; 0 |];
+      local_resident_peak_bytes = [||];
+      spill_bytes = min_int;
+      global_load_bytes = 0;
+      global_store_bytes = -7;
+    }
+  in
+  let program =
+    {
+      graph_name = "handmade";
+      mode = Pimcomp.Mode.Low_latency;
+      allocator = Pimcomp.Memalloc.Lifetime;
+      core_count = 3;
+      cores =
+        [|
+          [|
+            (* an AG outside the table, above and below it; deps not
+               below their index, negative and repeated *)
+            instr ~deps:[ 4; -1 ] (-1) (mvm 5 7);
+            instr ~deps:[ 0; 0; 1 ] min_int (mvm (-1) 2);
+            instr max_int (mvm 1 2);
+            instr ~deps:[ 2 ] 7 (Vec { kind = sigmoid; elements = -1 });
+            instr 7 (Vec { kind = sigmoid; elements = -1 });
+            instr 7 (Vec { kind = fresh_sigmoid (); elements = 0 });
+            instr 8 (Vec { kind = Vact Nnir.Op.Tanh; elements = 3 });
+            instr 7 (Vec { kind = sigmoid; elements = 0 });
+            (* zero tags, twice, and tags that wrap *)
+            instr (-1) (Send { dst = -2; bytes = 0; tag = 0 });
+            instr (-1) (Send { dst = -2; bytes = 0; tag = 0 });
+            instr 0 (Recv { src = 99; bytes = -5; tag = max_int });
+            instr 0 (Recv { src = 99; bytes = -5; tag = min_int });
+            instr 0 (Load { bytes = -1 });
+            instr 0 (Store { bytes = 0 });
+            instr 0 (Store { bytes = 0 });
+          |];
+          [||];
+          [|
+            instr 7 (Vec { kind = sigmoid; elements = 4 });
+            instr ~deps:[ 1_000_000 ] 7 (Vec { kind = Vmove; elements = 0 });
+          |];
+        |];
+      ag_core = [| 0; -1 |];
+      ag_xbars = [| 4; 2 |];
+      num_tags = 0;
+      pipeline_depth = -1;
+      memory;
+      mem_trace =
+        [|
+          Alloc { core = -1; bytes = max_int; request = Fresh };
+          Alloc { core = -1; bytes = max_int; request = Accumulator (-3) };
+          Free { core = -1; bytes = max_int };
+          Free_accumulator { core = 5; key = min_int };
+          Free_ag_slot { core = 5; key = 0 };
+          Alloc { core = 0; bytes = 0; request = Ag_slot max_int };
+        |];
+    }
+  in
+  check_round_trip ~image:false "hand-made program" program;
+  check_round_trip ~image:false "empty program"
+    {
+      program with
+      graph_name = "empty";
+      core_count = 0;
+      cores = [||];
+      ag_core = [||];
+      ag_xbars = [||];
+      memory = { memory with local_peak_bytes = [||] };
+      mem_trace = [||];
+    }
+
+(* A container's first three header lines and its payload. *)
+let split_container text =
+  let line_end from = String.index_from text from '\n' + 1 in
+  let head = line_end (line_end (line_end 0)) in
+  let payload = line_end head in
+  ( String.sub text 0 head,
+    String.sub text payload (String.length text - payload) )
+
+(* [payload] behind [head] and a payload line that matches it, so that
+   the bytes pass every container check and reach the decoder. *)
+let repack head payload =
+  String.concat ""
+    [
+      head;
+      Fmt.str "payload %d %s\n" (String.length payload)
+        (Digest.to_hex (Digest.string payload));
+      payload;
+    ]
+
+let decodes_or_corrupt text =
+  match Pimcomp.Artifact.of_string text with
+  | _ -> true
+  | exception Pimcomp.Artifact.Corrupt _ -> true
+
+(* Random bytes, and real payloads cut (0), with a byte flipped (1),
+   with a byte inserted (2) or with a random tail after a prefix (3),
+   each behind a header whose length and MD5 match, so that every case
+   reaches the decoder. *)
+let test_codec_total =
+  let samples =
+    lazy
+      (Array.of_list
+         (List.concat_map
+            (fun name ->
+              List.map
+                (fun mode ->
+                  split_container
+                    (Pimcomp.Artifact.to_string
+                       (Pimcomp.Artifact.make ~key:dummy_key
+                          (compile ~mode name))))
+                Pimcomp.Mode.all)
+            [ "tiny"; "mlp"; "lenet" ]))
+  in
+  let mutate (sample, kind, at, byte) =
+    let samples = Lazy.force samples in
+    let head, payload = samples.(sample mod Array.length samples) in
+    let n = String.length payload in
+    let at = at mod (n + 1) in
+    let payload =
+      match kind with
+      | 0 -> String.sub payload 0 at
+      | 1 when at < n ->
+          String.mapi
+            (fun i x ->
+              if i = at then Char.chr (Char.code x lxor max 1 byte) else x)
+            payload
+      | 2 ->
+          String.sub payload 0 at ^ String.make 1 (Char.chr byte)
+          ^ String.sub payload at (n - at)
+      | _ ->
+          String.sub payload 0 at
+          ^ String.init (byte mod 16) (fun i ->
+                Char.chr ((byte * (i + 7)) land 0xff))
+    in
+    (head, payload)
+  in
+  QCheck.Test.make ~count:3000
+    ~name:"any payload decodes to a program or raises Corrupt"
+    QCheck.(
+      pair string
+        (quad (int_bound 1000) (int_bound 3) (int_bound 1_000_000)
+           (int_bound 255)))
+    (fun (random, m) ->
+      let head, payload = mutate m in
+      decodes_or_corrupt (repack head random)
+      && decodes_or_corrupt (repack head payload))
+
+let test_codec_truncations () =
+  List.iter
+    (fun name ->
+      let head, payload =
+        split_container
+          (Pimcomp.Artifact.to_string
+             (Pimcomp.Artifact.make ~key:dummy_key
+                (compile ~mode:Pimcomp.Mode.High_throughput name)))
+      in
+      let n = String.length payload in
+      let cuts =
+        List.init (min 256 n) Fun.id
+        @ List.init (min 256 n) (fun i -> n - 1 - i)
+        @ List.init 64 (fun i -> 256 + (i * (n - 512) / 64))
+        |> List.filter (fun k -> k >= 0 && k < n)
+      in
+      List.iter
+        (fun k ->
+          match
+            Pimcomp.Artifact.of_string (repack head (String.sub payload 0 k))
+          with
+          | _ -> Alcotest.failf "%s: payload cut at %d of %d decoded" name k n
+          | exception Pimcomp.Artifact.Corrupt _ -> ())
+        cuts)
+    Nnir.Zoo.names
+
+(* An entry written under an older artifact version (version 2 held a
+   Marshal image) is rejected once, counted, and recompiled. *)
+let test_codec_old_version () =
+  let dir = scratch () in
+  let cache = Pimcomp.Cache.open_dir dir in
+  let g = graph "tiny" in
+  let options = options () in
+  let serve () = Pimcomp.Compile.compile_program ~options ~cache hw g in
+  let first = serve () in
+  let path =
+    Filename.concat dir (Option.get first.Pimcomp.Compile.key ^ ".pimart")
+  in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let header_end = String.index text '\n' in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc "pimart 2";
+      output_string oc
+        (String.sub text header_end (String.length text - header_end)));
+  let outcomes =
+    List.map
+      (fun () -> (serve ()).Pimcomp.Compile.outcome)
+      [ (); () ]
+  in
+  Alcotest.(check bool) "recompiled, then served" true
+    (outcomes = Pimcomp.Compile.[ Cache_miss; Cache_hit ]);
+  Alcotest.(check int) "rejected once" 1
+    (Pimcomp.Cache.stats cache).Pimcomp.Cache.rejected;
+  ignore (Pimcomp.Cache.clear cache)
+
+(* A count is checked against the bytes left before anything of that
+   size is allocated. *)
+let test_codec_huge_length () =
+  let uint n =
+    let b = Buffer.create 9 in
+    let n = ref n in
+    while !n lsr 7 <> 0 do
+      Buffer.add_char b (Char.chr (!n land 0x7f lor 0x80));
+      n := !n lsr 7
+    done;
+    Buffer.add_char b (Char.chr !n);
+    Buffer.contents b
+  in
+  let head, _ =
+    split_container
+      (Pimcomp.Artifact.to_string
+         (Pimcomp.Artifact.make ~key:dummy_key (compile "tiny")))
+  in
+  (* name "tiny", HT, naive, core count 1, 0 tags, depth 0, then the AG
+     core table's length *)
+  let payload =
+    uint 4 ^ "tiny" ^ "\x00\x00\x01\x00\x00" ^ uint (1 lsl 40)
+    ^ String.make 16 '\x00'
+  in
+  let before = Gc.minor_words () in
+  (match Pimcomp.Artifact.of_string (repack head payload) with
+  | _ -> Alcotest.fail "a 2^40-element table decoded"
+  | exception Pimcomp.Artifact.Corrupt _ -> ());
+  Alcotest.(check bool) "nothing of that size allocated" true
+    (Gc.minor_words () -. before < 100_000.)
 
 (* --- canonical digest ------------------------------------------------------- *)
 
@@ -602,6 +906,23 @@ let () =
             test_artifact_rejects_corruption;
           Alcotest.test_case "key validation" `Quick
             test_artifact_key_validation;
+        ] );
+      ( "codec",
+        [
+          Alcotest.test_case "zoo x modes x allocators round-trip" `Quick
+            test_codec_zoo;
+          Alcotest.test_case "paper networks at factor 4 round-trip" `Quick
+            test_codec_paper_networks;
+          Alcotest.test_case "hand-made programs round-trip" `Quick
+            test_codec_handmade;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 29 |])
+            test_codec_total;
+          Alcotest.test_case "truncated payloads rejected" `Quick
+            test_codec_truncations;
+          Alcotest.test_case "2^40-element length rejected" `Quick
+            test_codec_huge_length;
+          Alcotest.test_case "version-2 entry rejected once" `Quick
+            test_codec_old_version;
         ] );
       ( "digest",
         [

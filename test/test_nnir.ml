@@ -301,6 +301,188 @@ let test_roundtrip_zoo () =
         (Nnir.Graph.num_nodes g'))
     Nnir.Zoo.names
 
+(* The .nnt printer before it wrote into one buffer, kept as the oracle
+   for the byte-identity of the current one: each line is built from
+   [Fmt.str], [String.concat] and list appends. *)
+module Oracle = struct
+  let padding_to_string (p : Nnir.Op.padding) =
+    Fmt.str "%d,%d,%d,%d" p.top p.bottom p.left p.right
+
+  let shape_to_string (s : Nnir.Tensor.shape) =
+    if Array.length s = 0 then "scalar"
+    else String.concat "x" (List.map string_of_int (Array.to_list s))
+
+  let op_fields : Nnir.Op.t -> string list = function
+    | Nnir.Op.Input s -> [ "shape=" ^ shape_to_string s ]
+    | Nnir.Op.Conv c ->
+        [
+          Fmt.str "oc=%d" c.out_channels;
+          Fmt.str "k=%dx%d" c.kernel_h c.kernel_w;
+          Fmt.str "s=%dx%d" c.stride_h c.stride_w;
+          "p=" ^ padding_to_string c.pad;
+          Fmt.str "g=%d" c.groups;
+          Fmt.str "bias=%d" (if c.has_bias then 1 else 0);
+        ]
+    | Nnir.Op.Fully_connected f ->
+        [
+          Fmt.str "of=%d" f.out_features;
+          Fmt.str "bias=%d" (if f.has_bias then 1 else 0);
+        ]
+    | Nnir.Op.Pool p when p.global -> []
+    | Nnir.Op.Pool p ->
+        [
+          Fmt.str "k=%dx%d" p.kernel_h p.kernel_w;
+          Fmt.str "s=%dx%d" p.stride_h p.stride_w;
+          "p=" ^ padding_to_string p.pad;
+          Fmt.str "ceil=%d" (if p.ceil_mode then 1 else 0);
+        ]
+    | _ -> []
+
+  let op_kind_keyword : Nnir.Op.t -> string = function
+    | Nnir.Op.Pool p when p.global -> (
+        match p.kind with
+        | Nnir.Op.Max_pool -> "global_maxpool"
+        | Nnir.Op.Avg_pool -> "global_avgpool")
+    | op -> Nnir.Op.kind_name op
+
+  let node_to_line (n : Nnir.Node.t) =
+    let inputs =
+      String.concat "," (List.map string_of_int (Nnir.Node.inputs n))
+    in
+    String.concat " "
+      ([
+         "node";
+         string_of_int (Nnir.Node.id n);
+         Nnir.Node.name n;
+         op_kind_keyword (Nnir.Node.op n);
+       ]
+      @ op_fields (Nnir.Node.op n)
+      @ [ "inputs=" ^ inputs ])
+
+  let to_string (g : Nnir.Graph.t) =
+    let buf = Buffer.create 4096 in
+    Buffer.add_string buf ("graph " ^ Nnir.Graph.name g ^ "\n");
+    Array.iter
+      (fun n ->
+        Buffer.add_string buf (node_to_line n);
+        Buffer.add_char buf '\n')
+      (Nnir.Graph.nodes g);
+    Buffer.contents buf
+end
+
+let test_printer_matches_oracle_zoo () =
+  List.iter
+    (fun name ->
+      List.iter
+        (fun input_size ->
+          let g = Nnir.Zoo.build ~input_size name in
+          Alcotest.(check string)
+            (Fmt.str "%s at %d px" name input_size)
+            (Oracle.to_string g)
+            (Nnir.Text_format.to_string g))
+        [ Nnir.Zoo.min_input_size name; Nnir.Zoo.default_input_size name ])
+    Nnir.Zoo.names
+
+(* Random graphs over every operator kind and field: each step appends
+   one node fed by earlier ones and is kept only if the graph still
+   validates, so every case prints. *)
+let random_graph_printer =
+  let gen =
+    QCheck.Gen.(
+      pair (int_bound 2)
+        (list_size (int_range 1 24)
+           (quad (int_bound 13) (int_range 1 3) (int_bound 2) bool)))
+  in
+  QCheck.Test.make ~name:"printer matches the oracle on random graphs"
+    ~count:300 (QCheck.make gen) (fun (input, steps) ->
+      let shape =
+        match input with
+        | 0 -> Nnir.Tensor.chw ~channels:4 ~height:24 ~width:20
+        | 1 -> [| 12 |]
+        | _ -> Nnir.Tensor.scalar
+      in
+      let input_node =
+        Nnir.Node.make ~id:0 ~name:"in" ~op:(Nnir.Op.Input shape) ~inputs:[]
+      in
+      let graph nodes = Nnir.Graph.create ~name:"random" (List.rev nodes) in
+      let nodes =
+        List.fold_left
+          (fun nodes (k, a, p, flag) ->
+            let id = List.length nodes in
+            let last = id - 1 and other = (id - 1) * a / 4 in
+            let pad =
+              { Nnir.Op.top = p; bottom = a - 1; left = 1; right = p }
+            in
+            let pool kind =
+              Nnir.Op.Pool
+                {
+                  kind;
+                  kernel_h = a + 1;
+                  kernel_w = 2;
+                  stride_h = a;
+                  stride_w = 1 + p;
+                  pad = { pad with bottom = 0; left = 0 };
+                  global = false;
+                  ceil_mode = flag;
+                }
+            in
+            let op, inputs =
+              match k with
+              | 0 ->
+                  ( Nnir.Op.Conv
+                      {
+                        out_channels = 2 * a;
+                        kernel_h = a;
+                        kernel_w = 4 - a;
+                        stride_h = 1 + p;
+                        stride_w = a;
+                        pad;
+                        groups = (if flag then 2 else 1);
+                        has_bias = flag;
+                      },
+                    [ last ] )
+              | 1 ->
+                  ( Nnir.Op.Fully_connected
+                      { out_features = 5 * a; has_bias = flag },
+                    [ last ] )
+              | 2 -> (pool Nnir.Op.Max_pool, [ last ])
+              | 3 -> (pool Nnir.Op.Avg_pool, [ last ])
+              | 4 ->
+                  ( Nnir.Op.global_pool
+                      ~kind:
+                        (if flag then Nnir.Op.Max_pool else Nnir.Op.Avg_pool),
+                    [ last ] )
+              | 5 -> (Nnir.Op.Activation Nnir.Op.Relu, [ last ])
+              | 6 -> (Nnir.Op.Activation Nnir.Op.Sigmoid, [ last ])
+              | 7 -> (Nnir.Op.Activation Nnir.Op.Tanh, [ last ])
+              | 8 ->
+                  ( Nnir.Op.Eltwise
+                      (match p with
+                      | 0 -> Nnir.Op.Add
+                      | 1 -> Nnir.Op.Mul
+                      | _ -> Nnir.Op.Max),
+                    [ last; other ] )
+              | 9 -> (Nnir.Op.Concat, [ other; last ])
+              | 10 -> (Nnir.Op.Flatten, [ last ])
+              | 11 -> (Nnir.Op.Softmax, [ last ])
+              | _ -> (Nnir.Op.Identity, [ last ])
+            in
+            let node =
+              Nnir.Node.make ~id
+                ~name:(Fmt.str "n%d_%s" id (Nnir.Op.kind_name op))
+                ~op ~inputs
+            in
+            match graph (node :: nodes) with
+            | _ -> node :: nodes
+            | exception
+                ( Nnir.Shape_infer.Shape_error _ | Nnir.Graph.Invalid_graph _
+                | Invalid_argument _ ) ->
+                nodes)
+          [ input_node ] steps
+      in
+      let g = graph nodes in
+      Nnir.Text_format.to_string g = Oracle.to_string g)
+
 let test_parse_errors () =
   (match Nnir.Text_format.of_string "node 0 x conv inputs=" with
   | exception Nnir.Text_format.Parse_error _ -> ()
@@ -470,6 +652,9 @@ let () =
       ( "text-format",
         [
           Alcotest.test_case "zoo round-trip" `Quick test_roundtrip_zoo;
+          Alcotest.test_case "printer matches the oracle on the zoo" `Quick
+            test_printer_matches_oracle_zoo;
+          QCheck_alcotest.to_alcotest random_graph_printer;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
           Alcotest.test_case "whitespace names" `Quick test_whitespace_names;
         ] );
