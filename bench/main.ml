@@ -112,17 +112,11 @@ let section name f =
   Fmt.pr "@.%s@.== %s@.%s@." hr name hr;
   f ()
 
-(* Warm worker domains, each with the minor heap grown for the
-   schedulers' allocation profile as in the serve daemon. *)
-let warm_pool ?domains () =
-  Pimutil.Domain_pool.Persistent.create ?domains
-    ~init:Pimcomp.Sched_common.ensure_bulk_nursery ()
-
 (* One warm worker pool shared by every sweep section: repeated sweeps
    reuse the same domains instead of spawning and joining a fresh pool
    per map call.  Forced lazily so sections that never sweep don't
    spawn workers; shut down after the last section runs. *)
-let sweep_pool = lazy (warm_pool ())
+let sweep_pool = lazy (Pimcomp.Sched_common.warm_pool None)
 
 let pool_map f items =
   Pimutil.Domain_pool.Persistent.run (Lazy.force sweep_pool) f items
@@ -765,11 +759,16 @@ let cache_bench ~tiny gates =
         let cold =
           Pimcomp.Compile.compile_program ~options ~cache hw g
         in
-        assert (cold.Pimcomp.Compile.outcome = Pimcomp.Compile.Cache_miss);
+        let key =
+          match cold.Pimcomp.Compile.origin with
+          | Cache_miss { key; _ } -> key
+          | Cache_off _ | Cache_hit _ -> assert false
+        in
         (* What a caller gets: the served program, forced. *)
         let hit cache =
           let served = Pimcomp.Compile.compile_program ~options ~cache hw g in
-          assert (served.Pimcomp.Compile.outcome = Pimcomp.Compile.Cache_hit);
+          assert (
+            Pimcomp.Compile.outcome_name served.Pimcomp.Compile.origin = "hit");
           Lazy.force served.Pimcomp.Compile.program
         in
         let first, hit_s =
@@ -791,7 +790,6 @@ let cache_bench ~tiny gates =
           first = cold_program && recalled_program = cold_program
         in
         let entry_bytes =
-          let key = Option.get cold.Pimcomp.Compile.key in
           match
             List.find_opt
               (fun (k, _, _, _) -> k = key)
@@ -988,7 +986,7 @@ let synth_bench ~tiny gates =
     }
   in
   let search ~domains which =
-    let pool = warm_pool ~domains () in
+    let pool = Pimcomp.Sched_common.warm_pool (Some domains) in
     Fun.protect
       ~finally:(fun () -> Pimutil.Domain_pool.Persistent.shutdown pool)
       (fun () ->

@@ -253,13 +253,6 @@ let compile_options ?mode ?parallelism ?cores ?allocator ?spill_budget
     verify = Option.value verify ~default:defaults.verify;
   }
 
-(* Warm, long-lived workers for serve and synth: spawned once, minor
-   heap grown for the schedulers' allocation profile, reused across
-   batches. *)
-let warm_pool ?domains () =
-  Pimutil.Domain_pool.Persistent.create ?domains
-    ~init:Pimcomp.Sched_common.ensure_bulk_nursery ()
-
 (* The one-line message for every failure bad input can cause, shared
    by the commands and the serve daemon's requests.  Anything else is a
    bug and is re-raised. *)
@@ -352,12 +345,6 @@ let compile_term simulate =
       strategy seed generations fast ga_islands ga_migration verbose simplify
       objective verify emit_isa emit_trace cache_dir cache_max_mb =
     wrap (fun () ->
-        if (not simulate) && batches <> 1 then
-          invalid_arg
-            (Fmt.str
-               "--batches %d: compile does not simulate; pass --batches to \
-                simulate"
-               batches);
         (* the engine's [on_schedule] hook sees one inference *)
         if emit_trace <> None && batches <> 1 then
           invalid_arg
@@ -386,8 +373,8 @@ let compile_term simulate =
         let cache = open_cache cache_dir cache_max_mb in
         let served = Pimcomp.Compile.compile_program ~options ?cache hw graph in
         let program () = Lazy.force served.Pimcomp.Compile.program in
-        (match served.Pimcomp.Compile.result with
-        | Some result ->
+        (match served.Pimcomp.Compile.origin with
+        | Cache_off result | Cache_miss { result; _ } ->
             Fmt.pr "%a@." Pimcomp.Report.pp_summary result;
             if verbose then begin
               Fmt.pr "@.replication:@.%a@." Pimcomp.Report.pp_replication
@@ -395,17 +382,17 @@ let compile_term simulate =
               Fmt.pr "@.mapping:@.%a@." Pimcomp.Chromosome.pp
                 result.Pimcomp.Compile.chromosome
             end
-        | None ->
-            (* Cache hit: the full compile record was never built — the
-               program itself came off disk, already verified. *)
+        | Cache_hit _ ->
+            (* The full compile record was never built — the program
+               itself came off disk, already verified. *)
             let s = served.Pimcomp.Compile.summary in
             Fmt.pr "%s: %d cores, %d instructions (cache hit)@."
               s.Pimcomp.Cache.graph_name s.Pimcomp.Cache.cores
               s.Pimcomp.Cache.instructions);
-        (match (cache, served.Pimcomp.Compile.key) with
-        | Some cache, Some key ->
+        (match (cache, served.Pimcomp.Compile.origin) with
+        | Some cache, (Cache_miss { key; _ } | Cache_hit { key; _ }) ->
             Fmt.pr "cache %s: key %s in %.3f s  (%a)@."
-              (Pimcomp.Compile.outcome_name served.Pimcomp.Compile.outcome)
+              (Pimcomp.Compile.outcome_name served.Pimcomp.Compile.origin)
               key served.Pimcomp.Compile.seconds pp_cache_stats
               (Pimcomp.Cache.stats cache)
         | _ -> ());
@@ -438,10 +425,12 @@ let compile_term simulate =
                   r.Pimsim.Batch.metrics)
         | None -> ()))
   in
+  (* only [simulate] runs the engine, so only it takes [--batches] *)
+  let batches = if simulate then batches_arg else Term.const 1 in
   Term.(
     term_result
       (const run $ network_arg $ input_size_arg $ mode_arg $ parallelism_arg
-     $ batches_arg
+     $ batches
      $ cores_arg $ allocator_arg $ spill_budget_arg $ strategy_arg $ seed_arg
      $ generations_arg
      $ fast_arg $ ga_islands_arg $ ga_migration_arg $ verbose_arg
@@ -658,12 +647,12 @@ module Serve = struct
       ("ok", J.Bool true);
       ("graph", J.String s.Pimcomp.Cache.graph_name);
       ( "outcome",
-        J.String
-          (Pimcomp.Compile.outcome_name served.Pimcomp.Compile.outcome) );
+        J.String (Pimcomp.Compile.outcome_name served.Pimcomp.Compile.origin)
+      );
       ( "key",
-        match served.Pimcomp.Compile.key with
-        | Some k -> J.String k
-        | None -> J.Null );
+        match served.Pimcomp.Compile.origin with
+        | Cache_miss { key; _ } | Cache_hit { key; _ } -> J.String key
+        | Cache_off _ -> J.Null );
       ("seconds", J.Float served.Pimcomp.Compile.seconds);
       ("cores", J.Int s.Pimcomp.Cache.cores);
       ("instructions", J.Int s.Pimcomp.Cache.instructions);
@@ -873,7 +862,7 @@ let serve_cmd =
         let hw = Pimhw.Config.puma_like in
         let cache = open_cache cache_dir cache_max_mb in
         let sims = Pimsim.Simulate.record () in
-        let pool = warm_pool ?domains:jobs () in
+        let pool = Pimcomp.Sched_common.warm_pool jobs in
         (* A client that hangs up must end only its own conversation. *)
         Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
         Fun.protect
@@ -1069,7 +1058,7 @@ let synth_cmd =
           }
         in
         let cache = open_cache cache_dir cache_max_mb in
-        let pool = warm_pool ?domains () in
+        let pool = Pimcomp.Sched_common.warm_pool domains in
         let pool_domains = Pimutil.Domain_pool.Persistent.domain_count pool in
         let result =
           Fun.protect

@@ -3,7 +3,7 @@
    A container wraps the compiled {!Isa.t} with the cache key it was
    compiled under and an MD5 over the payload bytes:
 
-     pimart 3
+     pimart 4
      key <32 hex chars>
      graph <name>
      payload <byte count> <32 hex chars>
@@ -47,8 +47,9 @@ type t = { key : string; program : Isa.t }
 let magic = "pimart"
 
 (* v2: Isa.t memory report gained local_resident_peak_bytes; v3: the
-   payload codec below replaced Marshal *)
-let version = 3
+   payload codec below replaced Marshal; v4: VEC code 9 (the node's last
+   activation value) is gone, activations being static values *)
+let version = 4
 
 let is_hex s =
   String.length s = 32
@@ -72,20 +73,16 @@ let k_store = 3
 let k_send = 4
 let k_recv = 5
 
-(* VEC kind codes, in head bits 3-6: 0-8 index [vec_kinds], and
-   [vact_shared] is a [Vact] whose kind value is the one of the last
-   [Vact] with the same node id.  The LL scheduler gives all VEC
-   instructions of a standalone activation node one kind value; the
-   decoder shares it again, so a decoded program has the structure of
-   the one encoded, down to its Marshal image. *)
+(* VEC kind codes, in head bits 3-6, index [vec_kinds].  The table is
+   the file format's, not [Isa]'s order; its activations are
+   [Isa.vact]'s values, so a decoded program holds the same values as
+   the compiled one, down to its Marshal image. *)
 let vec_kinds =
   Isa.
     [|
-      Vadd; Vmul; Vmax; Vact Nnir.Op.Relu; Vact Nnir.Op.Sigmoid;
-      Vact Nnir.Op.Tanh; Vpool; Vsoftmax; Vmove;
+      Vadd; Vmul; Vmax; vact Relu; vact Sigmoid; vact Tanh; Vpool; Vsoftmax;
+      Vmove;
     |]
-
-let vact_shared = Array.length vec_kinds
 
 let vec_code : Isa.vec_kind -> int = function
   | Vadd -> 0
@@ -163,7 +160,7 @@ let put_ints b a =
 let in_table a i = i >= 0 && i < Array.length a
 
 (* [i] at index [idx] of its core. *)
-let put_instr b ~ag_xbars ~vact row idx (i : Isa.instr) =
+let put_instr b ~ag_xbars row idx (i : Isa.instr) =
   let head =
     match i.op with
     | Mvm m ->
@@ -174,17 +171,9 @@ let put_instr b ~ag_xbars ~vact row idx (i : Isa.instr) =
         lor flag (m.input_bytes = row.input) 0x40
         lor flag (m.output_bytes = row.output) 0x80
     | Vec v ->
-        let code =
-          match v.kind with
-          | Vact _ -> (
-              match Hashtbl.find_opt vact i.node_id with
-              | Some k when k == v.kind -> vact_shared
-              | _ ->
-                  Hashtbl.replace vact i.node_id v.kind;
-                  vec_code v.kind)
-          | kind -> vec_code kind
-        in
-        k_vec lor (code lsl 3) lor flag (v.elements = row.elements) 0x80
+        k_vec
+        lor (vec_code v.kind lsl 3)
+        lor flag (v.elements = row.elements) 0x80
     | Load l -> k_load lor flag (l.bytes = row.load) 0x08
     | Store s -> k_store lor flag (s.bytes = row.store) 0x08
     | Send { dst = peer; bytes; tag } | Recv { src = peer; bytes; tag } ->
@@ -268,13 +257,12 @@ let encode (p : Isa.t) =
   put_uint b p.pipeline_depth;
   put_ints b p.ag_core;
   put_ints b p.ag_xbars;
-  let vact = Hashtbl.create 16 in
   put_uint b (Array.length p.cores);
   Array.iter
     (fun core ->
       let row = new_row () in
       put_uint b (Array.length core);
-      Array.iteri (put_instr b ~ag_xbars:p.ag_xbars ~vact row) core)
+      Array.iteri (put_instr b ~ag_xbars:p.ag_xbars row) core)
     p.cores;
   let m = p.memory in
   put_ints b m.local_peak_bytes;
@@ -338,7 +326,7 @@ let no_flags head mask what =
 
 (* The instruction at index [idx] of its core, read in [put_instr]'s
    order. *)
-let get_instr r ~ag_xbars ~vact row idx =
+let get_instr r ~ag_xbars row idx =
   let head = byte r in
   let node_id = row.node + sint r in
   row.node <- node_id;
@@ -365,23 +353,9 @@ let get_instr r ~ag_xbars ~vact row idx =
         Mvm { ag; windows; xbars; input_bytes = input; output_bytes = output }
     | 1 (* vec *) ->
         let code = (head lsr 3) land 0x0f in
-        let kind : Isa.vec_kind =
-          if code < vact_shared then
-            match vec_kinds.(code) with
-            | Vact a ->
-                (* a kind value of its own, as the encoder saw it *)
-                let kind = Isa.Vact (Sys.opaque_identity a) in
-                Hashtbl.replace vact node_id kind;
-                kind
-            | kind -> kind
-          else if code = vact_shared then
-            match Hashtbl.find_opt vact node_id with
-            | Some kind -> kind
-            | None ->
-                corrupt "VEC shares the activation of node %d, which has none"
-                  node_id
-          else corrupt "unknown VEC kind %d" code
-        in
+        if code >= Array.length vec_kinds then
+          corrupt "unknown VEC kind %d" code;
+        let kind = Array.unsafe_get vec_kinds code in
         let elements = if head land 0x80 = 0 then uint r else row.elements in
         row.elements <- elements;
         Vec { kind; elements }
@@ -463,14 +437,13 @@ let decode_payload s pos stop : Isa.t =
   let pipeline_depth = uint r in
   let ag_core = ints r "AG core" in
   let ag_xbars = ints r "AG crossbar" in
-  let vact = Hashtbl.create 16 in
   let cores =
     Array.init (length r "core") (fun _ ->
         let row = new_row () in
         let n = length r "instruction" in
         let instrs = Array.make n dummy_instr in
         for idx = 0 to n - 1 do
-          Array.unsafe_set instrs idx (get_instr r ~ag_xbars ~vact row idx)
+          Array.unsafe_set instrs idx (get_instr r ~ag_xbars row idx)
         done;
         instrs)
   in

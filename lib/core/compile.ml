@@ -323,44 +323,42 @@ let cache_key ?(options = default_options) (config : Pimhw.Config.t) graph =
 
 (* --- cached program service ------------------------------------------------- *)
 
-type outcome = Cache_off | Cache_miss | Cache_hit
+type origin =
+  | Cache_off of t
+  | Cache_miss of { key : string; result : t }
+  | Cache_hit of { key : string; mac : Digest.t }
 
 let outcome_name = function
-  | Cache_off -> "off"
-  | Cache_miss -> "miss"
-  | Cache_hit -> "hit"
+  | Cache_off _ -> "off"
+  | Cache_miss _ -> "miss"
+  | Cache_hit _ -> "hit"
 
 type served = {
   summary : Cache.summary;
   program : Isa.t Lazy.t;
-  outcome : outcome;
-  key : string option;
-  mac : Digest.t option;
+  origin : origin;
   seconds : float;
-  result : t option;
 }
 
 let compile_program ?(options = default_options) ?cache
     (config : Pimhw.Config.t) graph =
-  let compiled (r : t) =
-    (Cache.summary r.program, Lazy.from_val r.program, None)
-  in
-  let ((summary, program, mac), outcome, key, result), seconds =
+  let compiled (r : t) = (Cache.summary r.program, Lazy.from_val r.program) in
+  let ((summary, program), origin), seconds =
     Pimutil.Clock.timed (fun () ->
         match cache with
         | None ->
             let r = compile ~options config graph in
-            (compiled r, Cache_off, None, Some r)
+            (compiled r, Cache_off r)
         | Some cache -> (
             let key = cache_key ~options config graph in
             match Cache.lookup cache ~key ~graph ~config () with
-            | Some (s, p, m) -> ((s, p, Some m), Cache_hit, Some key, None)
+            | Some (s, p, mac) -> ((s, p), Cache_hit { key; mac })
             | None ->
                 let r = compile ~options config graph in
                 Cache.store cache ~key r.program;
-                (compiled r, Cache_miss, Some key, Some r)))
+                (compiled r, Cache_miss { key; result = r })))
   in
-  { summary; program; outcome; key; mac; seconds; result }
+  { summary; program; origin; seconds }
 
 (* --- batch ------------------------------------------------------------------- *)
 

@@ -83,9 +83,20 @@ val cache_key : ?options:options -> Pimhw.Config.t -> Nnir.Graph.t -> string
     domain-count-invariant).  Equal keys mean bit-identical programs;
     any change to a hashed field changes the key. *)
 
-type outcome = Cache_off | Cache_miss | Cache_hit
+(** Where a served program came from. *)
+type origin =
+  | Cache_off of t  (** compiled, with no cache: the full record *)
+  | Cache_miss of { key : string; result : t }
+      (** compiled under the cache key [key] and stored: the full
+          record *)
+  | Cache_hit of { key : string; mac : Digest.t }
+      (** read from the entry under [key]; only the program is stored,
+          so there is no compile record.  [mac] is the cache handle's
+          MAC of the served bytes ({!Cache.lookup}): under one [key],
+          equal MACs mean equal bytes, so a result derived from the
+          program alone can be recorded by [(key, mac)]. *)
 
-val outcome_name : outcome -> string
+val outcome_name : origin -> string
 (** ["off"], ["miss"], ["hit"]. *)
 
 type served = {
@@ -95,19 +106,10 @@ type served = {
           handle's first load of an entry.  A recalled hit
           ({!Cache.lookup}) decodes it on the first [Lazy.force], so
           a caller that needs only [summary] never pays the decode. *)
-  outcome : outcome;
-  key : string option;  (** [None] iff [Cache_off] *)
-  mac : Digest.t option;
-      (** [Some] iff [Cache_hit]: the cache handle's MAC of the served
-          bytes ({!Cache.lookup}).  Under one [key], equal MACs mean
-          equal bytes, so a result derived from the program alone can
-          be recorded by [(key, mac)]. *)
+  origin : origin;
   seconds : float;
       (** wall-clock for the whole request, less a recalled hit's
           deferred decode *)
-  result : t option;
-      (** Full compile record on [Cache_off]/[Cache_miss]; [None] on a
-          hit — only the program is stored in the cache. *)
 }
 
 val compile_program :

@@ -19,6 +19,13 @@ type vec_kind =
   | Vsoftmax
   | Vmove
 
+(* Each arm is a constant, allocated once: one value per kind, whoever
+   builds the activation. *)
+let vact : Nnir.Op.activation_kind -> vec_kind = function
+  | Relu -> Vact Relu
+  | Sigmoid -> Vact Sigmoid
+  | Tanh -> Vact Tanh
+
 let vec_kind_name = function
   | Vadd -> "vadd"
   | Vmul -> "vmul"

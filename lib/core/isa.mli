@@ -17,6 +17,12 @@ type vec_kind =
   | Vsoftmax
   | Vmove
 
+val vact : Nnir.Op.activation_kind -> vec_kind
+(** [Vact k] as one static value per kind: [vact k == vact k].  The
+    schedulers and both readers ({!Isa_text}, {!Artifact}) build every
+    activation through it, so a compiled and a decoded program hold the
+    same activation values. *)
+
 val vec_kind_name : vec_kind -> string
 
 type op =

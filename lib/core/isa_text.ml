@@ -334,8 +334,8 @@ let allocators =
 let vec_kinds =
   List.map
     (fun k -> (Isa.vec_kind_name k, k))
-    Isa.[ Vadd; Vmul; Vmax; Vact Nnir.Op.Relu; Vact Nnir.Op.Sigmoid;
-          Vact Nnir.Op.Tanh; Vpool; Vsoftmax; Vmove ]
+    Isa.[ Vadd; Vmul; Vmax; vact Relu; vact Sigmoid; vact Tanh; Vpool;
+          Vsoftmax; Vmove ]
 
 let instr_kinds =
   [ ("MVM", `Mvm); ("VEC", `Vec); ("LOAD", `Load); ("STORE", `Store);

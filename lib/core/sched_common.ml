@@ -18,6 +18,9 @@ let ensure_bulk_nursery () =
   if g.Gc.minor_heap_size < bulk_nursery_words then
     Gc.set { g with Gc.minor_heap_size = bulk_nursery_words }
 
+let warm_pool domains =
+  Pimutil.Domain_pool.Persistent.create ?domains ~init:ensure_bulk_nursery ()
+
 (* Activation nodes whose producer is a weighted node are fused into the
    producer's accumulation epilogue (Algorithm 1, line 8).  Returns
    (kind per weighted node id, set of fused activation node ids). *)

@@ -8,6 +8,11 @@ val ensure_bulk_nursery : unit -> unit
     emission; called by the schedulers on entry.  See the comment in
     the implementation for the measured rationale. *)
 
+val warm_pool : int option -> Pimutil.Domain_pool.Persistent.t
+(** Long-lived workers ([None]: {!Pimutil.Domain_pool.default_domains})
+    whose domains each run [ensure_bulk_nursery] once, so the schedulers
+    they run start with the grown minor heap. *)
+
 val fused_activations :
   Nnir.Graph.t -> (Nnir.Node.id, Nnir.Op.activation_kind) Hashtbl.t
   * (Nnir.Node.id, unit) Hashtbl.t

@@ -181,7 +181,7 @@ let emit_pass ~options ~plan (layout : Layout.t) : Isa.t =
                 | Some kind ->
                     [
                       Prog_builder.emit_vec pb ~core:head ~deps:after_acc
-                        ~node:node_id ~kind:(Isa.Vact kind)
+                        ~node:node_id ~kind:(Isa.vact kind)
                         ~elements:(info.Partition.out_channels * batch_windows);
                     ]
                 | None -> after_acc

@@ -373,7 +373,7 @@ let emit_pass ~options ~plan (layout : Layout.t) : Isa.t =
                 match Hashtbl.find_opt fused_kind id with
                 | Some kind ->
                     Prog_builder.emit_vec pb ~core:head ~deps:!head_deps
-                      ~node:id ~kind:(Isa.Vact kind)
+                      ~node:id ~kind:(Isa.vact kind)
                       ~elements:(out_channels * windows)
                 | None -> (
                     match !head_deps with
@@ -420,7 +420,7 @@ let emit_pass ~options ~plan (layout : Layout.t) : Isa.t =
           | Nnir.Op.Eltwise Nnir.Op.Add -> Isa.Vadd
           | Nnir.Op.Eltwise Nnir.Op.Mul -> Isa.Vmul
           | Nnir.Op.Eltwise Nnir.Op.Max -> Isa.Vmax
-          | Nnir.Op.Activation k -> Isa.Vact k
+          | Nnir.Op.Activation k -> Isa.vact k
           | Nnir.Op.Softmax -> Isa.Vsoftmax
           | Nnir.Op.Concat | Nnir.Op.Flatten | Nnir.Op.Identity -> Isa.Vmove
           | Nnir.Op.Input _ | Nnir.Op.Conv _ | Nnir.Op.Fully_connected _ ->

@@ -159,6 +159,9 @@ let total_crossbars c = c.core_count * c.xbars_per_core
 (* Weight elements one crossbar stores. *)
 let xbar_capacity c = c.xbar_rows * c.xbar_cols
 
+(* A NoC message is whole flits, and even an empty one is a head flit. *)
+let flits c ~bytes = max 1 ((bytes + c.flit_bytes - 1) / c.flit_bytes)
+
 let pp_row ppf (component, parameters, specification, power, area) =
   Fmt.pf ppf "| %-15s | %-24s | %-13s | %10s | %11s |" component parameters
     specification power area

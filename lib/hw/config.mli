@@ -53,5 +53,9 @@ val chip_area_mm2 : t -> float
 val total_crossbars : t -> int
 val xbar_capacity : t -> int
 
+val flits : t -> bytes:int -> int
+(** Flits in a [bytes]-byte NoC message, at least one: the count behind
+    {!Timing.noc_ns}, {!Energy_model.message_energy_pj} and flit-hops. *)
+
 val pp_table : t Fmt.t
 (** Render the configuration in the layout of the paper's Table I. *)

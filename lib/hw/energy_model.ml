@@ -67,8 +67,8 @@ let create (config : Config.t) =
 
 (* Energy of a NoC message traversing [hops] routers. *)
 let message_energy_pj t ~hops ~bytes =
-  let flits = max 1 ((bytes + t.config.flit_bytes - 1) / t.config.flit_bytes) in
-  float_of_int (flits * hops) *. t.router_energy_pj_per_flit_hop
+  float_of_int (Config.flits t.config ~bytes * hops)
+  *. t.router_energy_pj_per_flit_hop
 
 let pp ppf t =
   Fmt.pf ppf

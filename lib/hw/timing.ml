@@ -45,7 +45,5 @@ let vec_ns t ~elements =
 
 (* NoC message latency: head-flit routing plus serialisation. *)
 let noc_ns t ~hops ~bytes =
-  let flits = (bytes + t.config.flit_bytes - 1) / t.config.flit_bytes in
-  let flits = max flits 1 in
   (float_of_int hops *. t.config.t_hop_ns)
-  +. (float_of_int flits *. t.config.t_core_cycle_ns)
+  +. (float_of_int (Config.flits t.config ~bytes) *. t.config.t_core_cycle_ns)

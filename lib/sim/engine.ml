@@ -115,9 +115,6 @@ type run = {
   mutable store_bytes : int;
 }
 
-let bytes_to_flits (hw : Pimhw.Config.t) bytes =
-  max 1 ((bytes + hw.Pimhw.Config.flit_bytes - 1) / hw.Pimhw.Config.flit_bytes)
-
 (* An index the arena and the run loop would use unchecked. *)
 let reject core idx fmt =
   Fmt.kstr
@@ -227,7 +224,7 @@ let arena ?(parallelism = default_parallelism) (hw : Pimhw.Config.t)
                 pe_local.(id) <- float_of_int bytes *. lr
               end;
               let hops = Pimhw.Noc.hops_to_global_memory noc ~core in
-              flithops_d.(id) <- bytes_to_flits hw bytes * hops;
+              flithops_d.(id) <- Pimhw.Config.flits hw ~bytes * hops;
               pe_noc.(id) <-
                 Pimhw.Energy_model.message_energy_pj em ~hops ~bytes
           | Isa.Send s ->
@@ -237,7 +234,7 @@ let arena ?(parallelism = default_parallelism) (hw : Pimhw.Config.t)
               if s.tag > !max_tag then max_tag := s.tag;
               let hops = Pimhw.Noc.hops noc ~src:core ~dst:s.dst in
               dur.(id) <- Pimhw.Timing.noc_ns timing ~hops ~bytes:s.bytes;
-              flithops_d.(id) <- bytes_to_flits hw s.bytes * hops;
+              flithops_d.(id) <- Pimhw.Config.flits hw ~bytes:s.bytes * hops;
               pe_noc.(id) <-
                 Pimhw.Energy_model.message_energy_pj em ~hops ~bytes:s.bytes
           | Isa.Recv r ->

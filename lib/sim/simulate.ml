@@ -57,9 +57,9 @@ let results_for t ~key ~mac =
 
 let served t ~parallelism ~batches hw (s : Pimcomp.Compile.served) =
   let id =
-    match (s.Pimcomp.Compile.key, s.Pimcomp.Compile.mac) with
-    | Some key, Some mac -> Some (key, mac)
-    | _ -> None
+    match s.Pimcomp.Compile.origin with
+    | Cache_hit { key; mac } -> Some (key, mac)
+    | Cache_off _ | Cache_miss _ -> None
   in
   let hit =
     Option.bind id (fun (key, mac) ->

@@ -30,11 +30,11 @@ val served :
   Pimcomp.Compile.served ->
   result
 (** [run] on the served program, bit-identical to it.  A hit
-    ([served.mac = Some _]) whose (key, MAC, batches) the record holds
-    is answered from it without forcing the program or running the
-    engine; any other hit is run and recorded.  A miss or a cache-off
-    request is run and recorded nowhere.  [parallelism] and the hardware
-    must be the ones [served.key] was computed from. *)
+    ([served.origin = Cache_hit { key; mac }]) whose (key, MAC, batches)
+    the record holds is answered from it without forcing the program or
+    running the engine; any other hit is run and recorded.  A miss or a
+    cache-off request is run and recorded nowhere.  [parallelism] and
+    the hardware must be the ones the key was computed from. *)
 
 type counts = {
   simulated : int;  (** requests that ran the engine *)

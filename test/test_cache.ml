@@ -132,10 +132,9 @@ let test_artifact_key_validation () =
 
 (* --- payload codec ---------------------------------------------------------- *)
 
-(* Exact, and down to the Marshal image: the decoder rebuilds the one
-   piece of sharing the schedulers create (a standalone activation
-   node's VEC kind value), so digests of a decoded program's Marshal
-   bytes, as perfbench takes them, match the compiled program's. *)
+(* Exact, and down to the Marshal image, which also records sharing:
+   the compiled and the decoded program hold the same static activation
+   values ([Isa.vact]) and share nothing else. *)
 let check_round_trip ?(image = true) label program =
   let a = Pimcomp.Artifact.make ~key:dummy_key program in
   let b = Pimcomp.Artifact.of_string (Pimcomp.Artifact.to_string a) in
@@ -182,8 +181,8 @@ let test_codec_paper_networks () =
     Nnir.Zoo.paper_benchmarks
 
 (* Programs no scheduler emits.  The codec stores any [Isa.t]; judging
-   it is the verifier's job.  Their values round-trip; their sharing
-   (the test's constants, one [Vact] value on several nodes) need not. *)
+   it is the verifier's job.  Their values round-trip; their activations,
+   the test's own [Vact] values, come back as [Isa.vact]'s. *)
 let test_codec_handmade () =
   let open Pimcomp.Isa in
   let sigmoid = Vact Nnir.Op.Sigmoid in
@@ -270,6 +269,45 @@ let test_codec_handmade () =
       memory = { memory with local_peak_bytes = [||] };
       mem_trace = [||];
     }
+
+(* Every activation is [Isa.vact]'s value for its kind: in a compiled
+   program, and in what the .pimart and .isa readers make of its bytes.
+   A scheduler or reader that allocates its own [Vact] fails here. *)
+let test_codec_static_activations () =
+  let seen = ref 0 in
+  let static label (p : Pimcomp.Isa.t) =
+    Array.iteri
+      (fun c core ->
+        Array.iteri
+          (fun i (instr : Pimcomp.Isa.instr) ->
+            match instr.op with
+            | Vec { kind = Vact k as kind; _ } ->
+                incr seen;
+                if kind != Pimcomp.Isa.vact k then
+                  Alcotest.failf "%s: core %d instr %d: a %s value of its own"
+                    label c i
+                    (Pimcomp.Isa.vec_kind_name kind)
+            | _ -> ())
+          core)
+      p.cores
+  in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun mode ->
+          let label = Fmt.str "%s %a" name Pimcomp.Mode.pp mode in
+          let p = compile ~mode name in
+          static label p;
+          static (label ^ " .pimart")
+            (Pimcomp.Artifact.of_string
+               (Pimcomp.Artifact.to_string
+                  (Pimcomp.Artifact.make ~key:dummy_key p)))
+              .Pimcomp.Artifact.program;
+          static (label ^ " .isa")
+            (Pimcomp.Isa_text.of_string (Pimcomp.Isa_text.to_string p)))
+        Pimcomp.Mode.all)
+    Nnir.Zoo.names;
+  Alcotest.(check bool) "activations checked" true (!seen > 0)
 
 (* A container's first three header lines and its payload. *)
 let split_container text =
@@ -374,34 +412,77 @@ let test_codec_truncations () =
         cuts)
     Nnir.Zoo.names
 
+(* The cache key a program was served under. *)
+let key_of (s : Pimcomp.Compile.served) =
+  match s.origin with
+  | Cache_miss { key; _ } | Cache_hit { key; _ } -> key
+  | Cache_off _ -> Alcotest.fail "served with the cache off"
+
 (* An entry written under an older artifact version (version 2 held a
-   Marshal image) is rejected once, counted, and recompiled. *)
+   Marshal image, version 3 could share an activation value by VEC code
+   9) is rejected once, counted, and recompiled. *)
 let test_codec_old_version () =
-  let dir = scratch () in
-  let cache = Pimcomp.Cache.open_dir dir in
-  let g = graph "tiny" in
-  let options = options () in
-  let serve () = Pimcomp.Compile.compile_program ~options ~cache hw g in
-  let first = serve () in
-  let path =
-    Filename.concat dir (Option.get first.Pimcomp.Compile.key ^ ".pimart")
+  List.iter
+    (fun header ->
+      let dir = scratch () in
+      let cache = Pimcomp.Cache.open_dir dir in
+      let g = graph "tiny" in
+      let options = options () in
+      let serve () = Pimcomp.Compile.compile_program ~options ~cache hw g in
+      let path = Filename.concat dir (key_of (serve ()) ^ ".pimart") in
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      let header_end = String.index text '\n' in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc header;
+          output_string oc
+            (String.sub text header_end (String.length text - header_end)));
+      let outcomes =
+        List.map
+          (fun () ->
+            Pimcomp.Compile.outcome_name (serve ()).Pimcomp.Compile.origin)
+          [ (); () ]
+      in
+      Alcotest.(check (list string))
+        (header ^ ": recompiled, then served")
+        [ "miss"; "hit" ] outcomes;
+      Alcotest.(check int) (header ^ ": rejected once") 1
+        (Pimcomp.Cache.stats cache).Pimcomp.Cache.rejected;
+      ignore (Pimcomp.Cache.clear cache))
+    [ "pimart 2"; "pimart 3" ]
+
+(* Version 4 has no VEC code 9 (version 3's "the last activation value
+   of this node"): behind a valid header and MD5, a code 9 after an
+   activation of the same node is corrupt, where the same payload with
+   code 3 (vrelu) decodes. *)
+let test_codec_code9_rejected () =
+  let head, _ =
+    split_container
+      (Pimcomp.Artifact.to_string
+         (Pimcomp.Artifact.make ~key:dummy_key (compile "tiny")))
   in
-  let text = In_channel.with_open_bin path In_channel.input_all in
-  let header_end = String.index text '\n' in
-  Out_channel.with_open_bin path (fun oc ->
-      output_string oc "pimart 2";
-      output_string oc
-        (String.sub text header_end (String.length text - header_end)));
-  let outcomes =
-    List.map
-      (fun () -> (serve ()).Pimcomp.Compile.outcome)
-      [ (); () ]
+  (* name "tiny", LL, AG-reuse, one core, no tags, depth 1, empty AG
+     tables; one core of two VECs on node 5, without deps: vrelu of 4
+     elements, then [code] with the elements repeated; empty peak
+     tables, no spill or global traffic, no trace events *)
+  let payload code =
+    "\x04tiny" ^ "\x01\x02" ^ "\x01\x00\x01" ^ "\x00\x00" ^ "\x01\x02"
+    ^ "\x19\x0a\x00\x04"
+    ^ String.make 1 (Char.chr (0x81 lor (code lsl 3)))
+    ^ "\x00\x00" ^ String.make 6 '\x00'
   in
-  Alcotest.(check bool) "recompiled, then served" true
-    (outcomes = Pimcomp.Compile.[ Cache_miss; Cache_hit ]);
-  Alcotest.(check int) "rejected once" 1
-    (Pimcomp.Cache.stats cache).Pimcomp.Cache.rejected;
-  ignore (Pimcomp.Cache.clear cache)
+  (match
+     (Pimcomp.Artifact.of_string (repack head (payload 3)))
+       .Pimcomp.Artifact.program
+       .cores
+   with
+  | [| [| _; { op = Vec { kind; elements = 4 }; deps = []; node_id = 5 } |] |]
+    when kind == Pimcomp.Isa.vact Nnir.Op.Relu ->
+      ()
+  | _ -> Alcotest.fail "code 3 decodes to a different program"
+  | exception Pimcomp.Artifact.Corrupt m -> Alcotest.failf "code 3: %s" m);
+  match Pimcomp.Artifact.of_string (repack head (payload 9)) with
+  | _ -> Alcotest.fail "VEC code 9 decoded"
+  | exception Pimcomp.Artifact.Corrupt _ -> ()
 
 (* A count is checked against the bytes left before anything of that
    size is allocated. *)
@@ -533,19 +614,23 @@ let test_cold_warm_evict () =
   (* Cold: full compile, stored. *)
   let cold = request () in
   Alcotest.(check string) "first request misses" "miss"
-    (Pimcomp.Compile.outcome_name cold.Pimcomp.Compile.outcome);
+    (Pimcomp.Compile.outcome_name cold.Pimcomp.Compile.origin);
   Alcotest.(check bool) "miss carries the full record" true
-    (cold.Pimcomp.Compile.result <> None);
+    (match cold.Pimcomp.Compile.origin with
+    | Cache_miss { result; _ } ->
+        result.Pimcomp.Compile.program
+        == Lazy.force cold.Pimcomp.Compile.program
+    | Cache_off _ | Cache_hit _ -> false);
   (* Warm: loaded, verified, bit-identical. *)
   let warm = request () in
   Alcotest.(check string) "second request hits" "hit"
-    (Pimcomp.Compile.outcome_name warm.Pimcomp.Compile.outcome);
+    (Pimcomp.Compile.outcome_name warm.Pimcomp.Compile.origin);
   Alcotest.(check bool) "hit program bit-identical to the fresh compile"
     true
     (Lazy.force warm.Pimcomp.Compile.program
     = Lazy.force cold.Pimcomp.Compile.program);
-  Alcotest.(check bool) "hit and miss agree on the key" true
-    (warm.Pimcomp.Compile.key = cold.Pimcomp.Compile.key);
+  Alcotest.(check string) "hit and miss agree on the key" (key_of cold)
+    (key_of warm);
   (* Recalled: one shared handle verifies the entry on its first request
      and answers the second from its record, decoding on demand. *)
   let shared = Pimcomp.Cache.open_dir dir in
@@ -555,7 +640,7 @@ let test_cold_warm_evict () =
   ignore (request ());
   let recalled = request () in
   Alcotest.(check string) "recalled request hits" "hit"
-    (Pimcomp.Compile.outcome_name recalled.Pimcomp.Compile.outcome);
+    (Pimcomp.Compile.outcome_name recalled.Pimcomp.Compile.origin);
   Alcotest.(check int) "answered from the record" 1
     (Pimcomp.Cache.stats shared).Pimcomp.Cache.recalled;
   let program = Lazy.force recalled.Pimcomp.Compile.program in
@@ -776,8 +861,8 @@ let test_sim_miss_records_nothing () =
   let _, cache, sims, serve, program = sim_setup "tiny" in
   ignore (Pimcomp.Cache.clear cache);
   let miss = serve () in
-  Alcotest.(check bool) "the request misses" true
-    (miss.Pimcomp.Compile.outcome = Pimcomp.Compile.Cache_miss);
+  Alcotest.(check string) "the request misses" "miss"
+    (Pimcomp.Compile.outcome_name miss.Pimcomp.Compile.origin);
   ignore (simulate sims ~batches:1 miss);
   let off =
     Pimcomp.Compile.compile_program ~options:(options ()) hw (graph "tiny")
@@ -799,13 +884,13 @@ let test_sim_changed_bytes_simulated_again () =
   let before = simulate sims ~batches:1 (serve ()) in
   ignore (simulate sims ~batches:1 (serve ()));
   check_counts "recorded" ~simulated:1 ~recalled:1 sims;
-  let key = Option.get (serve ()).Pimcomp.Compile.key in
+  let key = key_of (serve ()) in
   Pimcomp.Artifact.to_file
     (Filename.concat dir (key ^ ".pimart"))
     (Pimcomp.Artifact.make ~key ht);
   let planted = serve () in
   Alcotest.(check bool) "the planted program is served" true
-    (planted.Pimcomp.Compile.outcome = Pimcomp.Compile.Cache_hit
+    (Pimcomp.Compile.outcome_name planted.Pimcomp.Compile.origin = "hit"
     && Lazy.force planted.Pimcomp.Compile.program = ht);
   let after = simulate sims ~batches:1 planted in
   check_counts "new bytes run the engine" ~simulated:2 ~recalled:1 sims;
@@ -923,6 +1008,10 @@ let () =
             test_codec_huge_length;
           Alcotest.test_case "version-2 entry rejected once" `Quick
             test_codec_old_version;
+          Alcotest.test_case "activations are static values" `Quick
+            test_codec_static_activations;
+          Alcotest.test_case "VEC code 9 rejected" `Quick
+            test_codec_code9_rejected;
         ] );
       ( "digest",
         [

@@ -311,6 +311,28 @@ let test_timing_vec_noc () =
   let many_flits = Pimhw.Timing.noc_ns t ~hops:2 ~bytes:800 in
   if many_flits <= one_flit then Alcotest.fail "serialisation should add time"
 
+(* One flit count: whole flits, at least one even for an empty message,
+   and a message's latency and energy follow it exactly. *)
+let test_flits () =
+  let t = Pimhw.Timing.create ~parallelism:4 hw in
+  let em = Pimhw.Energy_model.create hw in
+  let f = hw.Pimhw.Config.flit_bytes in
+  List.iter
+    (fun (bytes, flits) ->
+      let label what = Fmt.str "%s at %d bytes" what bytes in
+      Alcotest.(check int) (label "flits") flits (Pimhw.Config.flits hw ~bytes);
+      Alcotest.(check (float 0.))
+        (label "noc_ns")
+        ((3. *. hw.Pimhw.Config.t_hop_ns)
+        +. (float_of_int flits *. hw.Pimhw.Config.t_core_cycle_ns))
+        (Pimhw.Timing.noc_ns t ~hops:3 ~bytes);
+      Alcotest.(check (float 0.))
+        (label "message energy")
+        (float_of_int (flits * 3)
+        *. em.Pimhw.Energy_model.router_energy_pj_per_flit_hop)
+        (Pimhw.Energy_model.message_energy_pj em ~hops:3 ~bytes))
+    [ (0, 1); (1, 1); (f, 1); (f + 1, 2) ]
+
 let test_energy_model () =
   let em = Pimhw.Energy_model.create hw in
   (* one crossbar MVM: (1221.7 mW * 0.7 / 64) * 100 ns ~ 1336 pJ *)
@@ -363,5 +385,6 @@ let () =
           Alcotest.test_case "interval and f(n)" `Quick test_timing_interval;
           Alcotest.test_case "vec and noc" `Quick test_timing_vec_noc;
           Alcotest.test_case "energy model" `Quick test_energy_model;
+          Alcotest.test_case "flit rounding" `Quick test_flits;
         ] );
     ]
