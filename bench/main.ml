@@ -926,15 +926,9 @@ let cache_bench ~tiny gates =
         ] );
     ( "stats",
       J.Obj
-        [
-          ("hits", J.Int stats.Pimcomp.Cache.hits);
-          ("recalled", J.Int stats.Pimcomp.Cache.recalled);
-          ("misses", J.Int stats.Pimcomp.Cache.misses);
-          ("rejected", J.Int stats.Pimcomp.Cache.rejected);
-          ("evictions", J.Int stats.Pimcomp.Cache.evictions);
-          ("entries", J.Int stats.Pimcomp.Cache.entries);
-          ("bytes", J.Int stats.Pimcomp.Cache.bytes);
-        ] );
+        (List.map
+           (fun (name, n) -> (name, J.Int n))
+           (Pimcomp.Cache.stats_fields stats)) );
   ]
 
 (* --- synth ------------------------------------------------------------------- *)

@@ -268,10 +268,14 @@ let error_message = function
   | Pimcomp.Chromosome.Infeasible msg -> "infeasible: " ^ msg
   | Pimcomp.Artifact.Corrupt msg -> "corrupt artifact: " ^ msg
   | Sys_error msg -> msg
-  | Pimcomp.Compile.Job_error { index; graph; exn } ->
-      Fmt.str "batch job %d (%s) failed: %s" index graph
-        (Printexc.to_string exn)
+  | Pimcomp.Compile.Job_error _ as exn -> Printexc.to_string exn
   | exn -> raise exn
+
+(* [error_message] for one of many requests or targets: a bug is that
+   item's internal error, and the items after it are still answered. *)
+let failure_message exn =
+  try error_message exn
+  with exn -> "internal error: " ^ Printexc.to_string exn
 
 let wrap f = try Ok (f ()) with exn -> Error (`Msg (error_message exn))
 
@@ -300,14 +304,6 @@ let open_cache dir max_mb =
         ?max_bytes:(Option.map (fun mb -> mb * 1024 * 1024) max_mb)
         dir)
     dir
-
-let pp_cache_stats ppf (s : Pimcomp.Cache.stats) =
-  Fmt.pf ppf
-    "entries %d  bytes %d  hits %d  recalled %d  misses %d  rejected %d  \
-     evictions %d"
-    s.Pimcomp.Cache.entries s.Pimcomp.Cache.bytes s.Pimcomp.Cache.hits
-    s.Pimcomp.Cache.recalled s.Pimcomp.Cache.misses s.Pimcomp.Cache.rejected
-    s.Pimcomp.Cache.evictions
 
 (* --- commands -------------------------------------------------------------- *)
 
@@ -393,7 +389,7 @@ let compile_term simulate =
         | Some cache, (Cache_miss { key; _ } | Cache_hit { key; _ }) ->
             Fmt.pr "cache %s: key %s in %.3f s  (%a)@."
               (Pimcomp.Compile.outcome_name served.Pimcomp.Compile.origin)
-              key served.Pimcomp.Compile.seconds pp_cache_stats
+              key served.Pimcomp.Compile.seconds Pimcomp.Cache.pp_stats
               (Pimcomp.Cache.stats cache)
         | _ -> ());
         (match emit_isa with
@@ -537,46 +533,49 @@ let verify_cmd =
             (fun t -> if t = "zoo" then Nnir.Zoo.names else [ t ])
             targets
         in
-        let is_isa t =
-          Sys.file_exists t && Filename.check_suffix t ".isa"
-        in
-        let isa_targets, net_targets = List.partition is_isa targets in
         let options =
           compile_options ~verify:false ~mode ~allocator ~strategy ~seed
             ~generations ~fast ()
         in
-        (* Network targets compile in parallel; .isa dumps just parse. *)
-        let compiled =
-          Pimcomp.Compile.batch ?jobs hw
-            (List.map
-               (fun t -> (load_network t input_size, options))
-               net_targets)
+        (* One job per target, fanned across --jobs domains: an .isa dump
+           parses, anything else loads and compiles, and then the program
+           is verified.  A target that fails to load or compile fails
+           alone, so every other target still gets its verdict. *)
+        let check target =
+          match
+            if Sys.file_exists target && Filename.check_suffix target ".isa"
+            then (Pimcomp.Isa_text.of_file target, None)
+            else
+              let r =
+                Pimcomp.Compile.compile ~options hw
+                  (load_network target input_size)
+              in
+              (r.Pimcomp.Compile.program, Some r.Pimcomp.Compile.graph)
+          with
+          | exception exn -> Error (Fmt.str "%s: %s" target (failure_message exn))
+          | program, graph -> (
+              match Pimcomp.Verify.run ?graph ~config:hw program with
+              | [] ->
+                  Ok
+                    (Fmt.str "%s: verified: %d cores, %d instructions, no \
+                              violations"
+                       target program.Pimcomp.Isa.core_count
+                       (Pimcomp.Isa.num_instrs program))
+              | vs -> Error (Fmt.str "%s:@.%a" target Pimcomp.Verify.report vs))
         in
-        let work =
-          List.map
-            (fun t -> (t, Pimcomp.Isa_text.of_file t, None))
-            isa_targets
-          @ List.map2
-              (fun t (r : Pimcomp.Compile.t) ->
-                (t, r.Pimcomp.Compile.program, Some r.Pimcomp.Compile.graph))
-              net_targets compiled
+        let verdicts =
+          Pimutil.Domain_pool.map ?domains:jobs check (Array.of_list targets)
         in
         let failed = ref 0 in
-        List.iter
-          (fun (label, program, graph) ->
-            match Pimcomp.Verify.run ?graph ~config:hw program with
-            | [] ->
-                Fmt.pr "%s: verified: %d cores, %d instructions, no \
-                        violations@."
-                  label program.Pimcomp.Isa.core_count
-                  (Pimcomp.Isa.num_instrs program)
-            | violations ->
+        Array.iter
+          (function
+            | Ok line -> Fmt.pr "%s@." line
+            | Error text ->
                 incr failed;
-                Fmt.epr "%s:@.%a@." label Pimcomp.Verify.report violations)
-          work;
+                Fmt.epr "%s@." text)
+          verdicts;
         if !failed > 0 then
-          raise
-            (Invalid_argument (Fmt.str "%d target(s) failed" !failed)))
+          raise (Invalid_argument (Fmt.str "%d target(s) failed" !failed)))
   in
   let targets_arg =
     let doc =
@@ -590,9 +589,10 @@ let verify_cmd =
        ~doc:
          "Statically verify compiled programs: structural \
           well-formedness, send/recv rendezvous soundness and \
-          deadlock-freedom, and memory accounting.  Network TARGETs are \
-          compiled first, fanned across --jobs domains; .isa dumps are \
-          parsed directly.")
+          deadlock-freedom, and memory accounting.  Each TARGET is one \
+          job across --jobs domains: networks are compiled first, .isa \
+          dumps are parsed directly.  A failing target is named on \
+          stderr, the others are still checked, and the command exits 124.")
     Term.(
       term_result
         (const run $ targets_arg $ input_size_arg $ mode_arg $ allocator_arg
@@ -735,18 +735,11 @@ module Serve = struct
       match cache with
       | None -> [ ("cache", J.Bool false) ]
       | Some cache ->
-          let s = Pimcomp.Cache.stats cache in
-          [
-            ("cache", J.Bool true);
-            ("dir", J.String (Pimcomp.Cache.dir cache));
-            ("hits", J.Int s.Pimcomp.Cache.hits);
-            ("recalled", J.Int s.Pimcomp.Cache.recalled);
-            ("misses", J.Int s.Pimcomp.Cache.misses);
-            ("rejected", J.Int s.Pimcomp.Cache.rejected);
-            ("evictions", J.Int s.Pimcomp.Cache.evictions);
-            ("entries", J.Int s.Pimcomp.Cache.entries);
-            ("bytes", J.Int s.Pimcomp.Cache.bytes);
-          ]
+          ("cache", J.Bool true)
+          :: ("dir", J.String (Pimcomp.Cache.dir cache))
+          :: List.map
+               (fun (name, n) -> (name, J.Int n))
+               (Pimcomp.Cache.stats_fields (Pimcomp.Cache.stats cache))
     in
     let c = Pimsim.Simulate.counts sims in
     J.Obj
@@ -791,10 +784,7 @@ module Serve = struct
         Pimutil.Domain_pool.Persistent.run pool
           (fun (_, op, req) ->
             try run_heavy ~hw ~cache ~sims op req
-            with exn ->
-              error
-                (try error_message exn
-                 with exn -> "internal error: " ^ Printexc.to_string exn))
+            with exn -> error (failure_message exn))
           heavy
       in
       Array.iteri (fun k (i, _, _) -> responses.(i) <- results.(k)) heavy
@@ -909,7 +899,10 @@ let cache_cmd =
           | None -> assert false
         in
         match action with
-        | `Stats -> Fmt.pr "%a@." pp_cache_stats (Pimcomp.Cache.stats cache)
+        | `Stats ->
+            (* what the directory holds: a fresh handle counts no hits *)
+            let { Pimcomp.Cache.entries; bytes; _ } = Pimcomp.Cache.stats cache in
+            Fmt.pr "entries %d  bytes %d@." entries bytes
         | `List ->
             List.iter
               (fun (key, graph, bytes, _mtime) ->

@@ -282,6 +282,24 @@ let stats t =
         bytes;
       })
 
+(* The one rendering of the counters, in the order of serve's [stats]
+   answer and BENCH_CACHE.json's [stats] object. *)
+let stats_fields { hits; recalled; misses; rejected; evictions; entries; bytes }
+    =
+  [
+    ("hits", hits);
+    ("recalled", recalled);
+    ("misses", misses);
+    ("rejected", rejected);
+    ("evictions", evictions);
+    ("entries", entries);
+    ("bytes", bytes);
+  ]
+
+let pp_stats ppf s =
+  Fmt.(list ~sep:(any "  ") (fun ppf (name, n) -> pf ppf "%s %d" name n))
+    ppf (stats_fields s)
+
 let clear t =
   locked t (fun () ->
       let entries = scan_entries t in

@@ -99,6 +99,15 @@ val trim : t -> int
     how many entries were evicted by this call. *)
 
 val stats : t -> stats
+
+val stats_fields : stats -> (string * int) list
+(** The seven counters as (name, value), in the order serve's [stats]
+    answer and [BENCH_CACHE.json] list them: hits, recalled, misses,
+    rejected, evictions, entries, bytes. *)
+
+val pp_stats : stats Fmt.t
+(** {!stats_fields} on one line: [hits 2  recalled 1  ...  bytes 1161]. *)
+
 val clear : t -> int
 (** Deletes every entry; returns how many were removed. *)
 

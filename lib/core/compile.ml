@@ -214,8 +214,11 @@ let compile ?(options = default_options) (config : Pimhw.Config.t)
 (* Canonical digest of everything that determines the compiled program.
    The graph contributes the MD5 of its .nnt text (Text_format
    round-trips exactly, so the text is a faithful canonical form);
-   options and hardware config contribute every semantically relevant
-   field, floats rendered with %h (exact hex).
+   options and hardware config contribute every field, floats rendered
+   with %h (exact hex).  Each record is taken apart by an exhaustive
+   pattern, so a field added to [options], [Genetic.params],
+   [Genetic.island_params] or [Pimhw.Config.t] stops this function
+   compiling until the key reads it or names it below as excluded.
    Deliberately excluded, with the reasoning on record:
 
    - options.verify — verification never changes the emitted program,
@@ -227,99 +230,105 @@ let compile ?(options = default_options) (config : Pimhw.Config.t)
    The rendering itself is made order-independent and injective by
    Cache.digest_fields. *)
 let cache_key ?(options = default_options) (config : Pimhw.Config.t) graph =
+  let i = string_of_int and f = Fmt.str "%h" in
+  let opt none = function None -> none | Some n -> i n in
+  let {
+    mode; parallelism; core_count; max_node_num_in_core; allocator;
+    spill_budget; mvms_per_transfer; seed; strategy; objective; ga_islands;
+    verify = _;
+  } =
+    options
+  in
+  let params prefix
+      { Genetic.population; iterations; elite; extra_replica_attempts; patience }
+      =
+    [
+      (prefix ^ ".population", i population);
+      (prefix ^ ".iterations", i iterations);
+      (prefix ^ ".elite", i elite);
+      (prefix ^ ".extra_replica_attempts", i extra_replica_attempts);
+      (prefix ^ ".patience", opt "none" patience);
+    ]
+  in
   let strategy_fields =
-    let params_fields prefix (p : Genetic.params) =
-      [
-        (prefix ^ ".population", string_of_int p.Genetic.population);
-        (prefix ^ ".iterations", string_of_int p.Genetic.iterations);
-        (prefix ^ ".elite", string_of_int p.Genetic.elite);
-        ( prefix ^ ".extra_replica_attempts",
-          string_of_int p.Genetic.extra_replica_attempts );
-        ( prefix ^ ".patience",
-          match p.Genetic.patience with
-          | None -> "none"
-          | Some n -> string_of_int n );
-      ]
-    in
-    match options.strategy with
-    | Genetic_algorithm p -> ("strategy", "ga") :: params_fields "ga" p
-    | Random_search p -> ("strategy", "random") :: params_fields "random" p
+    match strategy with
+    | Genetic_algorithm p -> ("strategy", "ga") :: params "ga" p
+    | Random_search p -> ("strategy", "random") :: params "random" p
     | Puma_like -> [ ("strategy", "puma") ]
   in
   let island_fields =
-    match options.ga_islands with
+    match ga_islands with
     | None -> [ ("islands", "none") ]
-    | Some i ->
+    | Some { Genetic.islands; migration_interval; migration_size; domains = _ }
+      ->
         [
-          ("islands", string_of_int i.Genetic.islands);
-          ( "islands.migration_interval",
-            string_of_int i.Genetic.migration_interval );
-          ("islands.migration_size", string_of_int i.Genetic.migration_size);
+          ("islands", i islands);
+          ("islands.migration_interval", i migration_interval);
+          ("islands.migration_size", i migration_size);
         ]
   in
-  let f = Fmt.str "%h" in
-  let c = config in
-  let config_fields =
+  let option_fields =
     [
-      ("hw.xbar_rows", string_of_int c.Pimhw.Config.xbar_rows);
-      ("hw.xbar_cols", string_of_int c.Pimhw.Config.xbar_cols);
-      ("hw.xbars_per_core", string_of_int c.Pimhw.Config.xbars_per_core);
-      ("hw.vfus_per_core", string_of_int c.Pimhw.Config.vfus_per_core);
-      ("hw.vfu_lanes", string_of_int c.Pimhw.Config.vfu_lanes);
-      ("hw.local_memory_bytes", string_of_int c.Pimhw.Config.local_memory_bytes);
-      ( "hw.global_memory_bytes",
-        string_of_int c.Pimhw.Config.global_memory_bytes );
-      ("hw.core_count", string_of_int c.Pimhw.Config.core_count);
-      ("hw.flit_bytes", string_of_int c.Pimhw.Config.flit_bytes);
-      ( "hw.global_memory_banks",
-        string_of_int c.Pimhw.Config.global_memory_banks );
-      ("hw.t_mvm_ns", f c.Pimhw.Config.t_mvm_ns);
-      ("hw.t_core_cycle_ns", f c.Pimhw.Config.t_core_cycle_ns);
-      ("hw.t_hop_ns", f c.Pimhw.Config.t_hop_ns);
-      ("hw.t_dram_latency_ns", f c.Pimhw.Config.t_dram_latency_ns);
-      ("hw.global_memory_gbps", f c.Pimhw.Config.global_memory_gbps);
-      ("hw.pimmu_power_mw", f c.Pimhw.Config.pimmu_power_mw);
-      ("hw.vfu_power_mw", f c.Pimhw.Config.vfu_power_mw);
-      ("hw.local_memory_power_mw", f c.Pimhw.Config.local_memory_power_mw);
-      ("hw.control_power_mw", f c.Pimhw.Config.control_power_mw);
-      ("hw.router_power_mw", f c.Pimhw.Config.router_power_mw);
-      ("hw.global_memory_power_mw", f c.Pimhw.Config.global_memory_power_mw);
-      ( "hw.hyper_transport_power_mw",
-        f c.Pimhw.Config.hyper_transport_power_mw );
-      ("hw.pimmu_area_mm2", f c.Pimhw.Config.pimmu_area_mm2);
-      ("hw.vfu_area_mm2", f c.Pimhw.Config.vfu_area_mm2);
-      ("hw.local_memory_area_mm2", f c.Pimhw.Config.local_memory_area_mm2);
-      ("hw.control_area_mm2", f c.Pimhw.Config.control_area_mm2);
-      ("hw.router_area_mm2", f c.Pimhw.Config.router_area_mm2);
-      ("hw.global_memory_area_mm2", f c.Pimhw.Config.global_memory_area_mm2);
-      ( "hw.hyper_transport_area_mm2",
-        f c.Pimhw.Config.hyper_transport_area_mm2 );
-      ("hw.static_fraction", f c.Pimhw.Config.static_fraction);
+      ("format", "pimcomp-cache-key-v4");
+      ( "graph.md5",
+        Digest.to_hex (Digest.string (Nnir.Text_format.to_string graph)) );
+      ("mode", Mode.to_string mode);
+      ("parallelism", i parallelism);
+      ("core_count", opt "fit" core_count);
+      ("max_node_num_in_core", i max_node_num_in_core);
+      ("allocator", Memalloc.strategy_name allocator);
+      ("spill_budget", opt "unlimited" spill_budget);
+      ("mvms_per_transfer", i mvms_per_transfer);
+      ("seed", i seed);
+      ("objective", Fitness.objective_name objective);
     ]
   in
+  let {
+    Pimhw.Config.xbar_rows; xbar_cols; xbars_per_core; vfus_per_core;
+    vfu_lanes; local_memory_bytes; global_memory_bytes; core_count;
+    flit_bytes; global_memory_banks; t_mvm_ns; t_core_cycle_ns; t_hop_ns;
+    t_dram_latency_ns; global_memory_gbps; pimmu_power_mw; vfu_power_mw;
+    local_memory_power_mw; control_power_mw; router_power_mw;
+    global_memory_power_mw; hyper_transport_power_mw; pimmu_area_mm2;
+    vfu_area_mm2; local_memory_area_mm2; control_area_mm2; router_area_mm2;
+    global_memory_area_mm2; hyper_transport_area_mm2; static_fraction;
+  } =
+    config
+  in
   Cache.digest_fields
-    ([
-       ("format", "pimcomp-cache-key-v4");
-       ( "graph.md5",
-         Digest.to_hex (Digest.string (Nnir.Text_format.to_string graph)) );
-       ("mode", Mode.to_string options.mode);
-       ("parallelism", string_of_int options.parallelism);
-       ( "core_count",
-         match options.core_count with
-         | None -> "fit"
-         | Some n -> string_of_int n );
-       ( "max_node_num_in_core",
-         string_of_int options.max_node_num_in_core );
-       ("allocator", Memalloc.strategy_name options.allocator);
-       ( "spill_budget",
-         match options.spill_budget with
-         | None -> "unlimited"
-         | Some n -> string_of_int n );
-       ("mvms_per_transfer", string_of_int options.mvms_per_transfer);
-       ("seed", string_of_int options.seed);
-       ("objective", Fitness.objective_name options.objective);
-     ]
-    @ strategy_fields @ island_fields @ config_fields)
+    (option_fields @ strategy_fields @ island_fields
+    @ [
+        ("hw.xbar_rows", i xbar_rows);
+        ("hw.xbar_cols", i xbar_cols);
+        ("hw.xbars_per_core", i xbars_per_core);
+        ("hw.vfus_per_core", i vfus_per_core);
+        ("hw.vfu_lanes", i vfu_lanes);
+        ("hw.local_memory_bytes", i local_memory_bytes);
+        ("hw.global_memory_bytes", i global_memory_bytes);
+        ("hw.core_count", i core_count);
+        ("hw.flit_bytes", i flit_bytes);
+        ("hw.global_memory_banks", i global_memory_banks);
+        ("hw.t_mvm_ns", f t_mvm_ns);
+        ("hw.t_core_cycle_ns", f t_core_cycle_ns);
+        ("hw.t_hop_ns", f t_hop_ns);
+        ("hw.t_dram_latency_ns", f t_dram_latency_ns);
+        ("hw.global_memory_gbps", f global_memory_gbps);
+        ("hw.pimmu_power_mw", f pimmu_power_mw);
+        ("hw.vfu_power_mw", f vfu_power_mw);
+        ("hw.local_memory_power_mw", f local_memory_power_mw);
+        ("hw.control_power_mw", f control_power_mw);
+        ("hw.router_power_mw", f router_power_mw);
+        ("hw.global_memory_power_mw", f global_memory_power_mw);
+        ("hw.hyper_transport_power_mw", f hyper_transport_power_mw);
+        ("hw.pimmu_area_mm2", f pimmu_area_mm2);
+        ("hw.vfu_area_mm2", f vfu_area_mm2);
+        ("hw.local_memory_area_mm2", f local_memory_area_mm2);
+        ("hw.control_area_mm2", f control_area_mm2);
+        ("hw.router_area_mm2", f router_area_mm2);
+        ("hw.global_memory_area_mm2", f global_memory_area_mm2);
+        ("hw.hyper_transport_area_mm2", f hyper_transport_area_mm2);
+        ("hw.static_fraction", f static_fraction);
+      ])
 
 (* --- cached program service ------------------------------------------------- *)
 
@@ -360,7 +369,7 @@ let compile_program ?(options = default_options) ?cache
   in
   { summary; program; origin; seconds }
 
-(* --- batch ------------------------------------------------------------------- *)
+(* --- job errors ------------------------------------------------------------ *)
 
 exception Job_error of { index : int; graph : string; exn : exn }
 
@@ -368,31 +377,6 @@ let () =
   Printexc.register_printer (function
     | Job_error { index; graph; exn } ->
         Some
-          (Fmt.str "Compile.batch: job %d (%s) failed: %s" index graph
+          (Fmt.str "job %d (%s) failed: %s" index graph
              (Printexc.to_string exn))
     | _ -> None)
-
-(* Fan independent compiles across OCaml domains.  Every job is pure
-   and seeded (the GA RNG comes from options.seed; nothing reads the
-   wall clock except the stage timers), so the returned programs,
-   chromosomes, and fitness values are bit-identical to a sequential
-   run whatever the domain count — only [stage_seconds] varies.  Jobs
-   running an island GA ([ga_islands = Some _]) spawn their own inner
-   domains; keep [jobs] low in that case to avoid oversubscription.
-
-   A failing job re-raises in the caller wrapped in [Job_error] so a
-   whole-zoo sweep names the (index, graph) that broke instead of
-   surfacing a bare exception; the original backtrace is preserved on
-   the wrapper. *)
-let batch ?jobs (config : Pimhw.Config.t) work =
-  Pimhw.Config.validate config;
-  Pimutil.Domain_pool.map ?domains:jobs
-    (fun (index, (graph, options)) ->
-      try compile ~options config graph
-      with e ->
-        let bt = Printexc.get_raw_backtrace () in
-        Printexc.raise_with_backtrace
-          (Job_error { index; graph = Nnir.Graph.name graph; exn = e })
-          bt)
-    (Array.of_list (List.mapi (fun i job -> (i, job)) work))
-  |> Array.to_list

@@ -123,16 +123,7 @@ val compile_program :
     Without one, equivalent to {!compile}. *)
 
 exception Job_error of { index : int; graph : string; exn : exn }
-(** A {!batch} job failed: [index] is its position in the work list,
-    [graph] the network's name, [exn] the original exception.  The
-    original backtrace is preserved on the re-raise. *)
-
-val batch :
-  ?jobs:int -> Pimhw.Config.t -> (Nnir.Graph.t * options) list -> t list
-(** Compile each (graph, options) job, fanned across up to [jobs]
-    OCaml domains (default: {!Pimutil.Domain_pool.default_domains}).
-    Jobs are pure and seeded, so results are bit-identical to mapping
-    {!compile} over the list sequentially, whatever [jobs] is; only the
-    wall-clock [stage_seconds] fields vary.  A failing job re-raises in
-    the caller as {!Job_error}, naming the job instead of surfacing a
-    bare exception. *)
+(** A job in a fan-out of compiles (the synthesis evaluator's) failed
+    with an exception that is a bug, not infeasibility: [index] is its
+    position in the work list, [graph] the network's name, [exn] the
+    original exception.  The registered printer names all three. *)

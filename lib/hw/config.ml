@@ -100,25 +100,6 @@ let puma_like =
     static_fraction = 0.30;
   }
 
-let default = puma_like
-
-(* An ISAAC-flavoured alternative (Shafiee et al., ISCA'16): fewer,
-   smaller crossbars per on-chip tile, a larger 64 kB eDRAM buffer per
-   tile and more tiles per chip.  Powers/areas are scaled from the
-   Table I calibration points by the CACTI/Orion-style laws; useful for
-   design-space exploration, not a calibrated ISAAC model. *)
-let isaac_like =
-  {
-    puma_like with
-    xbars_per_core = 32;
-    vfus_per_core = 8;
-    core_count = 48;
-    pimmu_power_mw = 1221.7 /. 2.0;
-    pimmu_area_mm2 = 0.77 /. 2.0;
-    vfu_power_mw = 22.80 *. 8.0 /. 12.0;
-    vfu_area_mm2 = 0.048 *. 8.0 /. 12.0;
-  }
-
 let validate c =
   let check name v = if v <= 0 then invalid_arg ("Config: " ^ name ^ " <= 0") in
   check "xbar_rows" c.xbar_rows;

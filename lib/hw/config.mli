@@ -37,12 +37,6 @@ type t = {
 val puma_like : t
 (** Table I of the paper with PUMA-era timing constants. *)
 
-val default : t
-
-val isaac_like : t
-(** ISAAC-flavoured variant (fewer, smaller tiles) for design-space
-    exploration; scaled from the Table I calibration, not calibrated. *)
-
 val validate : t -> unit
 (** Raises [Invalid_argument] on non-positive or out-of-range fields. *)
 

@@ -93,8 +93,7 @@ let to_config p =
   validate_point p;
   let base = Config.puma_like in
   let fi = float_of_int in
-  (* PIM device count drives the in-core MVM unit's power and area, as
-     in Config.isaac_like. *)
+  (* PIM device count drives the in-core MVM unit's power and area. *)
   let device_ratio =
     fi (p.xbars_per_core * p.xbar_size * p.xbar_size)
     /. fi

@@ -9,7 +9,6 @@
 
 type t = {
   config : Config.t;
-  parallelism : int;
   t_mvm_ns : float;
   t_interval_ns : float;
 }
@@ -22,12 +21,9 @@ let create ?(parallelism = default_parallelism) (config : Config.t) =
   if parallelism <= 0 then invalid_arg "Timing.create: parallelism <= 0";
   {
     config;
-    parallelism;
     t_mvm_ns = config.t_mvm_ns;
     t_interval_ns = config.t_mvm_ns /. float_of_int parallelism;
   }
-
-let parallelism t = t.parallelism
 
 (* f(n) from Section IV-C2: duration of one operation cycle when n AGs
    share a core's issue bandwidth. *)

@@ -4,7 +4,6 @@
 
 type t = {
   config : Config.t;
-  parallelism : int;
   t_mvm_ns : float;
   t_interval_ns : float;
 }
@@ -16,8 +15,6 @@ val default_parallelism : int
 
 val create : ?parallelism:int -> Config.t -> t
 (** Default parallelism {!default_parallelism}. *)
-
-val parallelism : t -> int
 
 val operation_cycle_ns : t -> ags_in_core:int -> float
 (** The paper's [f(n)]: one operation cycle with [n] AGs sharing a core's

@@ -29,4 +29,4 @@ val evaluator :
     — the search records the point and moves on.  Any other exception,
     {!Pimcomp.Compile.Self_check_failed} and [Invalid_argument]
     included, is a bug: it is re-raised as {!Pimcomp.Compile.Job_error}
-    naming the job's slot and network, as in [Compile.batch]. *)
+    naming the job's slot and network. *)

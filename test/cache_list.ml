@@ -4,6 +4,9 @@
 
    - `pimcomp compile tiny --fast --cache D` stores one entry (the
      binary is argv.(1));
+   - `pimcomp cache stats --dir D` must print `entries 1  bytes B`, B
+     the entry's size, and nothing else: a fresh handle's counters are
+     all 0, so the offline report is what the directory holds;
    - its payload is replaced by [Marshal.to_string 0 []] and the
      `payload` line is rewritten with the new length and MD5;
    - `pimcomp cache list --dir D` must exit 0 and print one line, with
@@ -84,6 +87,13 @@ let () =
         (Filename.chop_suffix entry ".pimart", Filename.concat dir entry)
     | entries -> fail "expected one cache entry, found %d" (Array.length entries)
   in
+  (match run exe [ "cache"; "stats"; "--dir"; dir ] with
+  | Unix.WEXITED 0, out ->
+      let expected =
+        Printf.sprintf "entries 1  bytes %d\n" (Unix.stat entry).Unix.st_size
+      in
+      if out <> expected then fail "cache stats: expected %S, got %S" expected out
+  | status, _ -> fail "cache stats: %s" (status_name status));
   plant entry;
   (match run exe [ "cache"; "list"; "--dir"; dir ] with
   | Unix.WEXITED 0, out -> (

@@ -29,6 +29,13 @@
      [Genetic.fast_params] at seed 42: the best fitness, the evaluation
      count and the history length.
 
+   - [Compile.cache_key] for tiny, lenet and squeezenet at their
+     minimum input sizes, on the Table I machine and on one design
+     point that differs from it on every axis, under nine option
+     records that between them move every option the key reads and
+     the two it leaves out ([verify], the island GA's [domains]).
+     A key that loses or renames a field moves here.
+
    Floats print as %h (exact hex).  After an intended change to one of
    these results, regenerate with [dune build @runtest] then
    [dune promote]. *)
@@ -311,9 +318,80 @@ let edps () =
     (fun name -> List.iter (edp_row name) Pimcomp.Mode.all)
     [ "squeezenet"; "resnet18" ]
 
+let key_options =
+  let d = Pimcomp.Compile.default_options in
+  let fast = Pimcomp.Genetic.fast_params in
+  let islands = Pimcomp.Genetic.default_island_params in
+  [
+    ("default", d);
+    ( "ll-lifetime",
+      {
+        d with
+        mode = Pimcomp.Mode.Low_latency;
+        allocator = Pimcomp.Memalloc.Lifetime;
+        spill_budget = Some 4096;
+      } );
+    ( "puma",
+      {
+        d with
+        strategy = Pimcomp.Compile.Puma_like;
+        core_count = Some 40;
+        max_node_num_in_core = 8;
+      } );
+    ( "random",
+      {
+        d with
+        strategy = Pimcomp.Compile.Random_search fast;
+        seed = 7;
+        parallelism = 8;
+      } );
+    ( "ga-edp",
+      {
+        d with
+        strategy = Pimcomp.Compile.Genetic_algorithm fast;
+        objective = Pimcomp.Fitness.Minimize_energy_delay;
+        mvms_per_transfer = 4;
+      } );
+    ("islands", { d with ga_islands = Some islands });
+    ( "islands-wide",
+      {
+        d with
+        ga_islands =
+          Some
+            { islands with islands = 4; migration_interval = 5; migration_size = 2 };
+      } );
+    ( "islands-domains",
+      { d with ga_islands = Some { islands with domains = Some 3 } } );
+    ("no-verify", { d with verify = false });
+  ]
+
+let keys () =
+  let point =
+    {
+      Pimhw.Design_space.xbar_size = 64;
+      xbars_per_core = 16;
+      core_count = 16;
+      local_memory_kb = 32;
+      vfus_per_core = 8;
+    }
+  in
+  List.iter
+    (fun name ->
+      let graph = Nnir.Zoo.build ~input_size:(Nnir.Zoo.min_input_size name) name in
+      List.iter
+        (fun (machine, config) ->
+          List.iter
+            (fun (label, options) ->
+              Printf.printf "key %s %s %s %s\n" name machine label
+                (Pimcomp.Compile.cache_key ~options config graph))
+            key_options)
+        [ ("puma", hw); ("x64-b16-c16-m32k-v8", Pimhw.Design_space.to_config point) ])
+    [ "tiny"; "lenet"; "squeezenet" ]
+
 let () =
   streams ();
   synths ();
   lifetimes ();
   layouts ();
-  edps ()
+  edps ();
+  keys ()

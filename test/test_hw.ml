@@ -194,96 +194,66 @@ let test_mesh_geometry () =
   Alcotest.(check int) "corner hops" 10 (Pimhw.Noc.hops noc ~src:0 ~dst:35);
   Alcotest.(check int) "same core" 0 (Pimhw.Noc.hops noc ~src:9 ~dst:9)
 
-let test_mesh_routes () =
-  let noc = Pimhw.Noc.create ~core_count:16 in
-  let route = Pimhw.Noc.route noc ~src:0 ~dst:15 in
-  Alcotest.(check int) "route length = hops"
-    (Pimhw.Noc.hops noc ~src:0 ~dst:15)
-    (List.length route);
-  (* XY routing: x-links first *)
-  (match route with
-  | { Pimhw.Noc.from_core = 0; to_core = 1 } :: _ -> ()
-  | _ -> Alcotest.fail "XY route should start along x");
-  Alcotest.(check (list (pair int int))) "route is connected" []
-    (List.filter_map
-       (fun (a, b) -> if a <> b then Some (a, b) else None)
-       (let rec pairs = function
-          | { Pimhw.Noc.to_core = a; _ } :: ({ Pimhw.Noc.from_core = b; _ } :: _ as rest)
-            ->
-              (a, b) :: pairs rest
-          | _ -> []
-        in
-        pairs route))
-
 let test_non_square_mesh () =
   let noc = Pimhw.Noc.create ~core_count:7 in
   Alcotest.(check int) "7 cores fit" 7 (Pimhw.Noc.core_count noc);
-  (* every core must have valid coordinates *)
-  for c = 0 to 6 do
-    let x, y = Pimhw.Noc.coords noc c in
-    Alcotest.(check (option int)) "coords invert" (Some c)
-      (Pimhw.Noc.core_at noc ~x ~y)
-  done
+  (* every core sits inside the mesh, no two at one position *)
+  let cols = Pimhw.Noc.cols noc and rows = Pimhw.Noc.rows noc in
+  let positions = List.init 7 (Pimhw.Noc.coords noc) in
+  List.iteri
+    (fun c (x, y) ->
+      if x < 0 || x >= cols || y < 0 || y >= rows then
+        Alcotest.failf "core %d at (%d, %d) outside the %dx%d mesh" c x y cols
+          rows)
+    positions;
+  Alcotest.(check int) "distinct positions" 7
+    (List.length (List.sort_uniq compare positions))
 
-let test_ragged_mesh_routes () =
+let test_hop_counts () =
   (* core_count = 5 is a 3-wide mesh whose bottom row holds only cores 3
-     and 4; position (2,1) is a hole.  Dimension-ordered XY routing from
-     core 3 to core 2 would turn at that hole, so the router must fall
-     back to the YX corner.  Every link endpoint has to be a real core. *)
+     and 4: every pair's XY distance *)
   let noc = Pimhw.Noc.create ~core_count:5 in
-  for src = 0 to 4 do
-    for dst = 0 to 4 do
-      let route = Pimhw.Noc.route noc ~src ~dst in
-      Alcotest.(check int)
-        (Fmt.str "route %d->%d length" src dst)
-        (Pimhw.Noc.hops noc ~src ~dst)
-        (List.length route);
-      List.iter
-        (fun { Pimhw.Noc.from_core; to_core } ->
-          if from_core < 0 || from_core >= 5 || to_core < 0 || to_core >= 5
-          then
-            Alcotest.failf "route %d->%d crosses phantom core (%d->%d)" src
-              dst from_core to_core)
-        route
-    done
-  done
-
-let test_global_memory_route () =
-  (* hops_to_global_memory must agree with the explicit route to the
-     controller port beyond the top-left core *)
+  let expected =
+    [|
+      [| 0; 1; 2; 1; 2 |];
+      [| 1; 0; 1; 2; 1 |];
+      [| 2; 1; 0; 3; 2 |];
+      [| 1; 2; 3; 0; 1 |];
+      [| 2; 1; 2; 1; 0 |];
+    |]
+  in
+  Array.iteri
+    (fun src row ->
+      Array.iteri
+        (fun dst h ->
+          Alcotest.(check int)
+            (Fmt.str "hops %d->%d" src dst)
+            h
+            (Pimhw.Noc.hops noc ~src ~dst))
+        row)
+    expected;
+  (* the global-memory port is one hop past core 0 (top-left) *)
   List.iter
-    (fun core_count ->
+    (fun (core_count, h) ->
       let noc = Pimhw.Noc.create ~core_count in
-      for core = 0 to core_count - 1 do
-        let route = Pimhw.Noc.route_to_global_memory noc ~core in
-        Alcotest.(check int)
-          (Fmt.str "n=%d core %d global hops" core_count core)
-          (Pimhw.Noc.hops_to_global_memory noc ~core)
-          (List.length route);
-        match List.rev route with
-        | { Pimhw.Noc.from_core = 0; to_core } :: _
-          when to_core = Pimhw.Noc.global_memory_port ->
-            ()
-        | _ -> Alcotest.failf "n=%d core %d: last link is not 0->port"
-                 core_count core
-      done)
-    [ 1; 5; 7; 16; 36 ]
+      Alcotest.(check int)
+        (Fmt.str "n=%d last core to global memory" core_count)
+        h
+        (Pimhw.Noc.hops_to_global_memory noc ~core:(core_count - 1)))
+    [ (1, 1); (5, 3); (7, 3); (16, 7); (36, 11) ]
 
 let mesh_hops_symmetric =
   QCheck.Test.make ~name:"mesh hops symmetric and triangle" ~count:300
-    QCheck.(triple (int_range 1 49) (int_range 0 48) (int_range 0 48))
-    (fun (n, a, b) ->
+    QCheck.(
+      quad (int_range 1 49) (int_range 0 48) (int_range 0 48) (int_range 0 48))
+    (fun (n, a, b, c) ->
       let noc = Pimhw.Noc.create ~core_count:n in
-      let a = a mod n and b = b mod n in
-      let h = Pimhw.Noc.hops noc ~src:a ~dst:b in
-      let route = Pimhw.Noc.route noc ~src:a ~dst:b in
-      h = Pimhw.Noc.hops noc ~src:b ~dst:a
-      && h >= 0
-      && List.length route = h
-      && List.for_all
-           (fun { Pimhw.Noc.from_core; to_core } ->
-             from_core >= 0 && from_core < n && to_core >= 0 && to_core < n)
-           route)
+      let a = a mod n and b = b mod n and c = c mod n in
+      let hops src dst = Pimhw.Noc.hops noc ~src ~dst in
+      hops a b = hops b a
+      && hops a b >= 0
+      && hops a a = 0
+      && hops a c <= hops a b + hops b c)
 
 (* --- timing --------------------------------------------------------------- *)
 
@@ -373,11 +343,8 @@ let () =
       ( "noc",
         [
           Alcotest.test_case "mesh geometry" `Quick test_mesh_geometry;
-          Alcotest.test_case "routes" `Quick test_mesh_routes;
           Alcotest.test_case "non-square" `Quick test_non_square_mesh;
-          Alcotest.test_case "ragged routes" `Quick test_ragged_mesh_routes;
-          Alcotest.test_case "global memory route" `Quick
-            test_global_memory_route;
+          Alcotest.test_case "hop counts" `Quick test_hop_counts;
           QCheck_alcotest.to_alcotest mesh_hops_symmetric;
         ] );
       ( "timing",

@@ -43,9 +43,18 @@ let test_mobilenet () = test_all_modes_run "mobilenet" 32
 let test_densenet () = test_all_modes_run "densenet121" 33
 
 let test_isaac_preset () =
-  (* the same compiler retargets the ISAAC-flavoured machine unchanged *)
-  let hw = Pimhw.Config.isaac_like in
-  Pimhw.Config.validate hw;
+  (* the same compiler retargets an ISAAC-flavoured machine unchanged:
+     fewer, smaller tiles, more of them *)
+  let hw =
+    Pimhw.Design_space.to_config
+      {
+        Pimhw.Design_space.xbar_size = 128;
+        xbars_per_core = 32;
+        core_count = 48;
+        local_memory_kb = 64;
+        vfus_per_core = 8;
+      }
+  in
   let g = Nnir.Zoo.build ~input_size:48 "squeezenet" in
   let options =
     { Pimcomp.Compile.default_options with

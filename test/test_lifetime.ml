@@ -5,9 +5,9 @@
 
 let layout_of ~name ~mode:_ =
   let graph = Nnir.Zoo.build name ~input_size:(Nnir.Zoo.min_input_size name) in
-  (graph, Pimhw.Config.default)
+  (graph, Pimhw.Config.puma_like)
 
-let compile ?(config = Pimhw.Config.default) ~allocator ~mode name =
+let compile ?(config = Pimhw.Config.puma_like) ~allocator ~mode name =
   let graph, _ = layout_of ~name ~mode in
   let options =
     {
@@ -42,7 +42,7 @@ let test_all_strategies_verify () =
                 []
                 (List.map
                    (Fmt.str "%a" Pimcomp.Verify.pp_violation)
-                   (Pimcomp.Verify.run ~graph ~config:Pimhw.Config.default
+                   (Pimcomp.Verify.run ~graph ~config:Pimhw.Config.puma_like
                       r.Pimcomp.Compile.program)))
             Pimcomp.Memalloc.[ Naive; Add_reuse; Ag_reuse; Lifetime ])
         modes)
@@ -93,7 +93,7 @@ let test_plan_determinism () =
   let p = lt.Pimcomp.Compile.program in
   let plan () =
     Pimcomp.Lifetime.plan_of_trace ~core_count:p.Pimcomp.Isa.core_count
-      ~capacity:(Some Pimhw.Config.default.Pimhw.Config.local_memory_bytes)
+      ~capacity:(Some Pimhw.Config.puma_like.Pimhw.Config.local_memory_bytes)
       p.Pimcomp.Isa.mem_trace
   in
   Alcotest.(check bool) "same trace, same plan" true (plan () = plan ());
@@ -136,7 +136,7 @@ let test_hand_planned_spill () =
     free.Pimcomp.Lifetime.resident.(0)
 
 let tight_config =
-  { Pimhw.Config.default with Pimhw.Config.local_memory_bytes = 4096 }
+  { Pimhw.Config.puma_like with Pimhw.Config.local_memory_bytes = 4096 }
 
 (* A scratchpad smaller than the largest single request: infeasible for
    the legacy disciplines, a valid spilling program under lifetime. *)

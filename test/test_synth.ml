@@ -316,9 +316,13 @@ let test_e2e_bad_options_abort () =
   match Pimsim.Synth_eval.evaluator ~networks:e2e_networks () [| job |] with
   | _ -> Alcotest.fail "a compile with zero cores was not re-raised"
   | exception
-      Pimcomp.Compile.Job_error
-        { index = 0; graph = "tiny"; exn = Invalid_argument _ } ->
-      ()
+      (Pimcomp.Compile.Job_error
+         { index = 0; graph = "tiny"; exn = Invalid_argument _ } as e) ->
+      (* the registered printer names the job's index and graph *)
+      let printed = Printexc.to_string e in
+      let prefix = "job 0 (tiny) failed: " in
+      Alcotest.(check string) printed prefix
+        (String.sub printed 0 (min (String.length prefix) (String.length printed)))
 
 let test_e2e_search () =
   let r = run_e2e ~domains:1 ~prune:true in
